@@ -12,9 +12,6 @@ Networks are JSON files (see netmodel) or the bundled names ``simple5`` and
 separators, and is byte-identical across repeated runs with the same config
 except for the wall-clock timing column.  Exit codes: 0 success, 1 config or
 parse error, 2 solver failure.
-
-The environment variable ``VUDLMP_SEED`` fixes the seed for any randomized
-network generation driven through this front end.
 """
 
 from __future__ import annotations
@@ -68,17 +65,6 @@ class ConfigError(Exception):
     """Bad scenario configuration (distinct from solver failures)."""
 
 
-def seed_from_env(default=0):
-    """Seed for randomized network generation, fixed by VUDLMP_SEED."""
-    raw = os.environ.get("VUDLMP_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"VUDLMP_SEED must be an integer, got {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One OPF scenario: network, unbalance treatment, solver and output knobs."""
@@ -95,7 +81,6 @@ class ScenarioConfig:
     kkt_tol: float = 1e-6
     max_iter: int = 300
     with_sensitivity: bool = False
-    with_plot_data: bool = True
 
     def __post_init__(self):
         if self.mode not in ("none", "hard", "soft"):
@@ -171,16 +156,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     result = ScenarioResult(case_id=cfg.case_id, status="config-error")
     try:
         net = load_network(_resolve_network(cfg.network))
+        ub = UnbalanceConfig(
+            mode=cfg.mode,
+            vuf_limit_pct=cfg.limit_pct if cfg.mode == "hard" else 0.0,
+            penalty_weight=cfg.penalty if cfg.mode == "soft" else 0.0,
+            buses=net.unbalance.buses,
+        )
     except (NetworkError, ConfigError) as exc:
         result.message = str(exc)
         result.wall_ms = 1e3 * (time.perf_counter() - t0)
         return result
-    ub = UnbalanceConfig(
-        mode=cfg.mode,
-        vuf_limit_pct=cfg.limit_pct if cfg.mode == "hard" else 0.0,
-        penalty_weight=cfg.penalty if cfg.mode == "soft" else 0.0,
-        buses=net.unbalance.buses,
-    )
     try:
         warm = solve_pf(net)
     except PowerFlowDiverged:
@@ -213,7 +198,7 @@ def _sweep_worker(args):
     except Exception as exc:     # per-run isolation: never abort siblings
         return ScenarioResult(case_id=cfg_kwargs.get("case_id", "case"),
                               status="infeasible-or-nonconverged",
-                              message=str(exc))
+                              message=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(cfg: ScenarioConfig) -> list:
@@ -375,6 +360,12 @@ def _scenario_from_args(args):
     )
 
 
+def _exit_code(results):
+    if any(r.status == "config-error" for r in results):
+        return EXIT_CONFIG
+    return EXIT_OK if all(r.ok for r in results) else EXIT_SOLVER
+
+
 def _cmd_opf(args):
     cfg = _scenario_from_args(args)
     result = run_scenario(cfg)
@@ -384,9 +375,9 @@ def _cmd_opf(args):
               f"losses {result.total_losses_kw:.4f} kW, "
               f"highest VUF {result.highest_vuf_pct:.4f}% at {result.vuf_bus} "
               f"({result.wall_ms:.0f} ms)")
-        return EXIT_OK
-    print(f"{result.case_id}: {result.status} ({result.message})", file=sys.stderr)
-    return EXIT_SOLVER
+    else:
+        print(f"{result.case_id}: {result.status} ({result.message})", file=sys.stderr)
+    return _exit_code([result])
 
 
 def _cmd_sweep(args):
@@ -400,7 +391,7 @@ def _cmd_sweep(args):
         mark = "ok " if r.ok else "FAIL"
         vuf_txt = f"{r.highest_vuf_pct:.4f}%" if r.ok else "-"
         print(f"[{mark}] {r.case_id}: maxVUF {vuf_txt}")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_SOLVER
+    return _exit_code(results)
 
 
 def _cmd_sens(args):

@@ -20,10 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .netmodel import NPHASE, PHASES, NetworkSpec
 from .opf import OpfProblem
-from .powerflow import OperatingPoint, build_ybus, perturb_and_resolve, solve_pf
+from .powerflow import (
+    OperatingPoint,
+    build_ybus,
+    line_flows,
+    nonslack_index,
+    perturb_and_resolve,
+    pf_jacobian,
+)
 from .sequence import PhasorSet, grad_f
 
 EPS_I = 1e-8            # incident-current magnitude below which the
@@ -78,15 +86,15 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
                             response=None):
     """One closed-form sensitivity entry df/dP (or df/dQ) at (bus, phase).
 
-    The metric gradient at the bus is chained with the bus's own block of
-    the inverted power-flow Jacobian (generation fixed, slack swinging), so
-    the value is the exact first-order response of the local metric.  The
+    The metric gradient at the bus is chained with the power-flow response
+    to the bus's own consumption (generation fixed, slack swinging), so the
+    value is the exact first-order response of the local metric.  The
     entry is reported as undefined when the bus draws essentially no
     current on that phase: with nothing flowing, a power perturbation has
     no well-conditioned voltage direction to act through.
 
-    ``response`` may carry a precomputed :func:`_response_matrix` result to
-    amortize the inverse across a whole report.
+    ``response`` may carry a precomputed :func:`_pf_response` result to
+    amortize the factorization across a whole report.
     """
     net = point.net
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
@@ -98,15 +106,12 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
             incident_current=imag,
         )
     if response is None:
-        response = _response_matrix(net, point.voltages)
-    cols_p, cols_q, idx = response
-    pos_of = {k: t for t, k in enumerate(idx)}
+        response = _pf_response(net, point.voltages)
     b = net.bus_index(bus)
-    t = pos_of[3 * b + phase_idx]
-    col = (cols_p if power_kind == "active" else cols_q)[:, t]
-    dv_bus = np.array([col[pos_of[3 * b + ph]] for ph in range(NPHASE)])
-    grad = grad_f(point.phasors(bus)).as_array()
-    value = float(np.sum(np.real(np.conj(grad) * dv_bus)))
+    weight = np.zeros((1, len(net.buses), NPHASE), dtype=complex)
+    weight[0, b] = grad_f(point.phasors(bus)).as_array()
+    d_p, d_q = _consumption_response(response, weight)
+    value = float((d_p if power_kind == "active" else d_q)[b, phase_idx, 0])
     return SensitivityReport(
         bus=bus, phase=PHASES[phase_idx], power_kind=power_kind,
         closed_form=value, finite_difference=None, rel_gap=None,
@@ -145,7 +150,7 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
     """
     if buses is None:
         buses = [b.id for b in net.buses if b.id != net.substation_bus]
-    response = _response_matrix(net, point.voltages)
+    response = _pf_response(net, point.voltages)
     out = []
     for bus in buses:
         for phase_idx in range(NPHASE):
@@ -169,33 +174,30 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
 # -- DLMP decomposition -----------------------------------------------------
 
 
-def _response_matrix(net: NetworkSpec, voltages):
-    """Complex voltage response dV to unit consumption increases.
+def _pf_response(net: NetworkSpec, voltages):
+    """LU factors of the power-flow Jacobian at ``voltages``, with the flat
+    indices of the non-slack voltages it acts on; see
+    :func:`_consumption_response`."""
+    idx = nonslack_index(net)
+    return lu_factor(pf_jacobian(build_ybus(net), voltages, idx)), idx
 
-    Returns (columns, index) where ``columns[t]`` is the (nbus, 3) complex
-    voltage change per unit of extra active (t even) or reactive (t odd)
-    consumption at non-slack entry t // 2, generation held fixed.
+
+def _consumption_response(response, weights):
+    """First-order change of ``Re(sum conj(w) * dV)`` per unit of extra
+    consumption at each non-slack (bus, phase), generation held fixed.
+
+    ``weights`` is a (k, nbus, 3) complex array, one weight per functional.
+    With dV = -J^-1 e_t for a unit consumption at entry t, all entries of
+    all k functionals come from one transposed solve.  Returns the active
+    and reactive responses as one (2, nbus, 3, k) array, zero at the slack.
     """
-    n = len(net.buses)
-    slack = net.bus_index(net.substation_bus)
-    nonslack = [i for i in range(n) if i != slack]
-    idx = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in nonslack])
-    m = len(idx)
-    ybus = build_ybus(net)
-    vflat = voltages.reshape(-1)
-    i_inj = ybus @ vflat
-    ysub = ybus[np.ix_(idx, idx)]
-    dS_de = np.diag(np.conj(i_inj[idx])) + np.diag(vflat[idx]) @ np.conj(ysub)
-    dS_df = 1j * np.diag(np.conj(i_inj[idx])) - 1j * np.diag(vflat[idx]) @ np.conj(ysub)
-    jac = np.block([
-        [np.real(dS_de), np.real(dS_df)],
-        [np.imag(dS_de), np.imag(dS_df)],
-    ])
-    inv = np.linalg.inv(jac)
-    # extra consumption dP at entry k shifts the specified injection by -1
-    cols_p = -(inv[:m, :m] + 1j * inv[m:, :m])      # column k: dV for dP_k = 1
-    cols_q = -(inv[:m, m:] + 1j * inv[m:, m:])
-    return cols_p, cols_q, idx
+    lu, idx = response
+    k, nbus = weights.shape[:2]
+    w = weights.reshape(k, -1)[:, idx].T
+    out = np.zeros((2, nbus * NPHASE, k))
+    out[:, idx] = -lu_solve(lu, np.concatenate([np.real(w), np.imag(w)]),
+                            trans=1).reshape(2, len(idx), k)
+    return out.reshape(2, nbus, NPHASE, k)
 
 
 def decompose(sol, prob: OpfProblem | None = None, net: NetworkSpec | None = None):
@@ -212,96 +214,60 @@ def decompose(sol, prob: OpfProblem | None = None, net: NetworkSpec | None = Non
         raise DecompositionError(f"cannot decompose a {sol.status} solve: {sol.message}")
     base_kw = net.base_kw
     v = sol.voltages()
-    cols_p, cols_q, idx = _response_matrix(net, v)
-    slack = net.bus_index(net.substation_bus)
-    n = len(net.buses)
 
     # multipliers below tolerance are barrier dust on inactive rows; they
     # would contribute far less than the decomposition tolerance, so they are
     # treated as exactly inactive and left to the loss remainder
     active_tol = 1e-7
-    binding_thermal = []
-    for l, ln in enumerate(net.lines):
-        for ph in range(NPHASE):
-            eta = sol.eta((ln.from_bus, ln.to_bus), PHASES[ph])
-            if abs(eta) > active_tol:
-                binding_thermal.append((l, ph, eta))
-    binding_sigma = []
-    for b in range(n):
-        if b == slack:
-            continue
-        for ph in range(NPHASE):
-            lo, hi = sol.sigma(net.buses[b].id, PHASES[ph])
-            if abs(hi - lo) > active_tol:
-                binding_sigma.append((b, ph, hi - lo))
+
+    def binding(mult):
+        return np.where(np.abs(mult) > active_tol, mult, 0.0)
+
+    # each component is Re(sum conj(g) * dV) for one weight g per (bus, phase)
+    g_cong, g_vlim, g_unb = np.zeros((3, len(net.buses), NPHASE), dtype=complex)
+    # congestion: sum of eta |s_from|^2, which changes by Re(c ds) with
+    # c = 2 eta conj(s_from) and ds = dv_i conj(i) + v_i conj(Y (dv_i - dv_j))
+    eta = binding(np.array([[sol.eta((ln.from_bus, ln.to_bus), ph) for ph in PHASES]
+                            for ln in net.lines]).reshape(-1, NPHASE))
+    i_from, s_from, _ = line_flows(net, v)
+    c = 2.0 * eta * np.conj(s_from)
+    vi = v[net.line_from]
+    via_y = np.einsum("lp,lpq->lq", c * vi, np.conj(net.line_y))
+    np.add.at(g_cong, net.line_from, np.conj(c) * i_from + via_y)
+    np.add.at(g_cong, net.line_to, -via_y)
+    # voltage limits: sum of (sigma_hi - sigma_lo) * |v|^2
+    for b, bus in enumerate(net.buses):
+        if bus.id != net.substation_bus:
+            lo_hi = [sol.sigma(bus.id, ph) for ph in PHASES]
+            g_vlim[b] = 2.0 * binding(np.array([hi - lo for lo, hi in lo_hi])) * v[b]
+    # unbalance: VUF multiplier (hard) or penalty weight (soft) times f
     unbalance_weights = []
     if prob.cfg.mode == "hard":
-        for bid in prob.vuf_buses:
-            psi = sol.psi(bid)
-            if abs(psi) > active_tol:
-                unbalance_weights.append((bid, psi))
+        psi = [(bid, sol.psi(bid)) for bid in prob.vuf_buses]
+        unbalance_weights = [(bid, w) for bid, w in psi if abs(w) > active_tol]
     elif prob.cfg.mode == "soft" and prob.cfg.penalty_weight > 0:
         unbalance_weights = [(bid, prob.cfg.penalty_weight) for bid in prob.vuf_buses]
-    grad_cache = {
-        bid: grad_f(PhasorSet.from_array(v[net.bus_index(bid)])).as_array()
-        for bid, _ in unbalance_weights
-    }
+    for bid, w in unbalance_weights:
+        b = net.bus_index(bid)
+        g_unb[b] += w * grad_f(PhasorSet.from_array(v[b])).as_array()
 
-    pos_of = {k: t for t, k in enumerate(idx)}   # flat voltage index -> column row
-
-    def dv_for(col):
-        out = np.zeros((n, NPHASE), dtype=complex)
-        flat = out.reshape(-1)
-        flat[idx] = col
-        return out
-
-    def components(col_kind, t):
-        col = col_kind[:, t]
-        dv = dv_for(col)
-        congestion = 0.0
-        for l, ph, eta in binding_thermal:
-            ln = net.lines[l]
-            bi = net.bus_index(ln.from_bus)
-            bj = net.bus_index(ln.to_bus)
-            i_line = ln.y @ (v[bi] - v[bj])
-            di = ln.y @ (dv[bi] - dv[bj])
-            ds = dv[bi, ph] * np.conj(i_line[ph]) + v[bi, ph] * np.conj(di[ph])
-            p = np.real(v[bi, ph] * np.conj(i_line[ph]))
-            q = np.imag(v[bi, ph] * np.conj(i_line[ph]))
-            congestion += 2.0 * eta * (p * np.real(ds) + q * np.imag(ds))
-        voltage_limit = 0.0
-        for b, ph, w in binding_sigma:
-            voltage_limit += w * 2.0 * np.real(np.conj(v[b, ph]) * dv[b, ph])
-        unbalance = 0.0
-        for bid, w in unbalance_weights:
-            b = net.bus_index(bid)
-            g = grad_cache[bid]
-            dfd = float(np.sum(np.real(np.conj(g) * dv[b])))
-            unbalance += w * dfd
-        return congestion / base_kw, voltage_limit / base_kw, unbalance / base_kw
+    # + 0.0 keeps components with no binding term at +0.0 rather than -0.0
+    comp_p, comp_q = _consumption_response(
+        _pf_response(net, v), np.stack((g_cong, g_vlim, g_unb))) / base_kw + 0.0
 
     out = []
-    for kind, cols, phi in (
-        ("active", cols_p, sol.phi_p),
-        ("reactive", cols_q, sol.phi_q),
+    for kind, comp, phi in (
+        ("active", comp_p, sol.phi_p),
+        ("reactive", comp_q, sol.phi_q),
     ):
-        energy = {ph: phi(net.substation_bus, PHASES[ph]) / base_kw
-                  for ph in range(NPHASE)}
-        for b in range(n):
-            bid = net.buses[b].id
-            for ph in range(NPHASE):
-                total = phi(bid, PHASES[ph]) / base_kw
-                if b == slack:
-                    out.append(DlmpBreakdown(
-                        bus=bid, phase=PHASES[ph], power_kind=kind,
-                        total=total, energy=total, loss=0.0, congestion=0.0,
-                        voltage_limit=0.0, unbalance=0.0))
-                    continue
-                t = pos_of[3 * b + ph]
-                cong, vlim, unb = components(cols, t)
-                loss = total - energy[ph] - cong - vlim - unb
+        energy = [phi(net.substation_bus, ph) / base_kw for ph in PHASES]
+        for b, bus in enumerate(net.buses):
+            for ph, phase in enumerate(PHASES):
+                total = phi(bus.id, phase) / base_kw
+                cong, vlim, unb = map(float, comp[b, ph])
                 out.append(DlmpBreakdown(
-                    bus=bid, phase=PHASES[ph], power_kind=kind,
-                    total=total, energy=energy[ph], loss=loss,
+                    bus=bus.id, phase=phase, power_kind=kind,
+                    total=total, energy=energy[ph],
+                    loss=total - energy[ph] - cong - vlim - unb,
                     congestion=cong, voltage_limit=vlim, unbalance=unb))
     return out

@@ -19,6 +19,7 @@ from scipy.linalg import lapack
 
 from .netmodel import NPHASE, PHASES
 from .opf import ConstraintTag, OpfProblem
+from .powerflow import max_vuf
 
 STATUS_SUCCESS = "success"
 STATUS_FAILED = "failed"
@@ -38,9 +39,11 @@ class SolverSettings:
     verbose: bool = False
 
     def __post_init__(self):
-        assert self.kkt_tol < 1 and self.kkt_tol > 0
+        if not 0 < self.kkt_tol < 1:
+            raise ValueError(f"kkt_tol must lie in (0, 1), got {self.kkt_tol}")
         for name in ("mu0", "mu_factor", "tau", "reg_init"):
-            assert getattr(self, name) > 0
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -112,17 +115,8 @@ class OpfSolution:
         return cost
 
     def max_vuf(self):
-        from .sequence import PhasorSet, vuf
-        v = self.voltages()
-        worst, worst_bus = -1.0, None
-        net = self.problem.net
-        for b in net.buses:
-            if b.id == net.substation_bus:
-                continue
-            u = vuf(PhasorSet.from_array(v[net.bus_index(b.id)]))
-            if u > worst:
-                worst, worst_bus = u, b.id
-        return worst_bus, worst
+        """(bus id, VUF percent) of the worst non-slack bus."""
+        return max_vuf(self.problem.net, self.voltages())
 
     def dlmp(self, bus, phase, kind="active"):
         """Nodal price in EUR/kWh (EUR/kvarh for reactive)."""

@@ -100,12 +100,19 @@ class LineSpec:
                 f"line {self.from_bus}-{self.to_bus}: s_rating must be positive, "
                 f"got {self.s_rating}"
             )
+        try:
+            y = np.linalg.inv(z)
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                f"line {self.from_bus}-{self.to_bus}: impedance matrix is singular"
+            ) from None
         object.__setattr__(self, "z", _readonly(z))
+        object.__setattr__(self, "_y", _readonly(y))
 
     @property
     def y(self):
         """3x3 series admittance (inverse of the phase impedance matrix)."""
-        return np.linalg.inv(self.z)
+        return self._y
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,11 @@ class UnbalanceConfig:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """Validated network; also holds a compiled array view of its lines.
+
+    ``line_from``/``line_to`` are the bus indices of each line's ends and
+    ``line_y`` stacks the (nline, 3, 3) series admittances, all read-only.
+    """
     base_kva: float
     base_volt_ln: float
     buses: tuple
@@ -189,6 +201,14 @@ class NetworkSpec:
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "gens", tuple(self.gens))
         _validate(self)
+        pos = {b.id: i for i, b in enumerate(self.buses)}
+        object.__setattr__(self, "_bus_pos", pos)
+        object.__setattr__(self, "line_from", _readonly(
+            np.array([pos[ln.from_bus] for ln in self.lines], dtype=int)))
+        object.__setattr__(self, "line_to", _readonly(
+            np.array([pos[ln.to_bus] for ln in self.lines], dtype=int)))
+        object.__setattr__(self, "line_y", _readonly(
+            np.array([ln.y for ln in self.lines], dtype=complex).reshape(-1, NPHASE, NPHASE)))
 
     # -- convenience lookups -------------------------------------------------
 
@@ -198,8 +218,8 @@ class NetworkSpec:
 
     def bus_index(self, bus_id):
         try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
+            return self._bus_pos[bus_id]
+        except KeyError:
             raise KeyError(f"unknown bus {bus_id!r}") from None
 
     @property

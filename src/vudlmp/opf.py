@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .netmodel import NPHASE, PHASES, NetworkSpec, UnbalanceConfig, ValidationError
+from .powerflow import line_flows
 from .sequence import ALPHA
 
 # constraint kind -> multiplier symbol; flow-definition equalities carry an
@@ -104,7 +105,6 @@ class EvalResult:
     jac_eq: sp.csr_matrix
     c_ineq: np.ndarray
     jac_ineq: sp.csr_matrix
-    hess_lagrangian: sp.csr_matrix | None = None
 
 
 class OpfProblem:
@@ -175,27 +175,18 @@ class OpfProblem:
         if self.cfg.mode in ("hard", "soft"):
             subset = self.cfg.buses or tuple(net.vuf_bus_subset)
             self.vuf_buses = [b for b in subset if b != net.substation_bus]
+        # [ea, fa, eb, fb, ec, fc] variable indices of each VUF bus
+        self._vuf_vars = [
+            np.stack((self.idx_e[b], self.idx_f[b]), axis=1).ravel()
+            for b in map(net.bus_index, self.vuf_buses)]
 
     # -- helpers -------------------------------------------------------------
 
     def voltages(self, x):
         """(nbus, 3) complex voltages implied by x, slack held fixed."""
-        nbus = len(self.net.buses)
-        v = np.empty((nbus, NPHASE), dtype=complex)
+        v = x[self.idx_e] + 1j * x[self.idx_f]
         v[self.slack] = self.slack_voltage
-        for b in range(nbus):
-            if b == self.slack:
-                continue
-            v[b] = x[self.idx_e[b]] + 1j * x[self.idx_f[b]]
         return v
-
-    def _bus_vuf_vars(self, b):
-        """Indices of [ea, fa, eb, fb, ec, fc] for a non-slack bus."""
-        out = np.empty(6, dtype=int)
-        for ph in range(NPHASE):
-            out[2 * ph] = self.idx_e[b, ph]
-            out[2 * ph + 1] = self.idx_f[b, ph]
-        return out
 
     def x0(self, point=None):
         """Initial vector: flat start or a warm power-flow operating point."""
@@ -209,28 +200,18 @@ class OpfProblem:
             v = point.voltages
             s_from = point.s_from
             s_to = point.s_to
-        for b in range(len(net.buses)):
-            if b == self.slack:
-                continue
-            x[self.idx_e[b]] = np.real(v[b])
-            x[self.idx_f[b]] = np.imag(v[b])
-        for l in range(len(net.lines)):
-            x[self.idx_p[l, 0]] = np.real(s_from[l])
-            x[self.idx_q[l, 0]] = np.imag(s_from[l])
-            x[self.idx_p[l, 1]] = np.real(s_to[l])
-            x[self.idx_q[l, 1]] = np.imag(s_to[l])
+        ns = np.arange(len(net.buses)) != self.slack
+        x[self.idx_e[ns]] = np.real(v[ns])
+        x[self.idx_f[ns]] = np.imag(v[ns])
+        x[self.idx_p] = np.real(np.stack((s_from, s_to), axis=1))
+        x[self.idx_q] = np.imag(np.stack((s_from, s_to), axis=1))
         demand = net.demand_pu()
         for g, gen in enumerate(net.gens):
             if gen.is_substation and point is not None:
                 # slack picks up whatever the warm-start point exports
                 b = net.bus_index(gen.bus)
-                inj = np.zeros(NPHASE, dtype=complex)
-                for l, ln in enumerate(net.lines):
-                    if net.bus_index(ln.from_bus) == b:
-                        inj += s_from[l]
-                    elif net.bus_index(ln.to_bus) == b:
-                        inj += s_to[l]
-                inj += demand[b]
+                inj = (np.sum(s_from[net.line_from == b], axis=0)
+                       + np.sum(s_to[net.line_to == b], axis=0) + demand[b])
                 x[self.idx_pg[g]] = np.clip(np.real(inj), self.gen_pmin[g], self.gen_pmax[g])
                 x[self.idx_qg[g]] = np.clip(np.imag(inj), self.gen_qmin[g], self.gen_qmax[g])
             else:
@@ -243,16 +224,15 @@ class OpfProblem:
     def _build_constraints(self):
         net = self.net
         nbus = len(net.buses)
-        nline = len(net.lines)
 
         # equality tags: flow definitions then nodal balances
         self.eq_tags = []
-        self._flow_rows = []   # (row_p, row_q, line, end_bus, other_bus)
+        self._flow_rows = []   # (first row, line, end, end bus, other bus)
         row = 0
         for l, ln in enumerate(net.lines):
+            ends = (net.line_from[l], net.line_to[l])
             for d in range(2):
-                be = net.bus_index(ln.from_bus if d == 0 else ln.to_bus)
-                bo = net.bus_index(ln.to_bus if d == 0 else ln.from_bus)
+                be, bo = ends[d], ends[1 - d]
                 for ph in range(NPHASE):
                     self.eq_tags.append(ConstraintTag(
                         "flow_definition", line=(ln.from_bus, ln.to_bus),
@@ -263,40 +243,30 @@ class OpfProblem:
                 self._flow_rows.append((row, l, d, be, bo))
                 row += 2 * NPHASE
         self._balance_row0 = row
-        demand = net.demand_pu()
-        bal_rows = []
-        bal_cols = []
-        bal_vals = []
-        bal_const = []
-        for b in range(nbus):
-            for ph in range(NPHASE):
-                rp = row
-                rq = row + 1
-                self.eq_tags.append(ConstraintTag(
-                    "p_balance", bus=net.buses[b].id, phase=PHASES[ph]))
-                self.eq_tags.append(ConstraintTag(
-                    "q_balance", bus=net.buses[b].id, phase=PHASES[ph]))
-                for l, ln in enumerate(net.lines):
-                    if net.bus_index(ln.from_bus) == b:
-                        bal_rows += [rp, rq]
-                        bal_cols += [self.idx_p[l, 0, ph], self.idx_q[l, 0, ph]]
-                        bal_vals += [1.0, 1.0]
-                    elif net.bus_index(ln.to_bus) == b:
-                        bal_rows += [rp, rq]
-                        bal_cols += [self.idx_p[l, 1, ph], self.idx_q[l, 1, ph]]
-                        bal_vals += [1.0, 1.0]
-                for g, gen in enumerate(net.gens):
-                    if net.bus_index(gen.bus) == b:
-                        bal_rows += [rp, rq]
-                        bal_cols += [self.idx_pg[g, ph], self.idx_qg[g, ph]]
-                        bal_vals += [-1.0, -1.0]
-                bal_const += [np.real(demand[b, ph]), np.imag(demand[b, ph])]
-                row += 2
-        self.n_eq = row
+        for b in net.buses:
+            for ph in PHASES:
+                self.eq_tags.append(ConstraintTag("p_balance", bus=b.id, phase=ph))
+                self.eq_tags.append(ConstraintTag("q_balance", bus=b.id, phase=ph))
+        self.n_eq = row + 2 * NPHASE * nbus
+        # nodal balances: flows leaving the bus enter with +1, generation
+        # with -1; the Q row of each (bus, phase) follows its P row
+        p_row = row + 2 * np.arange(nbus * NPHASE).reshape(nbus, NPHASE)
+        gen_bus = np.array([net.bus_index(g.bus) for g in net.gens], dtype=int)
+        rows, cols, vals = [], [], []
+        for r, cp, cq, sign in (
+                (p_row[net.line_from], self.idx_p[:, 0], self.idx_q[:, 0], 1.0),
+                (p_row[net.line_to], self.idx_p[:, 1], self.idx_q[:, 1], 1.0),
+                (p_row[gen_bus], self.idx_pg, self.idx_qg, -1.0)):
+            rows += [r.ravel(), r.ravel() + 1]
+            cols += [cp.ravel(), cq.ravel()]
+            vals.append(np.full(2 * r.size, sign))
         self._bal_A = sp.csr_matrix(
-            (bal_vals, (bal_rows, bal_cols)), shape=(self.n_eq, self.nvar))
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_eq, self.nvar))
+        demand = net.demand_pu().ravel()
         self._bal_b = np.zeros(self.n_eq)
-        self._bal_b[self._balance_row0:] = bal_const
+        self._bal_b[row::2] = np.real(demand)
+        self._bal_b[row + 1::2] = np.imag(demand)
 
         # inequality tags
         self.ineq_tags = []
@@ -341,7 +311,7 @@ class OpfProblem:
         # the complex matrix g_V g_C' (+ transpose when applied)
         self._flow_hess = []
         for row0, l, d, be, bo in self._flow_rows:
-            yl = self.net.lines[l].y
+            yl = net.line_y[l]
             for ph in range(NPHASE):
                 cols = []
                 gC = []
@@ -374,9 +344,7 @@ class OpfProblem:
         hess_triplets = ([], [], [])
         if self.cfg.mode == "soft" and self.cfg.penalty_weight > 0:
             w = self.cfg.penalty_weight
-            for bid in self.vuf_buses:
-                b = self.net.bus_index(bid)
-                vv = self._bus_vuf_vars(b)
+            for vv in self._vuf_vars:
                 f, g, h = vuf_metric_grad_hess(x[vv])
                 if self.penalty_on == "vuf":
                     # penalize sqrt(f) = VUF in percent instead of VUF^2; the
@@ -400,60 +368,46 @@ class OpfProblem:
     def objective_value(self, x):
         val = float(self._cost_lin @ x)
         if self.cfg.mode == "soft" and self.cfg.penalty_weight > 0:
-            for bid in self.vuf_buses:
-                b = self.net.bus_index(bid)
-                f = vuf_metric_local(x[self._bus_vuf_vars(b)])
+            for vv in self._vuf_vars:
+                f = vuf_metric_local(x[vv])
                 if self.penalty_on == "vuf":
                     f = np.sqrt(max(f, 0.0) + _ROOT_SMOOTH)
                 val += self.cfg.penalty_weight * f
         return val
 
-    def _flow_quantities(self, x, l, d, be, bo):
-        v = np.empty((2, NPHASE), dtype=complex)
-        for k, b in enumerate((be, bo)):
-            if b == self.slack:
-                v[k] = self.slack_voltage
-            else:
-                v[k] = x[self.idx_e[b]] + 1j * x[self.idx_f[b]]
-        yl = self.net.lines[l].y
-        i_line = yl @ (v[0] - v[1])
-        s = v[0] * np.conj(i_line)
-        return v, i_line, s
-
     def eval_eq(self, x, want_jac=True):
+        v = self.voltages(x)
+        i_from, s_from, s_to = line_flows(self.net, v)
+        s = np.stack((s_from, s_to), axis=1)
         c = self._bal_A @ x + self._bal_b
+        # flow-definition rows, (line, end, phase) order, P then Q
+        c[0:self._balance_row0:2] = (x[self.idx_p] - np.real(s)).ravel()
+        c[1:self._balance_row0:2] = (x[self.idx_q] - np.imag(s)).ravel()
         if not want_jac:
-            for row0, l, d, be, bo in self._flow_rows:
-                _, _, s = self._flow_quantities(x, l, d, be, bo)
-                for ph in range(NPHASE):
-                    c[row0 + 2 * ph] = x[self.idx_p[l, d, ph]] - np.real(s[ph])
-                    c[row0 + 2 * ph + 1] = x[self.idx_q[l, d, ph]] - np.imag(s[ph])
             return c, None
         rows, cols, vals = [], [], []
         for row0, l, d, be, bo in self._flow_rows:
-            v, i_line, s = self._flow_quantities(x, l, d, be, bo)
-            yl = self.net.lines[l].y
+            i_line = i_from[l] if d == 0 else -i_from[l]
+            yl = self.net.line_y[l]
             for ph in range(NPHASE):
                 rp = row0 + 2 * ph
                 rq = rp + 1
-                c[rp] = x[self.idx_p[l, d, ph]] - np.real(s[ph])
-                c[rq] = x[self.idx_q[l, d, ph]] - np.imag(s[ph])
                 rows += [rp, rq]
                 cols += [self.idx_p[l, d, ph], self.idx_q[l, d, ph]]
                 vals += [1.0, 1.0]
                 for psi in range(NPHASE):
                     ds_de = (np.conj(i_line[ph]) if psi == ph else 0.0) \
-                        + v[0, ph] * np.conj(yl[ph, psi])
+                        + v[be, ph] * np.conj(yl[ph, psi])
                     ds_df = (1j * np.conj(i_line[ph]) if psi == ph else 0.0) \
-                        - 1j * v[0, ph] * np.conj(yl[ph, psi])
+                        - 1j * v[be, ph] * np.conj(yl[ph, psi])
                     if self.idx_e[be, psi] >= 0:
                         rows += [rp, rq, rp, rq]
                         cols += [self.idx_e[be, psi], self.idx_e[be, psi],
                                  self.idx_f[be, psi], self.idx_f[be, psi]]
                         vals += [-np.real(ds_de), -np.imag(ds_de),
                                  -np.real(ds_df), -np.imag(ds_df)]
-                    ds_de_o = -v[0, ph] * np.conj(yl[ph, psi])
-                    ds_df_o = 1j * v[0, ph] * np.conj(yl[ph, psi])
+                    ds_de_o = -v[be, ph] * np.conj(yl[ph, psi])
+                    ds_df_o = 1j * v[be, ph] * np.conj(yl[ph, psi])
                     if self.idx_e[bo, psi] >= 0:
                         rows += [rp, rq, rp, rq]
                         cols += [self.idx_e[bo, psi], self.idx_e[bo, psi],
@@ -506,9 +460,7 @@ class OpfProblem:
                 row += 1
         if self.cfg.mode == "hard":
             limit_sq = self.cfg.vuf_limit_pct**2
-            for bid in self.vuf_buses:
-                b = self.net.bus_index(bid)
-                vv = self._bus_vuf_vars(b)
+            for vv in self._vuf_vars:
                 if want_jac:
                     f, g, _ = vuf_metric_grad_hess(x[vv])
                     rows += [row] * 6
@@ -564,12 +516,10 @@ class OpfProblem:
                 row += 1
         # hard VUF constraints
         if self.cfg.mode == "hard":
-            for k, bid in enumerate(self.vuf_buses):
+            for k, vv in enumerate(self._vuf_vars):
                 w = z_ineq[self._vuf_row0 + k]
                 if w == 0:
                     continue
-                b = self.net.bus_index(bid)
-                vv = self._bus_vuf_vars(b)
                 _, _, h = vuf_metric_grad_hess(x[vv])
                 r, cgrid = np.meshgrid(vv, vv, indexing="ij")
                 rows += list(r.ravel())
@@ -577,20 +527,16 @@ class OpfProblem:
                 vals += list((w * h).ravel())
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.nvar, self.nvar))
 
-    def evaluate(self, x, y_eq=None, z_ineq=None) -> EvalResult:
-        """Full evaluation at x; Hessian included when multipliers are given."""
+    def evaluate(self, x) -> EvalResult:
+        """Objective, constraints and their first derivatives at x."""
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite variable vector")
         obj, gobj, _ = self.eval_objective(x)
         c_eq, j_eq = self.eval_eq(x)
         c_ineq, j_ineq = self.eval_ineq(x)
-        hess = None
-        if y_eq is not None and z_ineq is not None:
-            hess = self.hess_lagrangian(x, y_eq, z_ineq)
         return EvalResult(
             objective=obj, grad_objective=gobj,
             c_eq=c_eq, jac_eq=j_eq, c_ineq=c_ineq, jac_ineq=j_ineq,
-            hess_lagrangian=hess,
         )
 
 

@@ -15,7 +15,6 @@ from vudlmp.cli import (
     ScenarioConfig,
     main,
     run_scenario,
-    seed_from_env,
 )
 from vudlmp.netmodel import save_network
 from conftest import make_two_bus
@@ -172,6 +171,21 @@ class TestSweep:
         cfg = self.sweep_config(tmp_path, two_bus_file, typo_key=1)
         assert main(["sweep", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("extra", [
+        {"sweep_weights": [1.0, -1.0]},
+        {"mode": "hard", "sweep_limits": [1.0, 0.0]},
+    ], ids=["negative-weight", "zero-limit"])
+    def test_sweep_bad_value_is_config_error(self, two_bus_file, tmp_path,
+                                             capsys, extra):
+        cfg = self.sweep_config(tmp_path, two_bus_file, **extra)
+        assert main(["sweep", cfg]) == EXIT_CONFIG
+        _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        assert [r["status"] for r in rows] == ["success", "config-error"]
+
+    def test_opf_bad_limit_is_config_error(self, two_bus_file, tmp_path, capsys):
+        assert main(["opf", two_bus_file, "--mode", "hard", "--limit", "0",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
     def test_parallel_matches_serial(self, two_bus_file, tmp_path, capsys):
         cfg1 = self.sweep_config(tmp_path / "a", two_bus_file, jobs=1)
         cfg2 = self.sweep_config(tmp_path / "b", two_bus_file, jobs=2)
@@ -194,15 +208,6 @@ class TestConfig:
     def test_scenario_config_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(network="x", mode="maybe")
-
-    def test_seed_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("VUDLMP_SEED", raising=False)
-        assert seed_from_env(3) == 3
-        monkeypatch.setenv("VUDLMP_SEED", "17")
-        assert seed_from_env() == 17
-        monkeypatch.setenv("VUDLMP_SEED", "abc")
-        with pytest.raises(ConfigError):
-            seed_from_env()
 
     def test_run_scenario_bundled_name(self):
         res = run_scenario(ScenarioConfig(network="simple5", mode="none",

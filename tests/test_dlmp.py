@@ -1,5 +1,7 @@
 """Price decomposition and unbalance-sensitivity tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from vudlmp.dlmp import (
 from vudlmp.ipsolver import SolverSettings, solve
 from vudlmp.netmodel import PHASES, UnbalanceConfig
 from vudlmp.opf import build_problem
-from vudlmp.powerflow import solve_pf
+from vudlmp.powerflow import build_ybus, solve_pf
 
 
 class TestSensitivity:
@@ -107,6 +109,51 @@ class TestDecomposition:
         assert not sol.success
         with pytest.raises(DecompositionError):
             decompose(sol)
+
+    def test_congestion_and_voltage_limit_match_finite_differences(self, simple5,
+                                                                   simple5_pf):
+        # halve the sub-b1 rating and raise b4's vmin so both terms bind
+        k = [(ln.from_bus, ln.to_bus) for ln in simple5.lines].index(("sub", "b1"))
+        lines = list(simple5.lines)
+        lines[k] = replace(lines[k], s_rating=0.5 * float(
+            np.max(np.abs(simple5_pf.s_from[k]))))
+        buses = [replace(b, vmin=0.95) if b.id == "b4" else b for b in simple5.buses]
+        net = replace(simple5, lines=tuple(lines), buses=tuple(buses))
+        sol = solve(build_problem(net, UnbalanceConfig("none")), warm=solve_pf(net))
+        assert sol.success
+        rows = decompose(sol)
+        assert max(abs(d.congestion) for d in rows) > 1e-2
+        assert max(abs(d.voltage_limit) for d in rows) > 1e-2
+
+        # each component is the first-order change of its binding terms,
+        # sum eta |s_from|^2 and sum (sigma_hi - sigma_lo) |v|^2, under an
+        # extra consumption with generation fixed (the slack swings)
+        eta = np.array([[sol.eta((ln.from_bus, ln.to_bus), ph) for ph in PHASES]
+                        for ln in net.lines])
+        sig = np.zeros((len(net.buses), len(PHASES)))
+        for b, bus in enumerate(net.buses):
+            if bus.id != net.substation_bus:
+                sig[b] = [hi - lo for lo, hi in (sol.sigma(bus.id, ph) for ph in PHASES)]
+        v = sol.voltages()
+        inj = (v.reshape(-1) * np.conj(build_ybus(net) @ v.reshape(-1))).reshape(v.shape)
+
+        def terms(b, ph, ds):
+            pert = inj.copy()
+            pert[b, ph] -= ds
+            point = solve_pf(net, pert, v0=v)
+            return (np.sum(eta * np.abs(point.s_from) ** 2),
+                    np.sum(sig * np.abs(point.voltages) ** 2))
+
+        h = 1e-6
+        for d in rows:
+            if d.bus == net.substation_bus:
+                continue
+            b, ph = net.bus_index(d.bus), PHASES.index(d.phase)
+            unit = 1.0 if d.power_kind == "active" else 1j
+            up, dn = terms(b, ph, h * unit), terms(b, ph, -h * unit)
+            cong, vlim = (np.subtract(up, dn) / (2 * h)) / net.base_kw
+            assert abs(d.congestion - cong) < 1e-8
+            assert abs(d.voltage_limit - vlim) < 1e-8
 
     def test_component_names_are_stable(self):
         assert COMPONENTS == ("energy", "loss", "congestion",

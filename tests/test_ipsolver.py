@@ -175,5 +175,5 @@ class TestDeterminism:
         assert sols[0].objective == sols[1].objective
 
     def test_settings_validation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             SolverSettings(kkt_tol=2.0)

@@ -121,6 +121,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LineSpec("a", "b", z, 0.0)
 
+    def test_singular_impedance_rejected_at_load(self):
+        doc = network_to_dict(make_two_bus())
+        doc["lines"][0]["z_real"] = np.full((3, 3), 0.2).tolist()
+        doc["lines"][0]["z_imag"] = np.full((3, 3), 0.1).tolist()
+        with pytest.raises(ValidationError, match="singular"):
+            network_from_dict(doc)
+
     def test_gen_empty_box_rejected(self):
         with pytest.raises(ValidationError):
             GenSpec("b", ("a",), pmin=np.ones(3), pmax=np.zeros(3),
