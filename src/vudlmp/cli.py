@@ -181,9 +181,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         result.highest_vuf_pct = worst
         result.vuf_bus = bus
         result.breakdown = decompose(sol)
-        if cfg.with_sensitivity:
-            point = solve_pf(net)
-            result.sensitivity = sensitivity_report(net, point)
+        if cfg.with_sensitivity and warm is not None:
+            result.sensitivity = sensitivity_report(net, warm)
+        elif cfg.with_sensitivity:
+            result.message = "sensitivity report skipped: the power flow diverged"
     else:
         result.status = "infeasible-or-nonconverged"
         result.message = sol.message
@@ -375,6 +376,8 @@ def _cmd_opf(args):
               f"losses {result.total_losses_kw:.4f} kW, "
               f"highest VUF {result.highest_vuf_pct:.4f}% at {result.vuf_bus} "
               f"({result.wall_ms:.0f} ms)")
+        if result.message:
+            print(f"{result.case_id}: {result.message}", file=sys.stderr)
     else:
         print(f"{result.case_id}: {result.status} ({result.message})", file=sys.stderr)
     return _exit_code([result])

@@ -247,24 +247,24 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     x = prob.x0(warm)
     n = prob.nvar
 
-    ev = prob.evaluate(x)
-    d_eq = _row_scales(ev.jac_eq)
-    d_in = _row_scales(ev.jac_ineq)
+    e = prob.evaluate(x)
+    d_eq = _row_scales(e.jac_eq)
+    d_in = _row_scales(e.jac_ineq)
     relax = st.bound_relax
 
+    def scale(e):
+        return (e.c_eq * d_eq, (e.c_ineq - relax) * d_in,
+                sp.diags(d_eq) @ e.jac_eq, sp.diags(d_in) @ e.jac_ineq)
+
     def scaled(xv, want_jac=True):
-        e = prob.evaluate(xv) if want_jac else None
         if want_jac:
-            ce = e.c_eq * d_eq
-            ci = (e.c_ineq - relax) * d_in
-            je = sp.diags(d_eq) @ e.jac_eq
-            ji = sp.diags(d_in) @ e.jac_ineq
-            return e, ce, ci, je, ji
+            e = prob.evaluate(xv)
+            return e, *scale(e)
         ce, _ = prob.eval_eq(xv, want_jac=False)
         ci, _ = prob.eval_ineq(xv, want_jac=False)
         return prob.objective_value(xv), ce * d_eq, (ci - relax) * d_in
 
-    e, ce, ci, je, ji = scaled(x)
+    ce, ci, je, ji = scale(e)
     m_eq, m_in = len(ce), len(ci)
     s = np.maximum(1e-2, -ci)
     mu = st.mu0
@@ -278,7 +278,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             y = sp.linalg.spsolve(a, rhs)
             if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e6:
                 y = np.zeros(m_eq)
-        except Exception:
+        except RuntimeError:     # SuperLU could not factor the normal matrix
             y = np.zeros(m_eq)
 
     nu = 1.0        # merit penalty weight
@@ -454,17 +454,16 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     else:
         message = message or "maximum iterations exceeded"
 
-    # unscaled residuals, recomputed through the problem's own evaluation
-    final = prob.evaluate(x)
+    # unscaled residuals; the last evaluation e is always at the final x
     y_un = d_eq * y
     z_un = d_in * z
-    r_d = final.grad_objective + final.jac_eq.T @ y_un + final.jac_ineq.T @ z_un
+    r_d = e.grad_objective + e.jac_eq.T @ y_un + e.jac_ineq.T @ z_un
     stat = float(np.max(np.abs(r_d))) if n else 0.0
     feas = float(max(
-        np.max(np.abs(final.c_eq)) if m_eq else 0.0,
-        np.max(final.c_ineq, initial=0.0),
+        np.max(np.abs(e.c_eq)) if m_eq else 0.0,
+        np.max(e.c_ineq, initial=0.0),
     ))
-    comp = float(np.max(np.abs(z_un * final.c_ineq))) if m_in else 0.0
+    comp = float(np.max(np.abs(z_un * e.c_ineq))) if m_in else 0.0
     residuals = {"stationarity": stat, "feasibility": feas, "complementarity": comp}
 
     if status != STATUS_SUCCESS:
@@ -472,7 +471,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         if feas > 1e2 * st.kkt_tol:
             status = STATUS_INFEASIBLE
             if prob.cfg.mode == "hard" and m_in:
-                viol = final.c_ineq[prob._vuf_row0:]
+                viol = e.c_ineq[prob._vuf_row0:]
                 if viol.size and np.max(viol, initial=0.0) > st.kkt_tol:
                     message = (message + "; " if message else "") + \
                         "hard voltage-unbalance limits violated at the final iterate"

@@ -9,6 +9,24 @@ can be recovered by name after the solve.
 The objective is cost minimization in EUR/h: generator energy cost plus,
 in soft mode, the voltage-unbalance penalty over the configured bus
 subset.  Demand is a fixed parameter (inelastic).
+
+The sparsity of every derivative is laid out once per problem as index
+arrays; an evaluation only computes the values, with array operations.
+Three rules keep those values equal, bit for bit, to a plain per-entry
+evaluation, which the seed-0 benchmark outputs are pinned to:
+
+- Products of complex scalars (``v * conj(y)``, ``1j * conj(i)``) are
+  written as real arithmetic, ``(ar*br - ai*bi) + 1j*(ar*bi + ai*br)``,
+  rounding each real product on its own as numpy's scalar multiply does.
+  numpy's array complex multiply may fuse a product and a sum into one FMA
+  and round differently in the last bit.  The flow Hessian weights times
+  the constant ``g_V g_C'`` blocks stay array products.
+- ``csr_matrix`` sums duplicate Hessian entries in an order that depends
+  on where they sit in the triplet stream, so the stream keeps its order:
+  objective, flow (each block, then its transpose), voltage bounds,
+  thermal, VUF.
+- A multiplier that is exactly zero adds no entry.  An explicit zero would
+  change the sparsity pattern the sparse KKT factorization orders on.
 """
 
 from __future__ import annotations
@@ -65,6 +83,30 @@ def _vuf_quadratic_forms():
 
 
 _VUF_A, _VUF_B = _vuf_quadratic_forms()
+
+
+def _cmul(a, b):
+    """Complex product a * b rounded as numpy multiplies two complex scalars
+    (one rounding per real product; see the module docstring)."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _csr_layout(rows, cols, nrow):
+    """(order, indices, indptr): the gather that sorts a duplicate-free
+    triplet stream into canonical CSR order, and the resulting layout."""
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrow))))
+    return order, cols[order], indptr
+
+
+def _concat_triplets(rows, cols, vals):
+    """``csr_matrix`` input from lists of row, column and value pieces."""
+    if not vals:
+        return np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    return np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
 
 # smoothing added under the square root when the penalty targets VUF itself
 # (squared-percent units; 1e-6 corresponds to a VUF of 0.001 %)
@@ -224,24 +266,19 @@ class OpfProblem:
     def _build_constraints(self):
         net = self.net
         nbus = len(net.buses)
+        nline = len(net.lines)
 
-        # equality tags: flow definitions then nodal balances
+        # equality tags: flow definitions then nodal balances; flow block k =
+        # (line, end, phase) in C order owns the P row 2k and the Q row 2k + 1
         self.eq_tags = []
-        self._flow_rows = []   # (first row, line, end, end bus, other bus)
-        row = 0
-        for l, ln in enumerate(net.lines):
-            ends = (net.line_from[l], net.line_to[l])
+        for ln in net.lines:
             for d in range(2):
-                be, bo = ends[d], ends[1 - d]
-                for ph in range(NPHASE):
-                    self.eq_tags.append(ConstraintTag(
-                        "flow_definition", line=(ln.from_bus, ln.to_bus),
-                        end=d, phase=PHASES[ph], part="p"))
-                    self.eq_tags.append(ConstraintTag(
-                        "flow_definition", line=(ln.from_bus, ln.to_bus),
-                        end=d, phase=PHASES[ph], part="q"))
-                self._flow_rows.append((row, l, d, be, bo))
-                row += 2 * NPHASE
+                for ph in PHASES:
+                    for part in ("p", "q"):
+                        self.eq_tags.append(ConstraintTag(
+                            "flow_definition", line=(ln.from_bus, ln.to_bus),
+                            end=d, phase=ph, part=part))
+        row = 2 * 2 * NPHASE * nline
         self._balance_row0 = row
         for b in net.buses:
             for ph in PHASES:
@@ -270,70 +307,124 @@ class OpfProblem:
 
         # inequality tags
         self.ineq_tags = []
-        self._vrows = []       # (row_lo, bus_idx) pairs; hi row = row_lo + 1
-        row = 0
         for b in range(nbus):
             if b == self.slack:
                 continue
-            for ph in range(NPHASE):
-                self.ineq_tags.append(ConstraintTag(
-                    "v_mag_lo", bus=net.buses[b].id, phase=PHASES[ph]))
-                self.ineq_tags.append(ConstraintTag(
-                    "v_mag_hi", bus=net.buses[b].id, phase=PHASES[ph]))
-                self._vrows.append((row, b, ph))
-                row += 2
-        self._box_row0 = row
-        for g, gen in enumerate(net.gens):
-            for ph in range(NPHASE):
+            for ph in PHASES:
+                self.ineq_tags.append(ConstraintTag("v_mag_lo", bus=net.buses[b].id, phase=ph))
+                self.ineq_tags.append(ConstraintTag("v_mag_hi", bus=net.buses[b].id, phase=ph))
+        self._box_row0 = len(self.ineq_tags)
+        for gen in net.gens:
+            for ph in PHASES:
                 for kind in ("pg_lo", "pg_hi", "qg_lo", "qg_hi"):
-                    self.ineq_tags.append(ConstraintTag(
-                        kind, bus=gen.bus, phase=PHASES[ph]))
-                row += 4
-        self._thermal_row0 = row
-        for l, ln in enumerate(net.lines):
-            for ph in range(NPHASE):
+                    self.ineq_tags.append(ConstraintTag(kind, bus=gen.bus, phase=ph))
+        self._thermal_row0 = len(self.ineq_tags)
+        for ln in net.lines:
+            for ph in PHASES:
                 self.ineq_tags.append(ConstraintTag(
-                    "thermal", line=(ln.from_bus, ln.to_bus), phase=PHASES[ph]))
-                row += 1
-        self._vuf_row0 = row
+                    "thermal", line=(ln.from_bus, ln.to_bus), phase=ph))
+        self._vuf_row0 = len(self.ineq_tags)
         if self.cfg.mode == "hard":
             for bid in self.vuf_buses:
                 self.ineq_tags.append(ConstraintTag("vuf_limit", bus=bid))
-                row += 1
-        self.n_ineq = row
+        self.n_ineq = len(self.ineq_tags)
 
         # linear objective part: generator energy cost in EUR/h
         self._cost_lin = np.zeros(self.nvar)
         for g, gen in enumerate(self.net.gens):
             self._cost_lin[self.idx_pg[g]] += gen.marginal_cost * self.net.base_kw
 
-        # constant flow-definition Hessian triplets: for each line/end/phase
-        # the complex matrix g_V g_C' (+ transpose when applied)
-        self._flow_hess = []
-        for row0, l, d, be, bo in self._flow_rows:
-            yl = net.line_y[l]
-            for ph in range(NPHASE):
-                cols = []
-                gC = []
-                for psi in range(NPHASE):
-                    for (arr, fac) in ((self.idx_e, 1.0), (self.idx_f, -1j)):
-                        if arr[be, psi] >= 0:
-                            cols.append(arr[be, psi])
-                            gC.append(fac * np.conj(yl[ph, psi]))
-                        if arr[bo, psi] >= 0:
-                            cols.append(arr[bo, psi])
-                            gC.append(-fac * np.conj(yl[ph, psi]))
-                rows_v = []
-                gV = []
-                if self.idx_e[be, ph] >= 0:
-                    rows_v.append(self.idx_e[be, ph])
-                    gV.append(1.0)
-                    rows_v.append(self.idx_f[be, ph])
-                    gV.append(1j)
-                rp = row0 + 2 * ph
-                self._flow_hess.append((
-                    rp, np.asarray(rows_v, dtype=int), np.asarray(gV, dtype=complex),
-                    np.asarray(cols, dtype=int), np.asarray(gC, dtype=complex)))
+        self._build_flow_derivatives()
+        self._build_ineq_derivatives()
+
+    def _build_flow_derivatives(self):
+        """Index arrays of the flow-definition Jacobian and Hessian entries.
+
+        Block k = (line, end, phase) differentiates the P and Q rows of that
+        line end; "near" is the bus at that end, "far" the bus at the other.
+        """
+        nline = len(self.net.lines)
+        nblk = nline * 2 * NPHASE
+        near = np.stack((self.net.line_from, self.net.line_to), axis=1)
+        self._near = near
+        far = near[:, ::-1]
+        rp = 2 * np.arange(nblk).reshape(nline, 2, NPHASE)
+
+        # Jacobian: the p/q variable of each row (1.0), then per (block, psi)
+        # the e/f columns of phase psi at both ends, in slot order
+        # [P,e near  Q,e near  P,f near  Q,f near  P,e far  Q,e far  P,f far  Q,f far]
+        e_near = self.idx_e[near][:, :, None, :]
+        f_near = self.idx_f[near][:, :, None, :]
+        e_far = self.idx_e[far][:, :, None, :]
+        f_far = self.idx_f[far][:, :, None, :]
+        shape8 = (nline, 2, NPHASE, NPHASE, 8)
+        cols8 = np.broadcast_to(np.stack(np.broadcast_arrays(
+            e_near, e_near, f_near, f_near, e_far, e_far, f_far, f_far), axis=-1), shape8)
+        rows8 = np.broadcast_to(rp[..., None, None] + np.arange(8) % 2, shape8)
+        rows = np.concatenate((rp.ravel(), rp.ravel() + 1, rows8.ravel()))
+        cols = np.concatenate((self.idx_p.ravel(), self.idx_q.ravel(), cols8.ravel()))
+        take = np.flatnonzero(cols >= 0)
+        self._jeq_take, self._jeq_indices, self._jeq_indptr = _csr_layout(
+            rows[take], cols[take], self.n_eq)
+        self._jeq_take = take[self._jeq_take]
+
+        # Hessian: block k is Re(w_k g_V g_C') with rows g_V over the near
+        # (e, f) of phase ph and columns g_C, per psi, over
+        # [e near, e far, f near, f far]
+        rows_v = np.stack((self.idx_e[near], self.idx_f[near]), axis=-1)   # (l, d, ph, i)
+        cols_c = np.broadcast_to(np.stack(np.broadcast_arrays(
+            e_near, e_far, f_near, f_far), axis=-1), (nline, 2, NPHASE, NPHASE, 4))
+        cols_c = cols_c.reshape(nline, 2, NPHASE, 4 * NPHASE)              # (l, d, ph, j)
+        # d conj(i) / d(e, f) is conj(y) and -1j conj(y) at the near end,
+        # the negatives at the far end
+        fac = np.array([1.0, -1.0, -1j, 1j])
+        g_c = _cmul(fac, np.conj(self.net.line_y)[:, None, :, :, None]).reshape(
+            nline, 1, NPHASE, 4 * NPHASE)
+        self._hflow_g = np.array([1.0, 1j])[:, None] * g_c[..., None, :]
+        shape = (nline, 2, NPHASE, 2, 4 * NPHASE)      # (l, d, ph, i, j)
+        rv = np.broadcast_to(rows_v[..., None], shape)
+        cc = np.broadcast_to(cols_c[..., None, :], shape)
+        entry = np.arange(rv.size).reshape(shape)
+        # each block enters, then its transpose: axis 3 picks which
+        valid = np.stack(((rv >= 0) & (cc >= 0),) * 2, axis=3)
+        self._hflow_rows = np.stack((rv, cc), axis=3)[valid]
+        self._hflow_cols = np.stack((cc, rv), axis=3)[valid]
+        self._hflow_entry = np.stack((entry, entry), axis=3)[valid]
+        self._hflow_block = self._hflow_entry // (2 * 4 * NPHASE)
+
+    def _build_ineq_derivatives(self):
+        """Index arrays of the inequality Jacobian and of the voltage-bound
+        and thermal Hessian entries, in row order."""
+        net = self.net
+        ns = np.arange(len(net.buses)) != self.slack
+        self._ve = self.idx_e[ns].ravel()
+        self._vf = self.idx_f[ns].ravel()
+        self._vmin_sq = np.repeat([net.buses[b].vmin**2 for b in np.flatnonzero(ns)], NPHASE)
+        self._vmax_sq = np.repeat([net.buses[b].vmax**2 for b in np.flatnonzero(ns)], NPHASE)
+        self._tp = self.idx_p[:, 0].ravel()
+        self._tq = self.idx_q[:, 0].ravel()
+        self._rating_sq = np.repeat([ln.s_rating**2 for ln in net.lines], NPHASE)
+        self._box_values = np.tile([-1.0, 1.0, -1.0, 1.0], self.idx_pg.size)
+
+        nv = self._ve.size
+        v_row = 2 * np.arange(nv)
+        box_row = self._box_row0 + np.arange(4 * self.idx_pg.size)
+        th_row = self._thermal_row0 + np.arange(self._tp.size)
+        pg, qg = self.idx_pg.ravel(), self.idx_qg.ravel()
+        rows = [np.stack((v_row, v_row, v_row + 1, v_row + 1), axis=1).ravel(),
+                box_row,
+                np.repeat(th_row, 2)]
+        cols = [np.stack((self._ve, self._vf, self._ve, self._vf), axis=1).ravel(),
+                np.stack((pg, pg, qg, qg), axis=1).ravel(),
+                np.stack((self._tp, self._tq), axis=1).ravel()]
+        if self.cfg.mode == "hard":
+            rows.append(np.repeat(self._vuf_row0 + np.arange(len(self._vuf_vars)), 6))
+            cols += self._vuf_vars
+        self._jin_take, self._jin_indices, self._jin_indptr = _csr_layout(
+            np.concatenate(rows), np.concatenate(cols), self.n_ineq)
+        # voltage-bound and thermal Hessian entries: (e, f) and (p, q) pairs
+        self._hv_vars = np.stack((self._ve, self._vf), axis=1).ravel()
+        self._hth_vars = np.stack((self._tp, self._tq), axis=1).ravel()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -356,13 +447,11 @@ class OpfProblem:
                     f = root
                 val += w * f
                 grad[vv] += w * g
-                r, c = np.meshgrid(vv, vv, indexing="ij")
-                hess_triplets[0].extend(r.ravel())
-                hess_triplets[1].extend(c.ravel())
-                hess_triplets[2].extend((w * h).ravel())
+                hess_triplets[0].append(np.repeat(vv, 6))
+                hess_triplets[1].append(np.tile(vv, 6))
+                hess_triplets[2].append((w * h).ravel())
         hess = sp.csr_matrix(
-            (hess_triplets[2], (hess_triplets[0], hess_triplets[1])),
-            shape=(self.nvar, self.nvar))
+            _concat_triplets(*hess_triplets), shape=(self.nvar, self.nvar))
         return val, grad, hess
 
     def objective_value(self, x):
@@ -385,135 +474,102 @@ class OpfProblem:
         c[1:self._balance_row0:2] = (x[self.idx_q] - np.imag(s)).ravel()
         if not want_jac:
             return c, None
-        rows, cols, vals = [], [], []
-        for row0, l, d, be, bo in self._flow_rows:
-            i_line = i_from[l] if d == 0 else -i_from[l]
-            yl = self.net.line_y[l]
-            for ph in range(NPHASE):
-                rp = row0 + 2 * ph
-                rq = rp + 1
-                rows += [rp, rq]
-                cols += [self.idx_p[l, d, ph], self.idx_q[l, d, ph]]
-                vals += [1.0, 1.0]
-                for psi in range(NPHASE):
-                    ds_de = (np.conj(i_line[ph]) if psi == ph else 0.0) \
-                        + v[be, ph] * np.conj(yl[ph, psi])
-                    ds_df = (1j * np.conj(i_line[ph]) if psi == ph else 0.0) \
-                        - 1j * v[be, ph] * np.conj(yl[ph, psi])
-                    if self.idx_e[be, psi] >= 0:
-                        rows += [rp, rq, rp, rq]
-                        cols += [self.idx_e[be, psi], self.idx_e[be, psi],
-                                 self.idx_f[be, psi], self.idx_f[be, psi]]
-                        vals += [-np.real(ds_de), -np.imag(ds_de),
-                                 -np.real(ds_df), -np.imag(ds_df)]
-                    ds_de_o = -v[be, ph] * np.conj(yl[ph, psi])
-                    ds_df_o = 1j * v[be, ph] * np.conj(yl[ph, psi])
-                    if self.idx_e[bo, psi] >= 0:
-                        rows += [rp, rq, rp, rq]
-                        cols += [self.idx_e[bo, psi], self.idx_e[bo, psi],
-                                 self.idx_f[bo, psi], self.idx_f[bo, psi]]
-                        vals += [-np.real(ds_de_o), -np.imag(ds_de_o),
-                                 -np.real(ds_df_o), -np.imag(ds_df_o)]
-        jac = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_eq, self.nvar)) \
-            + self._bal_A
-        return c, jac
+        # d s / d(e, f) per (line, end, phase ph, phase psi): the near-end
+        # current term sits on ph == psi only
+        v_near = v[self._near][..., None]
+        y_conj = np.conj(self.net.line_y)[:, None]
+        near = _cmul(v_near, y_conj)
+        far = _cmul(-v_near, y_conj)
+        turned = _cmul(_cmul(1j, v_near), y_conj)
+        i_conj = np.conj(np.stack((i_from, -i_from), axis=1))
+        diag_e = np.zeros(near.shape, dtype=complex)
+        diag_f = np.zeros(near.shape, dtype=complex)
+        ph = np.arange(NPHASE)
+        diag_e[..., ph, ph] = i_conj
+        diag_f[..., ph, ph] = _cmul(1j, i_conj)
+        ds_de = diag_e + near
+        ds_df = diag_f - turned
+        slots = np.stack((ds_de.real, ds_de.imag, ds_df.real, ds_df.imag,
+                          far.real, far.imag, turned.real, turned.imag), axis=-1)
+        stream = np.concatenate((np.ones(2 * self.idx_p.size), -slots.ravel()))
+        flows = sp.csr_matrix(
+            (stream[self._jeq_take], self._jeq_indices.copy(), self._jeq_indptr.copy()),
+            shape=(self.n_eq, self.nvar))
+        return c, flows + self._bal_A
 
     def eval_ineq(self, x, want_jac=True):
-        c = np.zeros(self.n_ineq)
-        rows, cols, vals = [], [], []
-        for row0, b, ph in self._vrows:
-            e = x[self.idx_e[b, ph]]
-            fpart = x[self.idx_f[b, ph]]
-            vsq = e * e + fpart * fpart
-            bus = self.net.buses[b]
-            c[row0] = bus.vmin**2 - vsq
-            c[row0 + 1] = vsq - bus.vmax**2
-            if want_jac:
-                rows += [row0, row0, row0 + 1, row0 + 1]
-                cols += [self.idx_e[b, ph], self.idx_f[b, ph],
-                         self.idx_e[b, ph], self.idx_f[b, ph]]
-                vals += [-2 * e, -2 * fpart, 2 * e, 2 * fpart]
-        row = self._box_row0
-        for g in range(len(self.net.gens)):
-            for ph in range(NPHASE):
-                pg = x[self.idx_pg[g, ph]]
-                qg = x[self.idx_qg[g, ph]]
-                c[row] = self.gen_pmin[g, ph] - pg
-                c[row + 1] = pg - self.gen_pmax[g, ph]
-                c[row + 2] = self.gen_qmin[g, ph] - qg
-                c[row + 3] = qg - self.gen_qmax[g, ph]
-                if want_jac:
-                    rows += [row, row + 1, row + 2, row + 3]
-                    cols += [self.idx_pg[g, ph], self.idx_pg[g, ph],
-                             self.idx_qg[g, ph], self.idx_qg[g, ph]]
-                    vals += [-1.0, 1.0, -1.0, 1.0]
-                row += 4
-        for l, ln in enumerate(self.net.lines):
-            for ph in range(NPHASE):
-                p = x[self.idx_p[l, 0, ph]]
-                q = x[self.idx_q[l, 0, ph]]
-                c[row] = p * p + q * q - ln.s_rating**2
-                if want_jac:
-                    rows += [row, row]
-                    cols += [self.idx_p[l, 0, ph], self.idx_q[l, 0, ph]]
-                    vals += [2 * p, 2 * q]
-                row += 1
+        c = np.empty(self.n_ineq)
+        e = x[self._ve]
+        f = x[self._vf]
+        vsq = e * e + f * f
+        c[0:self._box_row0:2] = self._vmin_sq - vsq
+        c[1:self._box_row0:2] = vsq - self._vmax_sq
+        pg = x[self.idx_pg].ravel()
+        qg = x[self.idx_qg].ravel()
+        c[self._box_row0:self._thermal_row0] = np.stack((
+            self.gen_pmin.ravel() - pg, pg - self.gen_pmax.ravel(),
+            self.gen_qmin.ravel() - qg, qg - self.gen_qmax.ravel()), axis=1).ravel()
+        p = x[self._tp]
+        q = x[self._tq]
+        c[self._thermal_row0:self._vuf_row0] = p * p + q * q - self._rating_sq
+        vuf_grads = []
         if self.cfg.mode == "hard":
             limit_sq = self.cfg.vuf_limit_pct**2
-            for vv in self._vuf_vars:
+            for k, vv in enumerate(self._vuf_vars):
                 if want_jac:
-                    f, g, _ = vuf_metric_grad_hess(x[vv])
-                    rows += [row] * 6
-                    cols += list(vv)
-                    vals += list(g)
+                    fk, g, _ = vuf_metric_grad_hess(x[vv])
+                    vuf_grads.append(g)
                 else:
-                    f = vuf_metric_local(x[vv])
-                c[row] = f - limit_sq
-                row += 1
+                    fk = vuf_metric_local(x[vv])
+                c[self._vuf_row0 + k] = fk - limit_sq
         if not want_jac:
             return c, None
-        jac = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_ineq, self.nvar))
+        stream = np.concatenate((
+            np.stack((-2 * e, -2 * f, 2 * e, 2 * f), axis=1).ravel(),
+            self._box_values,
+            np.stack((2 * p, 2 * q), axis=1).ravel(),
+            *vuf_grads))
+        jac = sp.csr_matrix(
+            (stream[self._jin_take], self._jin_indices.copy(), self._jin_indptr.copy()),
+            shape=(self.n_ineq, self.nvar))
         return c, jac
 
     def hess_lagrangian(self, x, y_eq, z_ineq):
-        """Sparse Hessian of obj + y'c_eq + z'c_ineq at x."""
-        rows, cols, vals = [], [], []
-        _, _, hobj = self.eval_objective(x)
-        hobj = hobj.tocoo()
-        rows += list(hobj.row)
-        cols += list(hobj.col)
-        vals += list(hobj.data)
-        # flow definitions: constant bilinear blocks, weight -(y_p - j y_q)
-        for rp, rows_v, gV, cols_c, gC in self._flow_hess:
-            w = -(y_eq[rp] - 1j * y_eq[rp + 1])
-            if w == 0:
-                continue
-            block = w * np.outer(gV, gC)
-            r, cgrid = np.meshgrid(rows_v, cols_c, indexing="ij")
-            re = np.real(block)
-            rows += list(r.ravel()) + list(cgrid.ravel())
-            cols += list(cgrid.ravel()) + list(r.ravel())
-            vals += list(re.ravel()) + list(re.ravel())
+        """Sparse Hessian of obj + y'c_eq + z'c_ineq at x.
+
+        Entries are streamed family by family (objective, flow, voltage
+        bounds, thermal, VUF) and ``csr_matrix`` sums the duplicates; a
+        multiplier that is exactly zero contributes no entry.
+        """
+        hobj = self.eval_objective(x)[2].tocoo()
+        rows, cols, vals = [hobj.row], [hobj.col], [hobj.data]
+        # flow definitions: constant bilinear blocks, weight w = -(y_p - 1j y_q)
+        # spelled out as the real operations the scalar expression performs
+        yp = y_eq[0:self._balance_row0:2]
+        yq = y_eq[1:self._balance_row0:2]
+        jr = 0.0 * yq - 0.0       # 1j * y_q = (0 y_q - 1 * 0) + 1j (0 * 0 + 1 y_q)
+        ji = 0.0 + yq
+        w = np.empty(yp.shape, dtype=complex)
+        w.real = -(yp - jr)
+        w.imag = -(0.0 - ji)
+        block = (w.reshape(self._near.shape + (NPHASE,))[..., None, None]
+                 * self._hflow_g).real.ravel()
+        keep = (w != 0)[self._hflow_block]
+        rows.append(self._hflow_rows[keep])
+        cols.append(self._hflow_cols[keep])
+        vals.append(block[self._hflow_entry[keep]])
         # voltage-magnitude bounds: +/- 2 on the two rect coordinates
-        for row0, b, ph in self._vrows:
-            w = 2.0 * (z_ineq[row0 + 1] - z_ineq[row0])
-            if w == 0:
-                continue
-            for col in (self.idx_e[b, ph], self.idx_f[b, ph]):
-                rows.append(col)
-                cols.append(col)
-                vals.append(w)
+        w = np.repeat(2.0 * (z_ineq[1:self._box_row0:2] - z_ineq[0:self._box_row0:2]), 2)
+        keep = w != 0
+        rows.append(self._hv_vars[keep])
+        cols.append(self._hv_vars[keep])
+        vals.append(w[keep])
         # thermal circles
-        row = self._thermal_row0
-        for l in range(len(self.net.lines)):
-            for ph in range(NPHASE):
-                w = 2.0 * z_ineq[row]
-                if w != 0:
-                    for col in (self.idx_p[l, 0, ph], self.idx_q[l, 0, ph]):
-                        rows.append(col)
-                        cols.append(col)
-                        vals.append(w)
-                row += 1
+        w = np.repeat(2.0 * z_ineq[self._thermal_row0:self._vuf_row0], 2)
+        keep = w != 0
+        rows.append(self._hth_vars[keep])
+        cols.append(self._hth_vars[keep])
+        vals.append(w[keep])
         # hard VUF constraints
         if self.cfg.mode == "hard":
             for k, vv in enumerate(self._vuf_vars):
@@ -521,11 +577,11 @@ class OpfProblem:
                 if w == 0:
                     continue
                 _, _, h = vuf_metric_grad_hess(x[vv])
-                r, cgrid = np.meshgrid(vv, vv, indexing="ij")
-                rows += list(r.ravel())
-                cols += list(cgrid.ravel())
-                vals += list((w * h).ravel())
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.nvar, self.nvar))
+                rows.append(np.repeat(vv, 6))
+                cols.append(np.tile(vv, 6))
+                vals.append((w * h).ravel())
+        return sp.csr_matrix(_concat_triplets(rows, cols, vals),
+                             shape=(self.nvar, self.nvar))
 
     def evaluate(self, x) -> EvalResult:
         """Objective, constraints and their first derivatives at x."""

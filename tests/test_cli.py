@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from vudlmp import cli
 from vudlmp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -17,6 +18,7 @@ from vudlmp.cli import (
     run_scenario,
 )
 from vudlmp.netmodel import save_network
+from vudlmp.powerflow import PowerFlowDiverged
 from conftest import make_two_bus
 
 
@@ -214,3 +216,23 @@ class TestConfig:
                                           case_id="bundled"))
         assert res.ok
         assert res.vuf_bus is not None
+
+
+class TestSensitivityWarmStart:
+    def test_power_flow_is_solved_once(self, two_bus_file, monkeypatch):
+        calls = []
+        solve_pf = cli.solve_pf
+        monkeypatch.setattr(cli, "solve_pf", lambda net: calls.append(net) or solve_pf(net))
+        res = run_scenario(ScenarioConfig(network=two_bus_file, with_sensitivity=True))
+        assert res.ok
+        assert res.sensitivity
+        assert len(calls) == 1
+
+    def test_diverged_power_flow_skips_sensitivity(self, two_bus_file, monkeypatch):
+        def diverge(net):
+            raise PowerFlowDiverged(50, 1.0)
+        monkeypatch.setattr(cli, "solve_pf", diverge)
+        res = run_scenario(ScenarioConfig(network=two_bus_file, with_sensitivity=True))
+        assert res.status == "success"
+        assert res.sensitivity is None
+        assert "power flow diverged" in res.message

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from vudlmp.ipsolver import SolverSettings, solve
 from vudlmp.netmodel import UnbalanceConfig
@@ -177,3 +178,32 @@ class TestDeterminism:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(kkt_tol=2.0)
+
+
+class TestEvaluationBudget:
+    def test_one_evaluation_per_iteration(self, simple5, simple5_pf):
+        prob = build_problem(simple5)
+        calls = []
+        evaluate = prob.evaluate
+        prob.evaluate = lambda x: calls.append(1) or evaluate(x)
+        sol = solve(prob, warm=simple5_pf)
+        assert sol.success
+        # x0 once, then once after each accepted step; the residuals reuse it
+        assert len(calls) == sol.iterations
+
+
+class TestInitialMultipliers:
+    def test_superlu_failure_starts_from_zero_multipliers(self, two_bus, two_bus_pf,
+                                                         monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", singular)
+        sol = solve(build_problem(two_bus), warm=two_bus_pf)
+        assert sol.success, sol.message
+
+    def test_other_errors_propagate(self, two_bus, two_bus_pf, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken)
+        with pytest.raises(TypeError):
+            solve(build_problem(two_bus), warm=two_bus_pf)

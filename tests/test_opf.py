@@ -159,6 +159,49 @@ class TestDerivatives:
             assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-5)
 
 
+class TestFeederDerivatives:
+    """Directional derivatives on eulv117, where the sparsity layout spans
+    hundreds of line blocks; about a third of the multipliers are exactly 0."""
+
+    @pytest.mark.parametrize("mode_cfg", [
+        UnbalanceConfig("hard", 0.5),
+        UnbalanceConfig("soft", 0.0, 3.0),
+    ], ids=["hard", "soft"])
+    def test_derivatives_match_central_differences(self, eulv117, mode_cfg):
+        prob = build_problem(eulv117, mode_cfg, penalty_on="f")
+        rng = np.random.default_rng(21)
+        x = random_x(prob, rng, scale=0.01)
+        y = rng.standard_normal(prob.n_eq)
+        y[rng.random(prob.n_eq) < 0.3] = 0.0
+        z = np.abs(rng.standard_normal(prob.n_ineq))
+        z[rng.random(prob.n_ineq) < 0.3] = 0.0
+        _, je = prob.eval_eq(x)
+        _, ji = prob.eval_ineq(x)
+        hess = prob.hess_lagrangian(x, y, z)
+
+        def grad_lag(xv):
+            e = prob.evaluate(xv)
+            return e.grad_objective + e.jac_eq.T @ y + e.jac_ineq.T @ z
+
+        h = 1e-6
+        for _ in range(5):
+            d = rng.standard_normal(prob.nvar)
+            up, dn = x + h * d, x - h * d
+            fde = (prob.eval_eq(up, want_jac=False)[0]
+                   - prob.eval_eq(dn, want_jac=False)[0]) / (2 * h)
+            fdi = (prob.eval_ineq(up, want_jac=False)[0]
+                   - prob.eval_ineq(dn, want_jac=False)[0]) / (2 * h)
+            assert np.allclose(je @ d, fde, rtol=1e-5, atol=1e-6)
+            assert np.allclose(ji @ d, fdi, rtol=1e-5, atol=1e-6)
+            fdh = (grad_lag(up) - grad_lag(dn)) / (2 * h)
+            assert np.allclose(hess @ d, fdh, rtol=5e-5, atol=5e-5)
+
+    def test_zero_multipliers_add_no_hessian_entries(self, eulv117):
+        prob = build_problem(eulv117, UnbalanceConfig("none"))
+        x = random_x(prob, np.random.default_rng(22))
+        assert prob.hess_lagrangian(x, np.zeros(prob.n_eq), np.zeros(prob.n_ineq)).nnz == 0
+
+
 class TestObjectiveGates:
     def test_zero_weight_soft_equals_plain_cost(self, simple5):
         plain = build_problem(simple5, UnbalanceConfig("none"))
