@@ -1,12 +1,16 @@
-"""Print digests of the OPF evaluation at seeded points.
+"""Print digests of the OPF evaluation and of the power flow.
 
 For simple5 (none, soft on f, soft on VUF, hard) and eulv117 (none, soft,
 hard) this evaluates ``eval_eq``, ``eval_ineq`` and ``hess_lagrangian`` at
 the flat start, the power-flow warm start and a seeded perturbed point, with
-seeded multipliers of which about a third are exactly zero.  Each output
-line is the SHA-256 of the raw bytes (values, ``indices``, ``indptr`` and
-their dtypes) of one vector or matrix.  Run it on two checkouts and diff the
-outputs to show that a change to the assembly leaves every bit in place:
+seeded multipliers of which about a third are exactly zero.  It then digests
+the ``solve_pf`` voltages of both feeders, four simple5
+``perturb_and_resolve`` re-solves (1, 3, 3 and 4 Newton steps) and the
+closed-form and finite-difference columns of the eulv117 sensitivity report
+on its VUF buses.  Each digest is a prefix of the SHA-256 of the raw bytes
+(values, ``indices``, ``indptr`` and their dtypes) of one vector or matrix.
+Run it on two checkouts and diff the outputs to show that a change to the
+assembly or the power flow leaves every bit in place:
 
     PYTHONPATH=src python scripts/opf_eval_digest.py > digests.txt
 """
@@ -15,7 +19,15 @@ import hashlib
 
 import numpy as np
 
-from vudlmp import UnbalanceConfig, build_problem, bundled_network, load_network, solve_pf
+from vudlmp import (
+    UnbalanceConfig,
+    build_problem,
+    bundled_network,
+    load_network,
+    perturb_and_resolve,
+    sensitivity_report,
+    solve_pf,
+)
 
 CASES = (
     ("simple5", "none", UnbalanceConfig("none"), "f"),
@@ -26,6 +38,9 @@ CASES = (
     ("eulv117", "soft", UnbalanceConfig("soft", 0.0, 3.0), "f"),
     ("eulv117", "hard", UnbalanceConfig("hard", 0.5), "f"),
 )
+
+# simple5 consumption steps at b4 phase a: 1, 3, 3 and 4 Newton steps
+PERTURBATIONS = (1e-5, 0.02, 0.05, 0.3)
 
 
 def digest(*arrays):
@@ -49,7 +64,7 @@ def multipliers(rng, n, positive=False):
     return m
 
 
-def main():
+def print_opf_digests():
     for name, label, cfg, penalty_on in CASES:
         net = load_network(bundled_network(name))
         prob = build_problem(net, cfg, penalty_on=penalty_on)
@@ -69,6 +84,36 @@ def main():
                   f" c_ineq_nojac={digest(prob.eval_ineq(x, want_jac=False)[0])}"
                   f" hess={sparse_digest(prob.hess_lagrangian(x, y, z))}"
                   f" hess_zero={sparse_digest(prob.hess_lagrangian(x, 0 * y, 0 * z))}")
+
+
+def column(entries, name):
+    return np.array([np.nan if getattr(e, name) is None else getattr(e, name)
+                     for e in entries])
+
+
+def print_pf_digests():
+    points = {}
+    for name in ("simple5", "eulv117"):
+        net = load_network(bundled_network(name))
+        points[name] = point = solve_pf(net)
+        print(f"{name} solve_pf iterations={point.iterations}"
+              f" voltages={digest(point.voltages)}")
+    base = points["simple5"]
+    for dp in PERTURBATIONS:
+        point, df = perturb_and_resolve(base.net, None, "b4", 0, dp=dp, base=base)
+        print(f"simple5 perturb_and_resolve b4 a dp={dp} iterations={point.iterations}"
+              f" voltages={digest(point.voltages)} delta_f={float(df)!r}")
+    base = points["eulv117"]
+    entries = sensitivity_report(base.net, base, buses=list(base.net.unbalance.buses))
+    print(f"eulv117 sensitivity_report entries={len(entries)}"
+          f" closed_form={digest(column(entries, 'closed_form'))}"
+          f" finite_difference={digest(column(entries, 'finite_difference'))}"
+          f" rel_gap={digest(column(entries, 'rel_gap'))}")
+
+
+def main():
+    print_opf_digests()
+    print_pf_digests()
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .netmodel import (
     load_network,
 )
 from .opf import build_problem
-from .powerflow import PowerFlowDiverged, solve_pf
+from .powerflow import PowerFlowDiverged, PowerFlowError, solve_pf
 from .sequence import PhasorSet, vuf
 
 EXIT_OK = 0
@@ -150,6 +150,11 @@ def _write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _pf_failure(exc):
+    """One line naming a PowerFlowError: diverged, or failed otherwise."""
+    return f"power flow {'diverged' if isinstance(exc, PowerFlowDiverged) else 'failed'}: {exc}"
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Load, warm-start, solve and decompose one scenario."""
     t0 = time.perf_counter()
@@ -166,10 +171,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         result.message = str(exc)
         result.wall_ms = 1e3 * (time.perf_counter() - t0)
         return result
+    notes = []
     try:
         warm = solve_pf(net)
-    except PowerFlowDiverged:
+    except PowerFlowError as exc:
         warm = None
+        notes.append(f"OPF cold-started ({_pf_failure(exc)})")
     prob = build_problem(net, ub, penalty_on=cfg.penalty_on)
     settings = SolverSettings(kkt_tol=cfg.kkt_tol, max_iter=cfg.max_iter)
     sol = solve(prob, warm=warm, settings=settings)
@@ -184,10 +191,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         if cfg.with_sensitivity and warm is not None:
             result.sensitivity = sensitivity_report(net, warm)
         elif cfg.with_sensitivity:
-            result.message = "sensitivity report skipped: the power flow diverged"
+            notes.append("sensitivity report skipped")
     else:
         result.status = "infeasible-or-nonconverged"
-        result.message = sol.message
+        notes.insert(0, sol.message)
+    result.message = "; ".join(notes)
     result.wall_ms = 1e3 * (time.perf_counter() - t0)
     return result
 
@@ -329,8 +337,8 @@ def _cmd_pf(args):
     net = load_network(_resolve_network(args.network))
     try:
         point = solve_pf(net)
-    except PowerFlowDiverged as exc:
-        print(f"power flow diverged: {exc}", file=sys.stderr)
+    except PowerFlowError as exc:
+        print(_pf_failure(exc), file=sys.stderr)
         return EXIT_SOLVER
     print(f"power flow converged in {point.iterations} iterations")
     print("bus        |v_a|     |v_b|     |v_c|     VUF%")
@@ -401,8 +409,8 @@ def _cmd_sens(args):
     net = load_network(_resolve_network(args.network))
     try:
         point = solve_pf(net)
-    except PowerFlowDiverged as exc:
-        print(f"power flow diverged: {exc}", file=sys.stderr)
+    except PowerFlowError as exc:
+        print(_pf_failure(exc), file=sys.stderr)
         return EXIT_SOLVER
     entries = sensitivity_report(net, point, step=args.step)
     out = _ensure_outdir(args.out or "out")

@@ -20,17 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .netmodel import NPHASE, PHASES, NetworkSpec
 from .opf import OpfProblem
 from .powerflow import (
     OperatingPoint,
     build_ybus,
+    factor_jacobian,
     line_flows,
     nonslack_index,
     perturb_and_resolve,
-    pf_jacobian,
 )
 from .sequence import PhasorSet, grad_f
 
@@ -82,8 +82,7 @@ class DecompositionError(Exception):
 # -- closed-form sensitivity ------------------------------------------------
 
 
-def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="active",
-                            response=None):
+def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="active"):
     """One closed-form sensitivity entry df/dP (or df/dQ) at (bus, phase).
 
     The metric gradient at the bus is chained with the power-flow response
@@ -93,8 +92,8 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     current on that phase: with nothing flowing, a power perturbation has
     no well-conditioned voltage direction to act through.
 
-    ``response`` may carry a precomputed :func:`_pf_response` result to
-    amortize the factorization across a whole report.
+    The response comes from the point's own Jacobian factors
+    (:attr:`OperatingPoint.jacobian_lu`), factored once per point.
     """
     net = point.net
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
@@ -105,12 +104,10 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
             closed_form=None, finite_difference=None, rel_gap=None,
             incident_current=imag,
         )
-    if response is None:
-        response = _pf_response(net, point.voltages)
     b = net.bus_index(bus)
     weight = np.zeros((1, len(net.buses), NPHASE), dtype=complex)
     weight[0, b] = grad_f(point.phasors(bus)).as_array()
-    d_p, d_q = _consumption_response(response, weight)
+    d_p, d_q = _consumption_response(net, point.jacobian_lu, weight)
     value = float((d_p if power_kind == "active" else d_q)[b, phase_idx, 0])
     return SensitivityReport(
         bus=bus, phase=PHASES[phase_idx], power_kind=power_kind,
@@ -146,17 +143,17 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
 
     The FD column perturbs the consumption and re-solves the network, so
     the relative gap reports the linearization error of the closed form
-    instead of hiding it.
+    instead of hiding it.  Every re-solve starts at ``point``, so the closed
+    form and the first Newton step of each re-solve share the point's one
+    Jacobian factorization.
     """
     if buses is None:
         buses = [b.id for b in net.buses if b.id != net.substation_bus]
-    response = _pf_response(net, point.voltages)
     out = []
     for bus in buses:
         for phase_idx in range(NPHASE):
             for kind in ("active", "reactive"):
-                entry = sensitivity_closed_form(point, bus, phase_idx, kind,
-                                                response=response)
+                entry = sensitivity_closed_form(point, bus, phase_idx, kind)
                 if not entry.defined:
                     out.append(entry)
                     continue
@@ -174,24 +171,18 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
 # -- DLMP decomposition -----------------------------------------------------
 
 
-def _pf_response(net: NetworkSpec, voltages):
-    """LU factors of the power-flow Jacobian at ``voltages``, with the flat
-    indices of the non-slack voltages it acts on; see
-    :func:`_consumption_response`."""
-    idx = nonslack_index(net)
-    return lu_factor(pf_jacobian(build_ybus(net), voltages, idx)), idx
-
-
-def _consumption_response(response, weights):
+def _consumption_response(net: NetworkSpec, lu, weights):
     """First-order change of ``Re(sum conj(w) * dV)`` per unit of extra
     consumption at each non-slack (bus, phase), generation held fixed.
+    ``lu`` holds the factors of the power-flow Jacobian (see
+    :func:`~vudlmp.powerflow.factor_jacobian`).
 
     ``weights`` is a (k, nbus, 3) complex array, one weight per functional.
     With dV = -J^-1 e_t for a unit consumption at entry t, all entries of
     all k functionals come from one transposed solve.  Returns the active
     and reactive responses as one (2, nbus, 3, k) array, zero at the slack.
     """
-    lu, idx = response
+    idx = nonslack_index(net)
     k, nbus = weights.shape[:2]
     w = weights.reshape(k, -1)[:, idx].T
     out = np.zeros((2, nbus * NPHASE, k))
@@ -253,7 +244,8 @@ def decompose(sol, prob: OpfProblem | None = None, net: NetworkSpec | None = Non
 
     # + 0.0 keeps components with no binding term at +0.0 rather than -0.0
     comp_p, comp_q = _consumption_response(
-        _pf_response(net, v), np.stack((g_cong, g_vlim, g_unb))) / base_kw + 0.0
+        net, factor_jacobian(build_ybus(net), v, nonslack_index(net)),
+        np.stack((g_cong, g_vlim, g_unb))) / base_kw + 0.0
 
     out = []
     for kind, comp, phi in (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +185,8 @@ class NetworkSpec:
     """Validated network; also holds a compiled array view of its lines.
 
     ``line_from``/``line_to`` are the bus indices of each line's ends and
-    ``line_y`` stacks the (nline, 3, 3) series admittances, all read-only.
+    ``line_y`` stacks the (nline, 3, 3) series admittances; ``ybus`` is the
+    nodal admittance matrix, assembled on first use.  All are read-only.
     """
     base_kva: float
     base_volt_ln: float
@@ -209,6 +211,18 @@ class NetworkSpec:
             np.array([pos[ln.to_bus] for ln in self.lines], dtype=int)))
         object.__setattr__(self, "line_y", _readonly(
             np.array([ln.y for ln in self.lines], dtype=complex).reshape(-1, NPHASE, NPHASE)))
+
+    @cached_property
+    def ybus(self):
+        """Dense (3n, 3n) complex nodal admittance matrix, series elements only."""
+        n = len(self.buses)
+        y = np.zeros((n, NPHASE, n, NPHASE), dtype=complex)
+        for i, j, yl in zip(self.line_from, self.line_to, self.line_y):
+            y[i, :, i] += yl
+            y[j, :, j] += yl
+            y[i, :, j] -= yl
+            y[j, :, i] -= yl
+        return _readonly(y.reshape(n * NPHASE, n * NPHASE))
 
     # -- convenience lookups -------------------------------------------------
 

@@ -3,14 +3,24 @@
 Newton iteration on complex nodal voltages in rectangular coordinates.
 Used both as the warm start for the OPF and as the perturb-and-resolve
 oracle behind sensitivity and price validation.
+
+Every Newton step solves with the LU factors of the power-flow Jacobian
+(:func:`factor_jacobian`).  A solved :class:`OperatingPoint` keeps the
+factors of the Jacobian at its own voltages once they are asked for
+(:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
+them, and a re-solve that starts at that point takes its first Newton step
+with them instead of factoring the same matrix again.  The nodal admittance
+matrix is assembled once per network (:attr:`NetworkSpec.ybus`).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .netmodel import NPHASE, NetworkSpec
 from .sequence import PhasorSet, f_metric, vuf
@@ -38,15 +48,9 @@ class SingularJacobian(PowerFlowError):
 
 
 def build_ybus(net: NetworkSpec):
-    """Full 3n x 3n complex nodal admittance matrix (series elements only)."""
-    n = len(net.buses)
-    y = np.zeros((n, NPHASE, n, NPHASE), dtype=complex)
-    for i, j, yl in zip(net.line_from, net.line_to, net.line_y):
-        y[i, :, i] += yl
-        y[j, :, j] += yl
-        y[i, :, j] -= yl
-        y[j, :, i] -= yl
-    return y.reshape(n * NPHASE, n * NPHASE)
+    """Full 3n x 3n complex nodal admittance matrix (series elements only),
+    assembled once per network and read-only."""
+    return net.ybus
 
 
 def line_flows(net: NetworkSpec, v):
@@ -95,11 +99,24 @@ def max_vuf(net: NetworkSpec, v):
     return worst_bus, worst
 
 
+def factor_jacobian(ybus, v, idx):
+    """LU factors of :func:`pf_jacobian`; an exactly zero pivot raises
+    SingularJacobian."""
+    jac = pf_jacobian(ybus, v, idx)
+    with warnings.catch_warnings():
+        # scipy only warns about a zero pivot; the factors would be unusable
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            return lu_factor(jac)
+        except LinAlgWarning as exc:
+            raise SingularJacobian(f"singular power-flow Jacobian: {exc}") from None
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """Solved network state: voltages, branch currents and flows, losses."""
     net: NetworkSpec
-    voltages: np.ndarray        # (nbus, 3) complex, per-unit
+    voltages: np.ndarray        # (nbus, 3) complex, per-unit, read-only
     currents_from: np.ndarray   # (nline, 3) complex, from-end into the line
     s_from: np.ndarray          # (nline, 3) complex power at the from end
     s_to: np.ndarray            # (nline, 3) complex power at the to end
@@ -119,6 +136,13 @@ class OperatingPoint:
         """(bus id, VUF percent) of the worst non-slack bus."""
         return max_vuf(self.net, self.voltages)
 
+    @cached_property
+    def jacobian_lu(self):
+        """LU factors of the power-flow Jacobian at this point, factored on
+        first use; see :func:`factor_jacobian`."""
+        return factor_jacobian(build_ybus(self.net), self.voltages,
+                               nonslack_index(self.net))
+
     def incident_current_sum(self, bus, phase_idx) -> complex:
         """Sum of currents flowing from the bus into its incident lines."""
         i = self.net.bus_index(bus)
@@ -133,12 +157,24 @@ def _substation_voltage():
 
 
 def _operating_point(net, v, iterations=0):
+    v.flags.writeable = False
     cur, s_from, s_to = line_flows(net, v)
     losses = float(np.sum(np.real(s_from) + np.real(s_to)))
     return OperatingPoint(
         net=net, voltages=v, currents_from=cur, s_from=s_from, s_to=s_to,
         losses=losses, iterations=iterations,
     )
+
+
+def _checked_bus_array(name, a, n):
+    """Copy of ``a`` as an (n, 3) complex array; ValueError naming ``name``
+    if it has another shape or a non-finite entry."""
+    a = np.array(a, dtype=complex)
+    if a.shape != (n, NPHASE):
+        raise ValueError(f"{name} must have shape ({n}, 3), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return a
 
 
 def solve_pf(net: NetworkSpec, injections=None, tol=TOL_PF, max_iter=MAX_ITER,
@@ -149,23 +185,28 @@ def solve_pf(net: NetworkSpec, injections=None, tol=TOL_PF, max_iter=MAX_ITER,
     the network (generation minus load) at each bus; the slack row is
     ignored.  Defaults to minus the network's load demand.  The substation
     is an ideal balanced 1 pu source.
+
+    ``v0`` is the starting point: an (nbus, 3) complex voltage array, or a
+    solved :class:`OperatingPoint`.  A point of this same network makes the
+    first Newton step reuse its :attr:`~OperatingPoint.jacobian_lu`, the
+    factors of exactly the matrix that step needs; later steps factor a
+    fresh Jacobian.  The iterates are the same either way.
     """
     n = len(net.buses)
     slack = net.bus_index(net.substation_bus)
     if injections is None:
         injections = -net.demand_pu()
-    injections = np.asarray(injections, dtype=complex)
-    if injections.shape != (n, NPHASE):
-        raise ValueError(f"injections must have shape ({n}, 3)")
-    if not np.all(np.isfinite(injections)):
-        raise ValueError("non-finite injection")
+    injections = _checked_bus_array("injections", injections, n)
 
     ybus = build_ybus(net)
-    v = np.empty((n, NPHASE), dtype=complex)
-    v[:] = _substation_voltage()
-    if v0 is not None:
-        v = np.array(v0, dtype=complex)
+    base = v0 if isinstance(v0, OperatingPoint) else None
+    if v0 is None:
+        v = np.empty((n, NPHASE), dtype=complex)
+        v[:] = _substation_voltage()
+    else:
+        v = _checked_bus_array("v0", v0 if base is None else base.voltages, n)
     v[slack] = _substation_voltage()
+    reuse = base is not None and base.net is net and np.array_equal(v, base.voltages)
 
     idx = nonslack_index(net)
     m = len(idx)
@@ -178,12 +219,8 @@ def solve_pf(net: NetworkSpec, injections=None, tol=TOL_PF, max_iter=MAX_ITER,
         err = np.max(np.abs(mismatch)) if m else 0.0
         if err < tol:
             return _operating_point(net, v, iterations=it)
-        jac = pf_jacobian(ybus, v, idx)
-        rhs = np.concatenate([np.real(mismatch), np.imag(mismatch)])
-        try:
-            step = scipy.linalg.solve(jac, rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"singular power-flow Jacobian: {exc}") from exc
+        lu = base.jacobian_lu if reuse and it == 0 else factor_jacobian(ybus, v, idx)
+        step = lu_solve(lu, np.concatenate([np.real(mismatch), np.imag(mismatch)]))
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         dv = step[:m] + 1j * step[m:]
@@ -203,7 +240,11 @@ def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
 
     ``dp``/``dq`` are per-unit increases in consumption at (bus, phase), i.e.
     decreases of the net injection.  ``base`` may carry the unperturbed
-    operating point to avoid re-solving it.
+    operating point to avoid re-solving it.  The re-solve starts at the
+    base point's voltages, and when the base point belongs to ``net`` its
+    first Newton step reuses the base point's Jacobian factors, so a
+    report of many small perturbations around one point factors that
+    Jacobian once.
     """
     if injections is None:
         injections = -net.demand_pu()
@@ -212,6 +253,6 @@ def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
         base = solve_pf(net, injections)
     pert = injections.copy()
     pert[net.bus_index(bus), phase_idx] -= dp + 1j * dq
-    point = solve_pf(net, pert, v0=base.voltages)
+    point = solve_pf(net, pert, v0=base)
     delta_f = point.f_metric(bus) - base.f_metric(bus)
     return point, delta_f

@@ -18,7 +18,7 @@ from vudlmp.cli import (
     run_scenario,
 )
 from vudlmp.netmodel import save_network
-from vudlmp.powerflow import PowerFlowDiverged
+from vudlmp.powerflow import PowerFlowDiverged, SingularJacobian
 from conftest import make_two_bus
 
 
@@ -236,3 +236,21 @@ class TestSensitivityWarmStart:
         assert res.status == "success"
         assert res.sensitivity is None
         assert "power flow diverged" in res.message
+
+    def test_singular_jacobian_cold_starts_the_opf(self, two_bus_file, monkeypatch):
+        def singular(net):
+            raise SingularJacobian("singular power-flow Jacobian")
+        monkeypatch.setattr(cli, "solve_pf", singular)
+        res = run_scenario(ScenarioConfig(network=two_bus_file))
+        assert res.status == "success"
+        assert res.message == ("OPF cold-started (power flow failed: "
+                               "singular power-flow Jacobian)")
+
+    @pytest.mark.parametrize("command", ["pf", "sens"])
+    def test_singular_jacobian_is_a_solver_failure(self, two_bus_file, tmp_path,
+                                                   monkeypatch, capsys, command):
+        def singular(net):
+            raise SingularJacobian("singular power-flow Jacobian")
+        monkeypatch.setattr(cli, "solve_pf", singular)
+        assert main([command, two_bus_file, "--out", str(tmp_path)]) == EXIT_SOLVER
+        assert "power flow failed: singular" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vudlmp import powerflow
 from vudlmp.dlmp import (
     COMPONENTS,
     DecompositionError,
@@ -45,6 +46,18 @@ class TestSensitivity:
         coarse = sensitivity_fd(simple5, simple5_pf, "b4", 0, step=2e-5)
         fine = sensitivity_fd(simple5, simple5_pf, "b4", 0, step=5e-6)
         assert coarse == pytest.approx(fine, rel=1e-3)
+
+    def test_report_factors_one_jacobian(self, simple5, monkeypatch):
+        # the closed form and the first Newton step of every finite-difference
+        # re-solve share the point's factors, and each re-solve takes one step
+        point = solve_pf(simple5)
+        calls = []
+        pf_jacobian = powerflow.pf_jacobian
+        monkeypatch.setattr(powerflow, "pf_jacobian",
+                            lambda *a: calls.append(a) or pf_jacobian(*a))
+        entries = sensitivity_report(simple5, point)
+        assert sum(e.defined for e in entries) == 24     # 48 re-solves
+        assert len(calls) == 1
 
     def test_report_covers_all_phases_and_kinds(self, two_bus, two_bus_pf):
         entries = sensitivity_report(two_bus, two_bus_pf)

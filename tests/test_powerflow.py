@@ -1,11 +1,14 @@
 """Power-flow tests: Ohm's law cases, conservation, perturbation oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from vudlmp.netmodel import network_from_dict, network_to_dict
 from vudlmp.powerflow import (
     PowerFlowDiverged,
+    SingularJacobian,
     build_ybus,
     perturb_and_resolve,
     solve_pf,
@@ -46,6 +49,11 @@ class TestBasics:
         flat = np.ones(y.shape[0], dtype=complex)
         assert np.max(np.abs(y @ flat)) < 1e-10
 
+    def test_ybus_is_assembled_once_and_read_only(self, simple5):
+        y = build_ybus(simple5)
+        assert build_ybus(simple5) is y
+        assert not y.flags.writeable
+
     def test_bus_reordering_is_irrelevant(self, two_bus):
         doc = network_to_dict(two_bus)
         doc["buses"] = doc["buses"][::-1]
@@ -62,6 +70,22 @@ class TestBasics:
         bad[1, 0] = np.nan
         with pytest.raises(ValueError):
             solve_pf(two_bus, injections=bad)
+        with pytest.raises(ValueError, match="v0"):
+            solve_pf(two_bus, v0=np.ones((3, 3), dtype=complex))
+        with pytest.raises(ValueError, match="v0"):
+            solve_pf(two_bus, v0=bad)
+
+    def test_start_from_another_networks_point_is_rejected(self, two_bus, simple5_pf):
+        with pytest.raises(ValueError, match="v0"):
+            solve_pf(two_bus, v0=simple5_pf)
+
+    def test_zero_start_is_singular(self, simple5):
+        # scipy only warns about the zero pivot; the power flow must raise
+        # at the factorization, with no warning let through
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobian, match="singular power-flow Jacobian"):
+                solve_pf(simple5, v0=np.zeros((len(simple5.buses), 3)))
 
     def test_overload_diverges(self):
         net = make_two_bus()
@@ -118,6 +142,18 @@ class TestPerturbAndResolve:
         _, df = perturb_and_resolve(simple5, None, "b4", 2, dq=0.02,
                                     base=simple5_pf)
         assert df != pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("dp, steps", [(1e-5, 1), (0.05, 3)])
+    def test_reused_factors_give_the_same_iterates(self, simple5, simple5_pf, dp, steps):
+        # the first step reuses the base point's factors; a start from its
+        # bare voltage array factors the same Jacobian afresh
+        inj = -simple5.demand_pu()
+        point, _ = perturb_and_resolve(simple5, inj, "b4", 0, dp=dp, base=simple5_pf)
+        pert = inj.copy()
+        pert[simple5.bus_index("b4"), 0] -= dp
+        fresh = solve_pf(simple5, pert, v0=simple5_pf.voltages)
+        assert point.iterations == fresh.iterations == steps
+        assert np.array_equal(point.voltages, fresh.voltages)
 
 
 class TestDeterminism:
