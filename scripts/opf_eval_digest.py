@@ -1,4 +1,4 @@
-"""Print digests of the OPF evaluation and of the power flow.
+"""Print digests of the OPF evaluation, the power flow and whole solves.
 
 For simple5 (none, soft on f, soft on VUF, hard) and eulv117 (none, soft,
 hard) this evaluates ``eval_eq``, ``eval_ineq`` and ``hess_lagrangian`` at
@@ -7,10 +7,16 @@ seeded multipliers of which about a third are exactly zero.  It then digests
 the ``solve_pf`` voltages of both feeders, four simple5
 ``perturb_and_resolve`` re-solves (1, 3, 3 and 4 Newton steps) and the
 closed-form and finite-difference columns of the eulv117 sensitivity report
-on its VUF buses.  Each digest is a prefix of the SHA-256 of the raw bytes
-(values, ``indices``, ``indptr`` and their dtypes) of one vector or matrix.
-Run it on two checkouts and diff the outputs to show that a change to the
-assembly or the power flow leaves every bit in place:
+on its VUF buses.  Last it runs whole interior-point solves (simple5 none,
+soft on f, soft on VUF, hard 1 % and hard 0.5 %; eulv117 hard 0.5 %; the
+two-bus feeder of the tests cold-started, and at a 1e-4 % hard limit that
+ends infeasible) and prints each one's status, iteration count, message,
+the ``repr`` of its objective and residuals, and digests of its primal and
+dual iterates and of its ``decompose`` rows.  Each digest is a prefix of the
+SHA-256 of the raw bytes (values, ``indices``, ``indptr`` and their dtypes)
+of one vector or matrix.  Run it on two checkouts and diff the outputs to
+show that a change to the assembly, the power flow or the solver leaves
+every bit in place:
 
     PYTHONPATH=src python scripts/opf_eval_digest.py > digests.txt
 """
@@ -20,12 +26,20 @@ import hashlib
 import numpy as np
 
 from vudlmp import (
+    BusSpec,
+    GenSpec,
+    LineSpec,
+    LoadSpec,
+    NetworkSpec,
+    SolverSettings,
     UnbalanceConfig,
     build_problem,
     bundled_network,
+    decompose,
     load_network,
     perturb_and_resolve,
     sensitivity_report,
+    solve,
     solve_pf,
 )
 
@@ -37,6 +51,15 @@ CASES = (
     ("eulv117", "none", UnbalanceConfig("none"), "f"),
     ("eulv117", "soft", UnbalanceConfig("soft", 0.0, 3.0), "f"),
     ("eulv117", "hard", UnbalanceConfig("hard", 0.5), "f"),
+)
+
+SOLVES = (
+    ("simple5", "none", UnbalanceConfig("none"), "f"),
+    ("simple5", "soft-f", UnbalanceConfig("soft", 0.0, 2.5), "f"),
+    ("simple5", "soft-vuf", UnbalanceConfig("soft", 0.0, 2.5), "vuf"),
+    ("simple5", "hard-1.0", UnbalanceConfig("hard", 1.0), "f"),
+    ("simple5", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),
+    ("eulv117", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),
 )
 
 # simple5 consumption steps at b4 phase a: 1, 3, 3 and 4 Newton steps
@@ -111,9 +134,54 @@ def print_pf_digests():
           f" rel_gap={digest(column(entries, 'rel_gap'))}")
 
 
+def two_bus():
+    """The two-bus feeder of tests/conftest.py: substation -> one loaded bus."""
+    z = np.full((3, 3), 0.004 + 0.008j, dtype=complex)
+    np.fill_diagonal(z, 0.025 + 0.016j)
+    return NetworkSpec(
+        base_kva=50.0,
+        base_volt_ln=230.0,
+        buses=(BusSpec("sub"), BusSpec("load", vmin=0.85)),
+        lines=(LineSpec("sub", "load", z, s_rating=2.0),),
+        loads=(LoadSpec("load", p=np.array([0.36, 0.10, 0.24]),
+                        q=np.array([0.12, 0.03, 0.08])),),
+        gens=(GenSpec("sub", ("a", "b", "c"),
+                      pmin=np.zeros(3), pmax=np.full(3, 4.0),
+                      qmin=np.full(3, -4.0), qmax=np.full(3, 4.0),
+                      marginal_cost=1.0, is_substation=True),),
+        substation_bus="sub",
+    )
+
+
+def print_solve_digest(name, label, sol):
+    rows = decompose(sol) if sol.success else []
+    keys = "|".join(f"{d.bus},{d.phase},{d.power_kind}" for d in rows).encode()
+    values = np.array([[d.total, d.energy, d.loss, d.congestion, d.voltage_limit,
+                        d.unbalance] for d in rows])
+    print(f"{name} solve {label} status={sol.status} iterations={sol.iterations}"
+          f" iterates={digest(sol.x, sol.y_eq, sol.z_ineq, sol.slacks)}"
+          f" objective={sol.objective!r}"
+          f" residuals={ {k: float(v) for k, v in sol.residuals.items()}!r}"
+          f" message={sol.message!r}"
+          f" decompose={len(rows)}:{digest(np.frombuffer(keys, np.uint8), values)}")
+
+
+def print_solve_digests():
+    for name, label, cfg, penalty_on in SOLVES:
+        net = load_network(bundled_network(name))
+        prob = build_problem(net, cfg, penalty_on=penalty_on)
+        print_solve_digest(name, label, solve(prob, warm=solve_pf(net)))
+    net = two_bus()
+    print_solve_digest("two-bus", "cold", solve(build_problem(net)))
+    infeasible = build_problem(net, UnbalanceConfig("hard", 1e-4, buses=("load",)))
+    print_solve_digest("two-bus", "hard-1e-4",
+                       solve(infeasible, settings=SolverSettings(max_iter=80)))
+
+
 def main():
     print_opf_digests()
     print_pf_digests()
+    print_solve_digests()
 
 
 if __name__ == "__main__":

@@ -30,8 +30,6 @@ import numpy as np
 from .dlmp import COMPONENTS, decompose, sensitivity_report
 from .ipsolver import SolverSettings, solve
 from .netmodel import (
-    NPHASE,
-    PHASES,
     NetworkError,
     UnbalanceConfig,
     load_network,
@@ -167,7 +165,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             penalty_weight=cfg.penalty if cfg.mode == "soft" else 0.0,
             buses=net.unbalance.buses,
         )
-    except (NetworkError, ConfigError) as exc:
+        settings = SolverSettings(kkt_tol=cfg.kkt_tol, max_iter=cfg.max_iter)
+    except (NetworkError, ConfigError, ValueError) as exc:
         result.message = str(exc)
         result.wall_ms = 1e3 * (time.perf_counter() - t0)
         return result
@@ -178,7 +177,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         warm = None
         notes.append(f"OPF cold-started ({_pf_failure(exc)})")
     prob = build_problem(net, ub, penalty_on=cfg.penalty_on)
-    settings = SolverSettings(kkt_tol=cfg.kkt_tol, max_iter=cfg.max_iter)
     sol = solve(prob, warm=warm, settings=settings)
     if sol.success:
         bus, worst = sol.max_vuf()
@@ -200,8 +198,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return result
 
 
-def _sweep_worker(args):
-    cfg_kwargs, = args
+def _sweep_worker(cfg_kwargs):
     try:
         return run_scenario(ScenarioConfig(**cfg_kwargs))
     except Exception as exc:     # per-run isolation: never abort siblings
@@ -220,24 +217,21 @@ def run_sweep(cfg: ScenarioConfig) -> list:
         knob = "penalty"
     if not values:
         raise ConfigError("sweep requested with an empty weight/limit list")
-    jobs = []
-    for v in values:
-        kwargs = {
-            "network": cfg.network, "mode": cfg.mode, "penalty_on": cfg.penalty_on,
-            "kkt_tol": cfg.kkt_tol, "max_iter": cfg.max_iter,
-            "limit_pct": cfg.limit_pct, "penalty": cfg.penalty,
-            "case_id": f"{cfg.case_id}_{knob}_{_fmt(float(v))}",
-            knob: float(v),
-        }
-        jobs.append(((kwargs,), float(v)))
+    jobs = [{
+        "network": cfg.network, "mode": cfg.mode, "penalty_on": cfg.penalty_on,
+        "kkt_tol": cfg.kkt_tol, "max_iter": cfg.max_iter,
+        "limit_pct": cfg.limit_pct, "penalty": cfg.penalty,
+        "case_id": f"{cfg.case_id}_{knob}_{_fmt(float(v))}",
+        knob: float(v),
+    } for v in values]
     nworkers = cfg.jobs or os.cpu_count() or 1
     if nworkers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_sweep_worker, [a for a, _ in jobs]))
+            results = list(pool.map(_sweep_worker, jobs))
     else:
-        results = [_sweep_worker(a) for a, _ in jobs]
-    for res, (_, v) in zip(results, jobs):
-        res.weight = v
+        results = [_sweep_worker(kwargs) for kwargs in jobs]
+    for res, kwargs in zip(results, jobs):
+        res.weight = kwargs[knob]
     return results
 
 
@@ -310,7 +304,7 @@ def _print_footer(outdir=None):
         (Path(outdir) / "report_footer.txt").write_text(UNIT_FOOTER, encoding="utf-8")
 
 
-def _emit_scenario_outputs(results, outdir, sweep_values=None):
+def _emit_scenario_outputs(results, outdir):
     out = _ensure_outdir(outdir)
     write_summary(results, out / "summary.csv")
     write_dlmp(results, out)
@@ -319,7 +313,7 @@ def _emit_scenario_outputs(results, outdir, sweep_values=None):
     for r in results:
         if r.ok:
             emit_plot_data(r, out)
-    if sweep_values is not None:
+    if any(r.weight is not None for r in results):     # a sweep
         header = ("weight",) + SUMMARY_COLUMNS
         rows = [
             (r.weight, r.case_id, r.total_gen_cost_eur, r.total_losses_kw,
@@ -396,8 +390,7 @@ def _cmd_sweep(args):
     if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
     results = run_sweep(cfg)
-    _emit_scenario_outputs(results, cfg.outdir or "out",
-                           sweep_values=[r.weight for r in results])
+    _emit_scenario_outputs(results, cfg.outdir or "out")
     for r in results:
         mark = "ok " if r.ok else "FAIL"
         vuf_txt = f"{r.highest_vuf_pct:.4f}%" if r.ok else "-"

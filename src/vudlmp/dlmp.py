@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import lu_solve
 
 from .netmodel import NPHASE, PHASES, NetworkSpec
-from .opf import OpfProblem
 from .powerflow import (
     OperatingPoint,
     build_ybus,
@@ -116,20 +115,11 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     )
 
 
-def _injections_from_point(point: OperatingPoint):
-    net = point.net
-    ybus = build_ybus(net)
-    vflat = point.voltages.reshape(-1)
-    s = (vflat * np.conj(ybus @ vflat)).reshape(len(net.buses), NPHASE)
-    s[net.bus_index(net.substation_bus)] = 0.0
-    return s
-
-
 def sensitivity_fd(net: NetworkSpec, point: OperatingPoint, bus, phase,
                    power_kind="active", step=FD_STEP):
     """Central finite difference of the unbalance metric via re-solved flows."""
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-    inj = _injections_from_point(point)
+    inj = point.injections
     kw = {"dp": step} if power_kind == "active" else {"dq": step}
     _, df_up = perturb_and_resolve(net, inj, bus, phase_idx, base=point, **kw)
     kw = {"dp": -step} if power_kind == "active" else {"dq": -step}
@@ -191,7 +181,7 @@ def _consumption_response(net: NetworkSpec, lu, weights):
     return out.reshape(2, nbus, NPHASE, k)
 
 
-def decompose(sol, prob: OpfProblem | None = None, net: NetworkSpec | None = None):
+def decompose(sol):
     """Break every nodal price into its named components.
 
     Components beyond the reference-bus energy price are evaluated with the
@@ -199,8 +189,8 @@ def decompose(sol, prob: OpfProblem | None = None, net: NetworkSpec | None = Non
     balance dual after the named terms, so the breakdown sums to the total
     by construction and the residual field tracks float error only.
     """
-    prob = prob or sol.problem
-    net = net or prob.net
+    prob = sol.problem
+    net = prob.net
     if not sol.success:
         raise DecompositionError(f"cannot decompose a {sol.status} solve: {sol.message}")
     base_kw = net.base_kw

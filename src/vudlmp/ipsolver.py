@@ -1,11 +1,17 @@
 """Primal-dual interior-point solver for the assembled OPF.
 
 Exact-Newton method on the perturbed KKT system with slacked inequalities,
-a monotone barrier schedule and inertia-corrected symmetric indefinite
-factorizations (LAPACK Bunch-Kaufman).  The multipliers are first-class
-outputs: convergence is declared only when stationarity, feasibility and
-complementarity all fall below the KKT tolerance, so the duals are clean
-enough to be read as prices.
+a monotone barrier schedule and a merit line search.  KKT systems of up to
+1,200 rows are factored dense (LAPACK Bunch-Kaufman) with inertia
+correction; larger ones by SuperLU, which gives no inertia, so a nonconvex
+stretch is caught by a failed line search and the next system convexified.
+The multipliers are first-class outputs: convergence is declared only when
+stationarity, feasibility and complementarity all fall below the KKT
+tolerance, so the duals are clean enough to be read as prices.
+
+MU0, MU_FACTOR and the mu**1.5 tail are the barrier schedule of Wächter &
+Biegler, "On the implementation of an interior-point filter line-search
+algorithm", Math. Prog. 2006; the other constants are this solver's own.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .netmodel import NPHASE, PHASES
 from .opf import ConstraintTag, OpfProblem
 from .powerflow import max_vuf
 
@@ -25,25 +30,24 @@ STATUS_SUCCESS = "success"
 STATUS_FAILED = "failed"
 STATUS_INFEASIBLE = "infeasible"
 
+MU0 = 0.1               # initial barrier parameter
+MU_FACTOR = 0.2         # linear barrier decrease per solved subproblem
+TAU = 0.995             # fraction-to-boundary
+REG_INIT = 1e-8         # initial inertia regularization
+REG_CAP = 1e12          # regularization past which a KKT matrix is given up on
+BOUND_RELAX = 1e-8      # tiny inequality relaxation (handles pinned boxes)
+
 
 @dataclass(frozen=True)
 class SolverSettings:
     kkt_tol: float = 1e-6
-    mu0: float = 0.1
-    mu_factor: float = 0.2
-    tau: float = 0.995          # fraction-to-boundary
     max_iter: int = 300
-    reg_init: float = 1e-8      # initial inertia regularization
-    reg_cap: float = 1e12
-    bound_relax: float = 1e-8   # tiny inequality relaxation (handles pinned boxes)
-    verbose: bool = False
 
     def __post_init__(self):
         if not 0 < self.kkt_tol < 1:
             raise ValueError(f"kkt_tol must lie in (0, 1), got {self.kkt_tol}")
-        for name in ("mu0", "mu_factor", "tau", "reg_init"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -170,8 +174,7 @@ class _KktSystem:
         k[:n, :n] = w_dense
         k[:n, n:] = j_eq_dense.T
         k[n:, :n] = j_eq_dense
-        if m:
-            k[n:, n:] = -delta_c * np.eye(m)
+        k[n:, n:] = -delta_c * np.eye(m)
         self.n, self.m = n, m
         self.ldu, self.ipiv, info = lapack.dsytrf(k, lower=1)
         self.ok = info == 0
@@ -207,20 +210,17 @@ class _SparseKktSystem:
     def __init__(self, w_sparse, j_eq_sparse, delta):
         n = w_sparse.shape[0]
         m = j_eq_sparse.shape[0]
-        self.n, self.m = n, m
         self.target = sp.bmat(
             [[w_sparse + delta * sp.eye(n), j_eq_sparse.T],
-             [j_eq_sparse, None if m == 0 else sp.csr_matrix((m, m))]],
+             [j_eq_sparse, sp.csr_matrix((m, m))]],
             format="csc")
         perturbed = self.target + sp.diags(
             np.concatenate([np.zeros(n), -self.DELTA_C * np.ones(m)])).tocsc()
         self.ok = True
-        self.inertia = (n, m, 0)
         try:
             self.lu = sp.linalg.splu(perturbed)
         except RuntimeError:
             self.ok = False
-            self.inertia = (0, 0, n + m)
 
     def correct(self):
         return self.ok
@@ -234,15 +234,17 @@ class _SparseKktSystem:
         return x
 
 
-def _row_scales(jac, floor=1.0):
-    if jac.shape[0] == 0:
-        return np.ones(0)
+def _row_scales(jac):
     mags = np.abs(jac).max(axis=1).toarray().ravel()
-    return 1.0 / np.maximum(floor, mags)
+    return 1.0 / np.maximum(1.0, mags)
 
 
 def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -> OpfSolution:
-    """Solve the NLP to a KKT point; multipliers in EUR/h per per-unit."""
+    """Solve the NLP to a KKT point; multipliers in EUR/h per per-unit.
+
+    No row block is ever empty: a valid network's one substation generator
+    alone gives 6 variables, 6 balance rows and 12 output-box rows.
+    """
     st = settings or SolverSettings()
     x = prob.x0(warm)
     n = prob.nvar
@@ -250,10 +252,9 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     e = prob.evaluate(x)
     d_eq = _row_scales(e.jac_eq)
     d_in = _row_scales(e.jac_ineq)
-    relax = st.bound_relax
 
     def scale(e):
-        return (e.c_eq * d_eq, (e.c_ineq - relax) * d_in,
+        return (e.c_eq * d_eq, (e.c_ineq - BOUND_RELAX) * d_in,
                 sp.diags(d_eq) @ e.jac_eq, sp.diags(d_in) @ e.jac_ineq)
 
     def scaled(xv, want_jac=True):
@@ -262,24 +263,22 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             return e, *scale(e)
         ce, _ = prob.eval_eq(xv, want_jac=False)
         ci, _ = prob.eval_ineq(xv, want_jac=False)
-        return prob.objective_value(xv), ce * d_eq, (ci - relax) * d_in
+        return prob.objective_value(xv), ce * d_eq, (ci - BOUND_RELAX) * d_in
 
     ce, ci, je, ji = scale(e)
-    m_eq, m_in = len(ce), len(ci)
+    m_eq = len(ce)
     s = np.maximum(1e-2, -ci)
-    mu = st.mu0
+    mu = MU0
     z = mu / s
     # least-squares initial equality multipliers, capped
-    y = np.zeros(m_eq)
-    if m_eq:
-        try:
-            a = (je @ je.T + 1e-10 * sp.eye(m_eq)).tocsc()
-            rhs = -(je @ (e.grad_objective + ji.T @ z))
-            y = sp.linalg.spsolve(a, rhs)
-            if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e6:
-                y = np.zeros(m_eq)
-        except RuntimeError:     # SuperLU could not factor the normal matrix
+    try:
+        a = (je @ je.T + 1e-10 * sp.eye(m_eq)).tocsc()
+        rhs = -(je @ (e.grad_objective + ji.T @ z))
+        y = sp.linalg.spsolve(a, rhs)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e6:
             y = np.zeros(m_eq)
+    except RuntimeError:     # SuperLU could not factor the normal matrix
+        y = np.zeros(m_eq)
 
     nu = 1.0        # merit penalty weight
     delta_last = 0.0
@@ -287,40 +286,28 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     status = STATUS_FAILED
     message = ""
     ls_failures = 0
-    it = 0
-
-    def kkt_error(grad, ce, ci, je, ji, s, y, z, mu):
-        r_d = grad + je.T @ y + ji.T @ z
-        stat = np.max(np.abs(r_d)) if n else 0.0
-        # feasibility judged on the original (unscaled) constraint values so
-        # that a declared success survives independent residual recomputation
-        ce_raw = ce / d_eq if m_eq else ce
-        ri_raw = (ci + s) / d_in if m_in else ci
-        feas = max(
-            np.max(np.abs(ce_raw)) if m_eq else 0.0,
-            np.max(np.abs(ri_raw)) if m_in else 0.0,
-        )
-        comp = np.max(np.abs(s * z - mu)) if m_in else 0.0
-        return stat, feas, comp
 
     for it in range(1, st.max_iter + 1):
-        stat, feas, comp0 = kkt_error(e.grad_objective, ce, ci, je, ji, s, y, z, 0.0)
-        if not np.isfinite(stat) or max(np.max(np.abs(y), initial=0.0),
-                                        np.max(np.abs(z), initial=0.0)) > 1e14:
+        stat = np.max(np.abs(e.grad_objective + je.T @ y + ji.T @ z))
+        # feasibility judged on the original (unscaled) constraint values so
+        # that a declared success survives independent residual recomputation
+        feas = max(np.max(np.abs(ce / d_eq)), np.max(np.abs((ci + s) / d_in)))
+        comp0 = np.max(np.abs(s * z))
+        if not np.isfinite(stat) or max(np.max(np.abs(y)), np.max(np.abs(z))) > 1e14:
             message = "iterates diverged (unbounded multipliers)"
             break
         if max(stat, feas, comp0) <= st.kkt_tol:
             status = STATUS_SUCCESS
             break
-        _, _, comp_mu = kkt_error(e.grad_objective, ce, ci, je, ji, s, y, z, mu)
+        comp_mu = np.max(np.abs(s * z - mu))
         if max(stat, feas, comp_mu) <= mu and mu > st.kkt_tol / 10:
             # monotone schedule; superlinear tail only once mu is small,
             # so the early iterates are not outpaced by the barrier
-            step = mu * st.mu_factor
+            step = mu * MU_FACTOR
             if mu <= 1e-3:
                 step = min(step, mu**1.5)
             mu = max(st.kkt_tol / 100, step)
-            z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s) if m_in else z
+            z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s)
 
         hess = prob.hess_lagrangian(x, d_eq * y, d_in * z)
         sigma = z / s
@@ -334,9 +321,9 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         # inertia-corrected factorization; the dual regularization stays off
         # unless the plain system is singular, because it perturbs the
         # equality rows and the merit function notices
-        delta = 0.0 if forced_delta == 0.0 else forced_delta
+        delta = forced_delta
         delta_c = 0.0
-        trial = max(st.reg_init, delta_last / 3.0, forced_delta)
+        trial = max(REG_INIT, delta_last / 3.0, forced_delta)
         while True:
             if dense:
                 kkt = _KktSystem(w + delta * np.eye(n), j_eq_d, delta_c)
@@ -348,7 +335,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
                 delta_c = 1e-8
             delta = trial if delta == 0.0 else delta * 10.0
             trial = delta
-            if delta > st.reg_cap:
+            if delta > REG_CAP:
                 break
         if not kkt.correct():
             message = "KKT matrix could not be regularized"
@@ -370,14 +357,13 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             mask = dv < 0
             if not np.any(mask):
                 return 1.0
-            return min(1.0, st.tau * np.min(-v[mask] / dv[mask]))
+            return min(1.0, TAU * np.min(-v[mask] / dv[mask]))
 
-        alpha_max = max_step(s, ds) if m_in else 1.0
-        alpha_z = max_step(z, dz) if m_in else 1.0
+        alpha_max = max_step(s, ds)
+        alpha_z = max_step(z, dz)
 
         theta = (np.sum(np.abs(ce)) + np.sum(np.abs(r_i)))
-        bar_dir = (e.grad_objective @ dx
-                   - (mu * np.sum(ds / s) if m_in else 0.0))
+        bar_dir = e.grad_objective @ dx - mu * np.sum(ds / s)
         # penalty weight sized so the merit direction is a descent one, with
         # hysteresis; a non-decreasing weight would grow with the scaled
         # multipliers and reject steps over harmless curvature infeasibility
@@ -388,7 +374,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             nu = 2.0 * nu_req
         elif nu > 10.0 * nu_req:
             nu = 10.0 * nu_req
-        barrier0 = e.objective - mu * np.sum(np.log(s)) if m_in else e.objective
+        barrier0 = e.objective - mu * np.sum(np.log(s))
         merit0 = barrier0 + nu * theta
         ddir = bar_dir - nu * theta
 
@@ -413,10 +399,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
                 alpha *= 0.5
                 continue
             theta_t = np.sum(np.abs(ce_t)) + np.sum(np.abs(ci_t + s_t))
-            merit_t = obj_t - (mu * np.sum(np.log(s_t)) if m_in else 0.0) + nu * theta_t
-            if st.verbose:
-                print(f"    ls alpha={alpha:.2e} dmerit={merit_t - merit0:.3e} "
-                      f"dobj={obj_t - e.objective:.3e} dtheta={theta_t - theta:.3e}")
+            merit_t = obj_t - mu * np.sum(np.log(s_t)) + nu * theta_t
             # noise floor: near a solved barrier subproblem the true decrease
             # is below float resolution of the merit value; accept those steps
             noise = 1e4 * np.finfo(float).eps * max(1.0, abs(merit0))
@@ -433,7 +416,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
                 break
             # without an inertia test the direction may be an ascent one on a
             # nonconvex stretch; convexify the next KKT system
-            forced_delta = max(10.0 * max(delta, st.reg_init), 1e-6)
+            forced_delta = max(10.0 * max(delta, REG_INIT), 1e-6)
             alpha = min(alpha_max, 1e-3)
             x_t = x + alpha * dx
             s_t = np.maximum(s + alpha * ds, 1e-16)
@@ -443,34 +426,25 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         x = x_t
         s = s_t
         y = y + alpha * dy
-        z = np.maximum(z + alpha_z * dz, 1e-16) if m_in else z
+        z = np.maximum(z + alpha_z * dz, 1e-16)
         e, ce, ci, je, ji = scaled(x)
-        if st.verbose:
-            print(f"  it {it:3d} mu={mu:.2e} stat={stat:.2e} feas={feas:.2e} "
-                  f"comp={comp0:.2e} alpha={alpha:.2e} a_z={alpha_z:.2e} "
-                  f"delta={delta:.1e} nu={nu:.1e} acc={accepted} "
-                  f"|dx|={np.max(np.abs(dx)):.2e} |dy|={np.max(np.abs(dy)):.2e} "
-                  f"ddir={ddir:.2e}")
     else:
-        message = message or "maximum iterations exceeded"
+        message = "maximum iterations exceeded"
 
     # unscaled residuals; the last evaluation e is always at the final x
     y_un = d_eq * y
     z_un = d_in * z
     r_d = e.grad_objective + e.jac_eq.T @ y_un + e.jac_ineq.T @ z_un
-    stat = float(np.max(np.abs(r_d))) if n else 0.0
-    feas = float(max(
-        np.max(np.abs(e.c_eq)) if m_eq else 0.0,
-        np.max(e.c_ineq, initial=0.0),
-    ))
-    comp = float(np.max(np.abs(z_un * e.c_ineq))) if m_in else 0.0
+    stat = float(np.max(np.abs(r_d)))
+    feas = float(max(np.max(np.abs(e.c_eq)), np.max(e.c_ineq, initial=0.0)))
+    comp = float(np.max(np.abs(z_un * e.c_ineq)))
     residuals = {"stationarity": stat, "feasibility": feas, "complementarity": comp}
 
     if status != STATUS_SUCCESS:
         # distinguish genuinely infeasible points (e.g. hard-mode VUF limits)
         if feas > 1e2 * st.kkt_tol:
             status = STATUS_INFEASIBLE
-            if prob.cfg.mode == "hard" and m_in:
+            if prob.cfg.mode == "hard":
                 viol = e.c_ineq[prob._vuf_row0:]
                 if viol.size and np.max(viol, initial=0.0) > st.kkt_tol:
                     message = (message + "; " if message else "") + \

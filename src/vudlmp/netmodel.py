@@ -226,10 +226,6 @@ class NetworkSpec:
 
     # -- convenience lookups -------------------------------------------------
 
-    @property
-    def bus_ids(self):
-        return [b.id for b in self.buses]
-
     def bus_index(self, bus_id):
         try:
             return self._bus_pos[bus_id]

@@ -31,7 +31,7 @@ evaluation, which the seed-0 benchmark outputs are pinned to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

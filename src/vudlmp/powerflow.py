@@ -143,6 +143,16 @@ class OperatingPoint:
         return factor_jacobian(build_ybus(self.net), self.voltages,
                                nonslack_index(self.net))
 
+    @cached_property
+    def injections(self):
+        """(nbus, 3) complex power the voltages inject into the network at
+        each bus, zero at the slack; computed on first use, read-only."""
+        vflat = self.voltages.reshape(-1)
+        s = (vflat * np.conj(build_ybus(self.net) @ vflat)).reshape(self.voltages.shape)
+        s[self.net.bus_index(self.net.substation_bus)] = 0.0
+        s.flags.writeable = False
+        return s
+
     def incident_current_sum(self, bus, phase_idx) -> complex:
         """Sum of currents flowing from the bus into its incident lines."""
         i = self.net.bus_index(bus)
@@ -177,8 +187,7 @@ def _checked_bus_array(name, a, n):
     return a
 
 
-def solve_pf(net: NetworkSpec, injections=None, tol=TOL_PF, max_iter=MAX_ITER,
-             v0=None) -> OperatingPoint:
+def solve_pf(net: NetworkSpec, injections=None, v0=None) -> OperatingPoint:
     """Solve the power flow for fixed complex power injections.
 
     ``injections`` is an (nbus, 3) complex array of net power injected into
@@ -211,13 +220,13 @@ def solve_pf(net: NetworkSpec, injections=None, tol=TOL_PF, max_iter=MAX_ITER,
     idx = nonslack_index(net)
     m = len(idx)
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         vflat = v.reshape(-1)
         i_inj = ybus @ vflat
         s_calc = vflat * np.conj(i_inj)
         mismatch = injections.reshape(-1)[idx] - s_calc[idx]
         err = np.max(np.abs(mismatch)) if m else 0.0
-        if err < tol:
+        if err < TOL_PF:
             return _operating_point(net, v, iterations=it)
         lu = base.jacobian_lu if reuse and it == 0 else factor_jacobian(ybus, v, idx)
         step = lu_solve(lu, np.concatenate([np.real(mismatch), np.imag(mismatch)]))
@@ -231,7 +240,7 @@ def solve_pf(net: NetworkSpec, injections=None, tol=TOL_PF, max_iter=MAX_ITER,
     vflat = v.reshape(-1)
     s_calc = vflat * np.conj(ybus @ vflat)
     mismatch = injections.reshape(-1)[idx] - s_calc[idx]
-    raise PowerFlowDiverged(max_iter, float(np.max(np.abs(mismatch))))
+    raise PowerFlowDiverged(MAX_ITER, float(np.max(np.abs(mismatch))))
 
 
 def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,

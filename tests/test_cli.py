@@ -173,20 +173,30 @@ class TestSweep:
         cfg = self.sweep_config(tmp_path, two_bus_file, typo_key=1)
         assert main(["sweep", cfg]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("extra", [
-        {"sweep_weights": [1.0, -1.0]},
-        {"mode": "hard", "sweep_limits": [1.0, 0.0]},
-    ], ids=["negative-weight", "zero-limit"])
+    @pytest.mark.parametrize("extra, statuses", [
+        ({"sweep_weights": [1.0, -1.0]}, ["success", "config-error"]),
+        ({"mode": "hard", "sweep_limits": [1.0, 0.0]}, ["success", "config-error"]),
+        ({"kkt_tol": -1}, ["config-error"] * 3),
+    ], ids=["negative-weight", "zero-limit", "negative-kkt-tol"])
     def test_sweep_bad_value_is_config_error(self, two_bus_file, tmp_path,
-                                             capsys, extra):
+                                             capsys, extra, statuses):
         cfg = self.sweep_config(tmp_path, two_bus_file, **extra)
         assert main(["sweep", cfg]) == EXIT_CONFIG
         _, rows = read_csv(tmp_path / "out" / "sweep.csv")
-        assert [r["status"] for r in rows] == ["success", "config-error"]
+        assert [r["status"] for r in rows] == statuses
 
-    def test_opf_bad_limit_is_config_error(self, two_bus_file, tmp_path, capsys):
-        assert main(["opf", two_bus_file, "--mode", "hard", "--limit", "0",
-                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    @pytest.mark.parametrize("flags, named", [
+        (["--mode", "hard", "--limit", "0"], "vuf_limit_pct"),
+        (["--kkt-tol", "2"], "kkt_tol"),
+        (["--max-iter", "0"], "max_iter"),
+    ], ids=["limit-0", "kkt-tol-2", "max-iter-0"])
+    def test_opf_bad_value_is_config_error(self, two_bus_file, tmp_path, capsys,
+                                           flags, named):
+        out = tmp_path / "out"
+        assert main(["opf", two_bus_file, *flags, "--out", str(out)]) == EXIT_CONFIG
+        _, rows = read_csv(out / "summary.csv")
+        assert rows[0]["status"] == "config-error"
+        assert named in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, two_bus_file, tmp_path, capsys):
         cfg1 = self.sweep_config(tmp_path / "a", two_bus_file, jobs=1)

@@ -1,6 +1,7 @@
 """Price decomposition and unbalance-sensitivity tests."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestSensitivity:
                             lambda *a: calls.append(a) or pf_jacobian(*a))
         entries = sensitivity_report(simple5, point)
         assert sum(e.defined for e in entries) == 24     # 48 re-solves
+        assert len(calls) == 1
+
+    def test_report_computes_injections_once(self, simple5, monkeypatch):
+        # every finite-difference entry perturbs the same base injections
+        point = solve_pf(simple5)
+        calls = []
+        injections = powerflow.OperatingPoint.injections.func
+        counted = cached_property(lambda p: calls.append(p) or injections(p))
+        counted.__set_name__(powerflow.OperatingPoint, "injections")
+        monkeypatch.setattr(powerflow.OperatingPoint, "injections", counted)
+        entries = sensitivity_report(simple5, point)
+        assert sum(e.defined for e in entries) == 24
         assert len(calls) == 1
 
     def test_report_covers_all_phases_and_kinds(self, two_bus, two_bus_pf):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from vudlmp.dlmp import decompose
 from vudlmp.ipsolver import SolverSettings, solve
-from vudlmp.netmodel import UnbalanceConfig
+from vudlmp.netmodel import BusSpec, GenSpec, LoadSpec, NetworkSpec, UnbalanceConfig
 from vudlmp.opf import ConstraintTag, build_problem
+from vudlmp.powerflow import solve_pf
 
 
 def kkt_residuals(sol):
@@ -178,6 +180,44 @@ class TestDeterminism:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(kkt_tol=2.0)
+        with pytest.raises(ValueError):
+            SolverSettings(max_iter=0)
+
+
+class TestSmallestNetwork:
+    """One substation bus, no lines: the smallest problem validation admits.
+
+    The solver has no branch for an empty variable, equality or inequality
+    block; these sizes are why none is needed.
+    """
+
+    @pytest.fixture(scope="class")
+    def one_bus(self):
+        return NetworkSpec(
+            base_kva=50.0, base_volt_ln=230.0, buses=(BusSpec("sub"),), lines=(),
+            loads=(LoadSpec("sub", p=np.array([0.36, 0.10, 0.24]),
+                            q=np.array([0.12, 0.03, 0.08])),),
+            gens=(GenSpec("sub", ("a", "b", "c"),
+                          pmin=np.zeros(3), pmax=np.full(3, 4.0),
+                          qmin=np.full(3, -4.0), qmax=np.full(3, 4.0),
+                          marginal_cost=1.0, is_substation=True),),
+            substation_bus="sub",
+        )
+
+    @pytest.mark.parametrize("cfg", [
+        UnbalanceConfig("none"),
+        UnbalanceConfig("soft", 0.0, 1.0),
+        UnbalanceConfig("hard", 1.0),
+    ], ids=["none", "soft", "hard"])
+    def test_solves_and_decomposes(self, one_bus, cfg):
+        prob = build_problem(one_bus, cfg)
+        assert (prob.nvar, prob.n_eq, prob.n_ineq) == (6, 6, 12)
+        sol = solve(prob, warm=solve_pf(one_bus))
+        assert sol.success, sol.message
+        assert sol.iterations == 6
+        rows = decompose(sol)
+        assert len(rows) == 6
+        assert max(abs(d.residual) for d in rows) < 1e-6
 
 
 class TestEvaluationBudget:

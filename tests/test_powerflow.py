@@ -49,6 +49,18 @@ class TestBasics:
         flat = np.ones(y.shape[0], dtype=complex)
         assert np.max(np.abs(y @ flat)) < 1e-10
 
+    def test_point_injections_are_the_solved_ones(self, simple5, simple5_pf):
+        # the voltages inject what the power flow was solved for, and the
+        # slack row, which the solve ignores, is zero
+        inj = simple5_pf.injections
+        slack = simple5.bus_index(simple5.substation_bus)
+        expected = -simple5.demand_pu()
+        expected[slack] = 0.0
+        assert np.allclose(inj, expected, atol=1e-9)
+        assert np.all(inj[slack] == 0.0)
+        assert simple5_pf.injections is inj
+        assert not inj.flags.writeable
+
     def test_ybus_is_assembled_once_and_read_only(self, simple5):
         y = build_ybus(simple5)
         assert build_ybus(simple5) is y
