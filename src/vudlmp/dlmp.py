@@ -3,13 +3,14 @@
 Nodal prices are the multipliers of the nodal balance constraints.  They
 are split here into named components: the energy price at the reference
 (substation) bus, a congestion term from binding thermal limits, a
-voltage-limit term from binding magnitude bounds, an unbalance term from
-the VUF constraint multiplier (hard mode) or penalty weight (soft mode),
-and losses as the remainder of the balance dual after the named terms are
-taken out.  Component attribution uses network response sensitivities from
-the power-flow Jacobian at the solved point with generation held fixed
-(the slack absorbs the perturbation); this convention is stated in every
-report header the CLI writes.
+voltage-limit term from binding magnitude bounds, an unbalance term that
+prices each VUF bus's f at the problem's own weight
+(:meth:`~vudlmp.opf.OpfProblem.unbalance_weights`), and losses as the
+remainder of the balance dual after the named terms are taken out.
+Component attribution uses network response sensitivities from the
+power-flow Jacobian at the solved point with generation held fixed (the
+slack absorbs the perturbation); this convention is stated in every report
+header the CLI writes.  The ``residual`` checks the split independently.
 
 Prices are EUR/kWh; duals arrive in EUR/h per per-unit and are divided by
 the kW base.
@@ -51,11 +52,7 @@ class DlmpBreakdown:
     congestion: float
     voltage_limit: float
     unbalance: float
-
-    @property
-    def residual(self):
-        return self.total - (self.energy + self.loss + self.congestion
-                             + self.voltage_limit + self.unbalance)
+    residual: float         # total less the independently computed sum
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,15 @@ def decompose(sol):
 
     Components beyond the reference-bus energy price are evaluated with the
     solved point's power-flow Jacobian; losses are the remainder of the
-    balance dual after the named terms, so the breakdown sums to the total
-    by construction and the residual field tracks float error only.
+    balance dual after the named terms.  The unbalance component weights
+    each VUF bus's grad f by the problem's derivative of its unbalance term
+    in that f, whatever the mode.
+
+    The ``residual`` is independent of the loss remainder: by stationarity
+    in the non-slack voltages, energy + loss is the consumption response of
+    the substation balance term alone, weight ``Y^H c`` with ``c = (phi_p -
+    j phi_q) v`` on the substation phases.  The residual is the total less
+    that response and the named components (zero at the substation).
     """
     prob = sol.problem
     net = prob.net
@@ -195,6 +199,7 @@ def decompose(sol):
         raise DecompositionError(f"cannot decompose a {sol.status} solve: {sol.message}")
     base_kw = net.base_kw
     v = sol.voltages()
+    slack = net.bus_index(net.substation_bus)
 
     # multipliers below tolerance are barrier dust on inactive rows; they
     # would contribute far less than the decomposition tolerance, so they are
@@ -221,21 +226,23 @@ def decompose(sol):
         if bus.id != net.substation_bus:
             lo_hi = [sol.sigma(bus.id, ph) for ph in PHASES]
             g_vlim[b] = 2.0 * binding(np.array([hi - lo for lo, hi in lo_hi])) * v[b]
-    # unbalance: VUF multiplier (hard) or penalty weight (soft) times f
-    unbalance_weights = []
-    if prob.cfg.mode == "hard":
-        psi = [(bid, sol.psi(bid)) for bid in prob.vuf_buses]
-        unbalance_weights = [(bid, w) for bid, w in psi if abs(w) > active_tol]
-    elif prob.cfg.mode == "soft" and prob.cfg.penalty_weight > 0:
-        unbalance_weights = [(bid, prob.cfg.penalty_weight) for bid in prob.vuf_buses]
-    for bid, w in unbalance_weights:
+    # unbalance: sum over the VUF buses of (the problem's weight) * f
+    weights = binding(prob.unbalance_weights(sol.x, sol.z_ineq))
+    for bid, w in zip(prob.vuf_buses, weights):
         b = net.bus_index(bid)
         g_unb[b] += w * grad_f(PhasorSet.from_array(v[b])).as_array()
+    # energy + loss: sum of phi_p P + phi_q Q over the substation phases,
+    # which changes by Re(conj(c) Y dV)
+    ybus = build_ybus(net)
+    sub = net.substation_bus
+    c_sub = np.zeros((len(net.buses), NPHASE), dtype=complex)
+    c_sub[slack] = v[slack] * [sol.phi_p(sub, ph) - 1j * sol.phi_q(sub, ph) for ph in PHASES]
+    g_sub = (np.conj(ybus).T @ c_sub.ravel()).reshape(c_sub.shape)
 
     # + 0.0 keeps components with no binding term at +0.0 rather than -0.0
     comp_p, comp_q = _consumption_response(
-        net, factor_jacobian(build_ybus(net), v, nonslack_index(net)),
-        np.stack((g_cong, g_vlim, g_unb))) / base_kw + 0.0
+        net, factor_jacobian(ybus, v, nonslack_index(net)),
+        np.stack((g_cong, g_vlim, g_unb, g_sub))) / base_kw + 0.0
 
     out = []
     for kind, comp, phi in (
@@ -243,13 +250,15 @@ def decompose(sol):
         ("reactive", comp_q, sol.phi_q),
     ):
         energy = [phi(net.substation_bus, ph) / base_kw for ph in PHASES]
+        comp[slack, :, 3] = energy      # energy + loss at the substation itself
         for b, bus in enumerate(net.buses):
             for ph, phase in enumerate(PHASES):
                 total = phi(bus.id, phase) / base_kw
-                cong, vlim, unb = map(float, comp[b, ph])
+                cong, vlim, unb, energy_loss = map(float, comp[b, ph])
                 out.append(DlmpBreakdown(
                     bus=bus.id, phase=phase, power_kind=kind,
                     total=total, energy=energy[ph],
                     loss=total - energy[ph] - cong - vlim - unb,
-                    congestion=cong, voltage_limit=vlim, unbalance=unb))
+                    congestion=cong, voltage_limit=vlim, unbalance=unb,
+                    residual=total - (energy_loss + cong + vlim + unb)))
     return out

@@ -16,6 +16,7 @@ algorithm", Math. Prog. 2006; the other constants are this solver's own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,11 @@ class SolverSettings:
     max_iter: int = 300
 
     def __post_init__(self):
-        if not 0 < self.kkt_tol < 1:
-            raise ValueError(f"kkt_tol must lie in (0, 1), got {self.kkt_tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        # values from a JSON sweep config arrive untyped: "1e-6" or 1.5
+        if not isinstance(self.kkt_tol, numbers.Real) or not 0 < self.kkt_tol < 1:
+            raise ValueError(f"kkt_tol must be a number in (0, 1), got {self.kkt_tol!r}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass

@@ -177,6 +177,8 @@ class UnbalanceConfig:
             raise ValidationError("hard mode requires vuf_limit_pct > 0")
         if self.mode == "soft" and self.penalty_weight < 0:
             raise ValidationError("soft mode requires penalty_weight >= 0")
+        if len(set(self.buses)) != len(self.buses):
+            raise ValidationError(f"unbalance subset lists a bus twice: {self.buses}")
         object.__setattr__(self, "buses", tuple(self.buses))
 
 

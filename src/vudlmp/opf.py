@@ -12,7 +12,7 @@ subset.  Demand is a fixed parameter (inelastic).
 
 The sparsity of every derivative is laid out once per problem as index
 arrays; an evaluation only computes the values, with array operations.
-Three rules keep those values equal, bit for bit, to a plain per-entry
+These rules keep those values equal, bit for bit, to a plain per-entry
 evaluation, which the seed-0 benchmark outputs are pinned to:
 
 - Products of complex scalars (``v * conj(y)``, ``1j * conj(i)``) are
@@ -27,10 +27,20 @@ evaluation, which the seed-0 benchmark outputs are pinned to:
   thermal, VUF.
 - A multiplier that is exactly zero adds no entry.  An explicit zero would
   change the sparsity pattern the sparse KKT factorization orders on.
+- The VUF kernel takes all VUF buses in one pass and rounds as the 6x6
+  forms do bus by bus: ``A x`` sums its products in index order, ``x'Ax``
+  is a stacked ``(k, 1, 6) @ (k, 6, 1)`` matmul, squares and cubes go
+  through libm ``pow`` as a float64 scalar ``**`` does (numpy's SIMD array
+  power rounds ~5 % of cubes differently), and penalty terms join the
+  objective in bus order.
+
+The unbalance term is defined here only: :meth:`OpfProblem.unbalance_weights`
+gives :func:`~vudlmp.dlmp.decompose` its derivative in each bus's ``f``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +81,11 @@ class ConstraintTag:
         return MULTIPLIER_SYMBOL[self.kind]
 
 
-def _vuf_quadratic_forms():
-    """6x6 forms so that, with x = [ea, fa, eb, fb, ec, fc],
-    |v_neg_sum|^2 = x'Ax and |v_pos_sum|^2 = x'Bx (un-normalized sums)."""
-    a = ALPHA
-    w_neg = np.array([1, 1j, a**2, 1j * a**2, a, 1j * a])
-    w_pos = np.array([1, 1j, a, 1j * a, a**2, 1j * a**2])
-    A = np.real(np.outer(w_neg, np.conj(w_neg)))
-    B = np.real(np.outer(w_pos, np.conj(w_pos)))
-    return A, B
-
-
-_VUF_A, _VUF_B = _vuf_quadratic_forms()
+# with x = [ea, fa, eb, fb, ec, fc], x'Ax = |v_neg_sum|^2 and
+# x'Bx = |v_pos_sum|^2 (un-normalized sums)
+_W = np.array([[1, 1j, ALPHA**2, 1j * ALPHA**2, ALPHA, 1j * ALPHA],
+               [1, 1j, ALPHA, 1j * ALPHA, ALPHA**2, 1j * ALPHA**2]])
+_VUF_A, _VUF_B = np.real(_W[:, :, None] * np.conj(_W[:, None, :]))
 
 
 def _cmul(a, b):
@@ -94,6 +97,19 @@ def _cmul(a, b):
     return out
 
 
+# a**p per element, rounded as a float64 scalar ``**`` rounds (libm pow)
+_pow = np.vectorize(math.pow, otypes=[float])
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _sum_in_order(val, terms):
+    """val + terms[0] + terms[1] + ..., rounded left to right."""
+    return np.cumsum(np.append(val, terms))[-1]
+
+
 def _csr_layout(rows, cols, nrow):
     """(order, indices, indptr): the gather that sorts a duplicate-free
     triplet stream into canonical CSR order, and the resulting layout."""
@@ -101,40 +117,44 @@ def _csr_layout(rows, cols, nrow):
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrow))))
     return order, cols[order], indptr
 
-
-def _concat_triplets(rows, cols, vals):
-    """``csr_matrix`` input from lists of row, column and value pieces."""
-    if not vals:
-        return np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    return np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
-
 # smoothing added under the square root when the penalty targets VUF itself
 # (squared-percent units; 1e-6 corresponds to a VUF of 0.001 %)
 _ROOT_SMOOTH = 1e-6
 
 
+def _root(f):
+    """Smoothed sqrt(f): the VUF in percent that ``penalty_on="vuf"`` penalizes."""
+    return np.sqrt(np.maximum(f, 0.0) + _ROOT_SMOOTH)
+
+
+def _forms(x, m):
+    """(m x, x'm x) for each row x of [ea, fa, eb, fb, ec, fc] parts."""
+    mx = m[:, 0] * x[..., :1]
+    for j in range(1, 2 * NPHASE):
+        mx = mx + m[:, j] * x[..., j:j + 1]
+    return mx, (x[..., None, :] @ mx[..., :, None])[..., 0, 0]
+
+
 def vuf_metric_local(xv):
-    """f = VUF^2 in squared percent from the 6 rectangular voltage parts."""
-    u = xv @ _VUF_A @ xv
-    d = xv @ _VUF_B @ xv
-    return 1e4 * u / d
+    """f = VUF^2 in squared percent for each row of rectangular parts (k, 6)."""
+    return 1e4 * _forms(xv, _VUF_A)[1] / _forms(xv, _VUF_B)[1]
 
 
 def vuf_metric_grad_hess(xv):
-    """Value, gradient and Hessian of f over the 6 rectangular parts."""
-    Ax = _VUF_A @ xv
-    Bx = _VUF_B @ xv
-    u = xv @ Ax
-    d = xv @ Bx
+    """Value, gradient and Hessian of f for each row of (k, 6) parts."""
+    Ax, u = _forms(xv, _VUF_A)
+    Bx, d = _forms(xv, _VUF_B)
     gu = 2.0 * Ax
     gd = 2.0 * Bx
+    d2 = _pow(d, 2)[..., None]
     val = 1e4 * u / d
-    grad = 1e4 * (gu / d - u * gd / d**2)
+    grad = 1e4 * (gu / d[..., None] - u[..., None] * gd / d2)
+    u, d, d2 = u[..., None, None], d[..., None, None], d2[..., None]
     hess = 1e4 * (
         2.0 * _VUF_A / d
-        - (np.outer(gu, gd) + np.outer(gd, gu)) / d**2
-        - u * 2.0 * _VUF_B / d**2
-        + 2.0 * u * np.outer(gd, gd) / d**3
+        - (_outer(gu, gd) + _outer(gd, gu)) / d2
+        - u * 2.0 * _VUF_B / d2
+        + 2.0 * u * _outer(gd, gd) / _pow(d, 3)
     )
     return val, grad, hess
 
@@ -217,10 +237,13 @@ class OpfProblem:
         if self.cfg.mode in ("hard", "soft"):
             subset = self.cfg.buses or tuple(net.vuf_bus_subset)
             self.vuf_buses = [b for b in subset if b != net.substation_bus]
-        # [ea, fa, eb, fb, ec, fc] variable indices of each VUF bus
-        self._vuf_vars = [
-            np.stack((self.idx_e[b], self.idx_f[b]), axis=1).ravel()
-            for b in map(net.bus_index, self.vuf_buses)]
+        # (k, 6) [ea, fa, eb, fb, ec, fc] variable indices of the VUF buses,
+        # and (k, 36) rows and columns of their 6x6 Hessian blocks
+        b = np.array([net.bus_index(b) for b in self.vuf_buses], dtype=int)
+        self._vuf_vars = np.stack((self.idx_e[b], self.idx_f[b]), axis=-1).reshape(-1, 6)
+        self._vuf_hrows = np.repeat(self._vuf_vars, 6, axis=1)
+        self._vuf_hcols = np.tile(self._vuf_vars, 6)
+        self._penalised = self.cfg.mode == "soft" and self.cfg.penalty_weight > 0
 
     # -- helpers -------------------------------------------------------------
 
@@ -325,8 +348,7 @@ class OpfProblem:
                     "thermal", line=(ln.from_bus, ln.to_bus), phase=ph))
         self._vuf_row0 = len(self.ineq_tags)
         if self.cfg.mode == "hard":
-            for bid in self.vuf_buses:
-                self.ineq_tags.append(ConstraintTag("vuf_limit", bus=bid))
+            self.ineq_tags += [ConstraintTag("vuf_limit", bus=bid) for bid in self.vuf_buses]
         self.n_ineq = len(self.ineq_tags)
 
         # linear objective part: generator energy cost in EUR/h
@@ -419,7 +441,7 @@ class OpfProblem:
                 np.stack((self._tp, self._tq), axis=1).ravel()]
         if self.cfg.mode == "hard":
             rows.append(np.repeat(self._vuf_row0 + np.arange(len(self._vuf_vars)), 6))
-            cols += self._vuf_vars
+            cols.append(self._vuf_vars.ravel())
         self._jin_take, self._jin_indices, self._jin_indptr = _csr_layout(
             np.concatenate(rows), np.concatenate(cols), self.n_ineq)
         # voltage-bound and thermal Hessian entries: (e, f) and (p, q) pairs
@@ -428,41 +450,46 @@ class OpfProblem:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _penalty(self, x, derivs=False):
+        """Soft penalty w f, or w sqrt(f) on VUF, of each VUF bus; with
+        ``derivs`` also its (k, 6) gradients and (k, 6, 6) Hessians."""
+        w = self.cfg.penalty_weight
+        if not derivs:
+            f = vuf_metric_local(x[self._vuf_vars])
+            return w * (_root(f) if self.penalty_on == "vuf" else f)
+        f, g, h = vuf_metric_grad_hess(x[self._vuf_vars])
+        if self.penalty_on == "vuf":
+            root = _root(f)[:, None]
+            h = h / (2.0 * root[..., None]) - _outer(g, g) / (4.0 * _pow(root, 3)[..., None])
+            g = g / (2.0 * root)
+            f = root[:, 0]
+        return w * f, w * g, w * h
+
     def eval_objective(self, x):
         """Objective value, gradient and (sparse) Hessian."""
         val = float(self._cost_lin @ x)
         grad = self._cost_lin.copy()
-        hess_triplets = ([], [], [])
-        if self.cfg.mode == "soft" and self.cfg.penalty_weight > 0:
-            w = self.cfg.penalty_weight
-            for vv in self._vuf_vars:
-                f, g, h = vuf_metric_grad_hess(x[vv])
-                if self.penalty_on == "vuf":
-                    # penalize sqrt(f) = VUF in percent instead of VUF^2; the
-                    # root is smoothed so its curvature stays bounded as the
-                    # penalty drives the metric toward zero
-                    root = np.sqrt(max(f, 0.0) + _ROOT_SMOOTH)
-                    h = h / (2.0 * root) - np.outer(g, g) / (4.0 * root**3)
-                    g = g / (2.0 * root)
-                    f = root
-                val += w * f
-                grad[vv] += w * g
-                hess_triplets[0].append(np.repeat(vv, 6))
-                hess_triplets[1].append(np.tile(vv, 6))
-                hess_triplets[2].append((w * h).ravel())
-        hess = sp.csr_matrix(
-            _concat_triplets(*hess_triplets), shape=(self.nvar, self.nvar))
-        return val, grad, hess
+        if not self._penalised:
+            return val, grad, sp.csr_matrix((self.nvar, self.nvar))
+        f, g, h = self._penalty(x, derivs=True)
+        grad[self._vuf_vars] += g
+        hess = sp.csr_matrix((h.ravel(), (self._vuf_hrows.ravel(), self._vuf_hcols.ravel())),
+                             shape=(self.nvar, self.nvar))
+        return _sum_in_order(val, f), grad, hess
 
     def objective_value(self, x):
         val = float(self._cost_lin @ x)
-        if self.cfg.mode == "soft" and self.cfg.penalty_weight > 0:
-            for vv in self._vuf_vars:
-                f = vuf_metric_local(x[vv])
-                if self.penalty_on == "vuf":
-                    f = np.sqrt(max(f, 0.0) + _ROOT_SMOOTH)
-                val += self.cfg.penalty_weight * f
-        return val
+        return _sum_in_order(val, self._penalty(x)) if self._penalised else val
+
+    def unbalance_weights(self, x, z_ineq):
+        """d(unbalance term)/d f per VUF bus: psi in hard mode, else the
+        penalty's slope, w on f and w / (2 sqrt(f + s)) on VUF."""
+        if self.cfg.mode == "hard":
+            return z_ineq[self._vuf_row0:]
+        w = np.full(len(self._vuf_vars), self.cfg.penalty_weight)
+        if self.penalty_on == "vuf":
+            w = w / (2.0 * _root(vuf_metric_local(x[self._vuf_vars])))
+        return w
 
     def eval_eq(self, x, want_jac=True):
         v = self.voltages(x)
@@ -512,23 +539,19 @@ class OpfProblem:
         p = x[self._tp]
         q = x[self._tq]
         c[self._thermal_row0:self._vuf_row0] = p * p + q * q - self._rating_sq
-        vuf_grads = []
+        vuf_grad = np.zeros(0)
         if self.cfg.mode == "hard":
-            limit_sq = self.cfg.vuf_limit_pct**2
-            for k, vv in enumerate(self._vuf_vars):
-                if want_jac:
-                    fk, g, _ = vuf_metric_grad_hess(x[vv])
-                    vuf_grads.append(g)
-                else:
-                    fk = vuf_metric_local(x[vv])
-                c[self._vuf_row0 + k] = fk - limit_sq
+            xv = x[self._vuf_vars]
+            fv, vuf_grad, _ = vuf_metric_grad_hess(xv) if want_jac else (
+                vuf_metric_local(xv), None, None)
+            c[self._vuf_row0:] = fv - self.cfg.vuf_limit_pct**2
         if not want_jac:
             return c, None
         stream = np.concatenate((
             np.stack((-2 * e, -2 * f, 2 * e, 2 * f), axis=1).ravel(),
             self._box_values,
             np.stack((2 * p, 2 * q), axis=1).ravel(),
-            *vuf_grads))
+            vuf_grad.ravel()))
         jac = sp.csr_matrix(
             (stream[self._jin_take], self._jin_indices.copy(), self._jin_indptr.copy()),
             shape=(self.n_ineq, self.nvar))
@@ -572,16 +595,15 @@ class OpfProblem:
         vals.append(w[keep])
         # hard VUF constraints
         if self.cfg.mode == "hard":
-            for k, vv in enumerate(self._vuf_vars):
-                w = z_ineq[self._vuf_row0 + k]
-                if w == 0:
-                    continue
-                _, _, h = vuf_metric_grad_hess(x[vv])
-                rows.append(np.repeat(vv, 6))
-                cols.append(np.tile(vv, 6))
-                vals.append((w * h).ravel())
-        return sp.csr_matrix(_concat_triplets(rows, cols, vals),
-                             shape=(self.nvar, self.nvar))
+            w = z_ineq[self._vuf_row0:]
+            keep = w != 0
+            rows.append(self._vuf_hrows[keep].ravel())
+            cols.append(self._vuf_hcols[keep].ravel())
+            vals.append((w[keep, None, None] * vuf_metric_grad_hess(
+                x[self._vuf_vars[keep]])[2]).ravel())
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.nvar, self.nvar))
 
     def evaluate(self, x) -> EvalResult:
         """Objective, constraints and their first derivatives at x."""

@@ -177,7 +177,10 @@ class TestSweep:
         ({"sweep_weights": [1.0, -1.0]}, ["success", "config-error"]),
         ({"mode": "hard", "sweep_limits": [1.0, 0.0]}, ["success", "config-error"]),
         ({"kkt_tol": -1}, ["config-error"] * 3),
-    ], ids=["negative-weight", "zero-limit", "negative-kkt-tol"])
+        ({"kkt_tol": "1e-6"}, ["config-error"] * 3),
+        ({"max_iter": 1.5}, ["config-error"] * 3),
+    ], ids=["negative-weight", "zero-limit", "negative-kkt-tol", "string-kkt-tol",
+            "fractional-max-iter"])
     def test_sweep_bad_value_is_config_error(self, two_bus_file, tmp_path,
                                              capsys, extra, statuses):
         cfg = self.sweep_config(tmp_path, two_bus_file, **extra)

@@ -17,8 +17,44 @@ from vudlmp.dlmp import (
 )
 from vudlmp.ipsolver import SolverSettings, solve
 from vudlmp.netmodel import PHASES, UnbalanceConfig
-from vudlmp.opf import build_problem
+from vudlmp.opf import _ROOT_SMOOTH, build_problem
 from vudlmp.powerflow import build_ybus, solve_pf
+from vudlmp.sequence import PhasorSet, f_metric
+
+
+def consumption_fd(net, v, functional, h=1e-6):
+    """Central differences of ``functional(point)`` per unit of extra
+    consumption at every non-slack (bus, phase, power kind), generation
+    fixed (the slack swings), over the kW base; keyed (bus, phase, kind)."""
+    inj = (v.reshape(-1) * np.conj(build_ybus(net) @ v.reshape(-1))).reshape(v.shape)
+    out = {}
+    for b, bus in enumerate(net.buses):
+        if bus.id == net.substation_bus:
+            continue
+        for ph, phase in enumerate(PHASES):
+            for kind, unit in (("active", 1.0), ("reactive", 1j)):
+                terms = []
+                for ds in (h * unit, -h * unit):
+                    pert = inj.copy()
+                    pert[b, ph] -= ds
+                    terms.append(functional(solve_pf(net, pert, v0=v)))
+                out[bus.id, phase, kind] = (np.subtract(*terms) / (2 * h)) / net.base_kw
+    return out
+
+
+def substation_term(sol):
+    """sum of phi_p P + phi_q Q over the substation phases, as a function of
+    a power-flow point: the balance term whose response is energy + loss."""
+    net = sol.problem.net
+    sub = net.substation_bus
+    s = net.bus_index(sub)
+    phi = np.array([[sol.phi_p(sub, ph), sol.phi_q(sub, ph)] for ph in PHASES])
+
+    def term(point):
+        v = point.voltages
+        inj = v[s] * np.conj((build_ybus(net) @ v.reshape(-1)).reshape(v.shape)[s])
+        return np.sum(phi[:, 0] * inj.real + phi[:, 1] * inj.imag)
+    return term
 
 
 class TestSensitivity:
@@ -84,12 +120,21 @@ class TestDecomposition:
         {"mode": "none"},
         {"mode": "hard", "limit": 1.0},
         {"mode": "soft", "penalty": 1.5},
-    ], ids=["none", "hard", "soft"])
-    def test_components_sum_to_total(self, simple5_solve, kwargs):
+        {"mode": "soft", "penalty": 1.0, "penalty_on": "vuf"},
+    ], ids=["none", "hard", "soft", "soft-vuf"])
+    def test_components_sum_to_total(self, simple5, simple5_solve, kwargs):
         sol = simple5_solve(**kwargs)
         assert sol.success
-        for d in decompose(sol):
+        rows = decompose(sol)
+        for d in rows:
             assert abs(d.residual) < 1e-6
+        # energy + loss, the remainder after the named terms, is the response
+        # of the substation balance term alone
+        fd = consumption_fd(simple5, sol.voltages(), substation_term(sol))
+        for d in rows:
+            if d.bus != simple5.substation_bus:
+                key = (d.bus, d.phase, d.power_kind)
+                assert abs(d.energy + d.loss - fd[key]) < 1e-7, key
 
     def test_every_bus_phase_kind_present(self, simple5, simple5_solve):
         rows = decompose(simple5_solve("none"))
@@ -160,26 +205,57 @@ class TestDecomposition:
         for b, bus in enumerate(net.buses):
             if bus.id != net.substation_bus:
                 sig[b] = [hi - lo for lo, hi in (sol.sigma(bus.id, ph) for ph in PHASES)]
-        v = sol.voltages()
-        inj = (v.reshape(-1) * np.conj(build_ybus(net) @ v.reshape(-1))).reshape(v.shape)
-
-        def terms(b, ph, ds):
-            pert = inj.copy()
-            pert[b, ph] -= ds
-            point = solve_pf(net, pert, v0=v)
-            return (np.sum(eta * np.abs(point.s_from) ** 2),
-                    np.sum(sig * np.abs(point.voltages) ** 2))
-
-        h = 1e-6
+        fd = consumption_fd(net, sol.voltages(), lambda point: (
+            np.sum(eta * np.abs(point.s_from) ** 2),
+            np.sum(sig * np.abs(point.voltages) ** 2)))
         for d in rows:
-            if d.bus == net.substation_bus:
-                continue
-            b, ph = net.bus_index(d.bus), PHASES.index(d.phase)
-            unit = 1.0 if d.power_kind == "active" else 1j
-            up, dn = terms(b, ph, h * unit), terms(b, ph, -h * unit)
-            cong, vlim = (np.subtract(up, dn) / (2 * h)) / net.base_kw
-            assert abs(d.congestion - cong) < 1e-8
-            assert abs(d.voltage_limit - vlim) < 1e-8
+            if d.bus != net.substation_bus:
+                cong, vlim = fd[d.bus, d.phase, d.power_kind]
+                assert abs(d.congestion - cong) < 1e-8
+                assert abs(d.voltage_limit - vlim) < 1e-8
+
+    @pytest.mark.parametrize("kwargs, term", [
+        ({"mode": "soft", "penalty": 1.5}, lambda f: f),
+        ({"mode": "soft", "penalty": 1.0, "penalty_on": "vuf"},
+         lambda f: np.sqrt(f + _ROOT_SMOOTH)),
+        ({"mode": "hard", "limit": 1.0}, lambda f: f),
+    ], ids=["soft-f", "soft-vuf", "hard"])
+    def test_unbalance_matches_finite_differences(self, simple5, simple5_solve,
+                                                  kwargs, term):
+        # the unbalance component is the first-order change of the priced
+        # term: sum w f, sum w sqrt(f + s) or sum psi f over the VUF buses.
+        # The root penalty drives f at some buses to ~1e-8, where sqrt(f + s)
+        # bends sharply, so the step is small
+        sol = simple5_solve(**kwargs)
+        assert sol.success
+        rows = decompose(sol)
+        assert max(abs(d.unbalance) for d in rows) > 1e-2
+        buses = sol.problem.vuf_buses
+        if kwargs["mode"] == "hard":
+            weights = np.array([sol.psi(bid) for bid in buses])
+        else:
+            weights = kwargs["penalty"]
+        idx = [simple5.bus_index(bid) for bid in buses]
+
+        def priced(point):
+            f = np.array([f_metric(PhasorSet.from_array(point.voltages[b])) for b in idx])
+            return np.sum(weights * term(f))
+
+        fd = consumption_fd(simple5, sol.voltages(), priced, h=1e-7)
+        for d in rows:
+            if d.bus != simple5.substation_bus:
+                key = (d.bus, d.phase, d.power_kind)
+                assert abs(d.unbalance - fd[key]) < 1e-8, key
+
+    def test_feeder_hard_limit_binds_and_prices_unbalance(self, eulv117_solve):
+        # the 117-bus feeder at 0.5 %, on the sparse KKT path
+        sol = eulv117_solve("hard", limit=0.5)
+        assert sol.success, sol.message
+        bus, worst = sol.max_vuf()
+        assert worst <= 0.5 + 1e-5
+        assert sol.psi(bus) > 0
+        rows = [d for d in decompose(sol) if d.bus == bus]
+        assert max(abs(d.unbalance) for d in rows) > 1e-6
 
     def test_component_names_are_stable(self):
         assert COMPONENTS == ("energy", "loss", "congestion",

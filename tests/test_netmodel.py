@@ -146,6 +146,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             UnbalanceConfig(mode="hard", vuf_limit_pct=0.0)
 
+    def test_unbalance_subset_lists_each_bus_once(self):
+        # each VUF bus owns one penalty term or one limit row
+        with pytest.raises(ValidationError, match="twice"):
+            UnbalanceConfig(mode="soft", penalty_weight=1.0, buses=("b4", "b4"))
+
     def test_duplicate_bus_ids(self):
         doc = network_to_dict(make_two_bus())
         doc["buses"].append({"id": "load", "vmin": 0.9, "vmax": 1.1})

@@ -5,6 +5,8 @@ import pytest
 
 from vudlmp.netmodel import UnbalanceConfig, ValidationError
 from vudlmp.opf import (
+    _VUF_A,
+    _VUF_B,
     ConstraintTag,
     build_problem,
     vuf_metric_grad_hess,
@@ -54,6 +56,29 @@ class TestLocalMetric:
                 _, gdn, _ = vuf_metric_grad_hess(dn)
                 assert np.allclose(hess[:, k], (gup - gdn) / (2 * h),
                                    rtol=5e-5, atol=1e-5)
+
+
+    def test_rows_equal_the_per_bus_forms_bit_for_bit(self):
+        # reference: the 6x6 forms one bus at a time, as BLAS (A x, x'y) and
+        # numpy's float64 scalar ``**`` round them; the batched kernel keeps
+        # the OPF iterates, and the pinned benchmark outputs, bit for bit
+        rng = np.random.default_rng(5)
+        v = (rng.uniform(0.9, 1.1, (4000, 3))
+             * np.exp(1j * (np.array([0, -2.1, 2.1]) + rng.uniform(-0.2, 0.2, (4000, 3)))))
+        xs = np.array([rect_vars(row) for row in v])
+        val, grad, hess = vuf_metric_grad_hess(xs)
+        assert np.array_equal(vuf_metric_local(xs), val)
+        for k, xv in enumerate(xs):
+            Ax, Bx = _VUF_A @ xv, _VUF_B @ xv
+            u, d = xv @ Ax, xv @ Bx
+            gu, gd = 2.0 * Ax, 2.0 * Bx
+            assert val[k] == 1e4 * u / d
+            assert np.array_equal(grad[k], 1e4 * (gu / d - u * gd / d**2))
+            assert np.array_equal(hess[k], 1e4 * (
+                2.0 * _VUF_A / d
+                - (np.outer(gu, gd) + np.outer(gd, gu)) / d**2
+                - u * 2.0 * _VUF_B / d**2
+                + 2.0 * u * np.outer(gd, gd) / d**3))
 
 
 class TestLayout:
