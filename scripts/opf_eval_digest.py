@@ -8,7 +8,8 @@ the ``solve_pf`` voltages of both feeders, four simple5
 ``perturb_and_resolve`` re-solves (1, 3, 3 and 4 Newton steps) and the
 closed-form and finite-difference columns of the eulv117 sensitivity report
 on its VUF buses.  Last it runs whole interior-point solves (simple5 none,
-soft on f, soft on VUF, hard 1 % and hard 0.5 %; eulv117 hard 0.5 %; the
+soft on f, soft on f at weight 0 (no objective Hessian), soft on VUF, hard
+1.1 % (a slack limit), hard 1 % and hard 0.5 %; eulv117 hard 0.5 %; the
 two-bus feeder of the tests cold-started, and at a 1e-4 % hard limit that
 ends infeasible) and prints each one's status, iteration count, message,
 the ``repr`` of its objective and residuals, and digests of its primal and
@@ -56,7 +57,9 @@ CASES = (
 SOLVES = (
     ("simple5", "none", UnbalanceConfig("none"), "f"),
     ("simple5", "soft-f", UnbalanceConfig("soft", 0.0, 2.5), "f"),
+    ("simple5", "soft-f-0.0", UnbalanceConfig("soft", 0.0, 0.0), "f"),
     ("simple5", "soft-vuf", UnbalanceConfig("soft", 0.0, 2.5), "vuf"),
+    ("simple5", "hard-1.1", UnbalanceConfig("hard", 1.1), "f"),
     ("simple5", "hard-1.0", UnbalanceConfig("hard", 1.0), "f"),
     ("simple5", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),
     ("eulv117", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),

@@ -23,8 +23,8 @@ evaluation, which the seed-0 benchmark outputs are pinned to:
   the constant ``g_V g_C'`` blocks stay array products.
 - ``csr_matrix`` sums duplicate Hessian entries in an order that depends
   on where they sit in the triplet stream, so the stream keeps its order:
-  objective, flow (each block, then its transpose), voltage bounds,
-  thermal, VUF.
+  objective (row-major), flow (each block, then its transpose), voltage
+  bounds, thermal, VUF.
 - A multiplier that is exactly zero adds no entry.  An explicit zero would
   change the sparsity pattern the sparse KKT factorization orders on.
 - The VUF kernel takes all VUF buses in one pass and rounds as the 6x6
@@ -243,6 +243,10 @@ class OpfProblem:
         self._vuf_vars = np.stack((self.idx_e[b], self.idx_f[b]), axis=-1).reshape(-1, 6)
         self._vuf_hrows = np.repeat(self._vuf_vars, 6, axis=1)
         self._vuf_hcols = np.tile(self._vuf_vars, 6)
+        # gather that puts the penalty's Hessian blocks in row-major order
+        self._hobj_order = np.lexsort((self._vuf_hcols.ravel(), self._vuf_hrows.ravel()))
+        self._hobj_rows = self._vuf_hrows.ravel()[self._hobj_order]
+        self._hobj_cols = self._vuf_hcols.ravel()[self._hobj_order]
         self._penalised = self.cfg.mode == "soft" and self.cfg.penalty_weight > 0
 
     # -- helpers -------------------------------------------------------------
@@ -466,16 +470,15 @@ class OpfProblem:
         return w * f, w * g, w * h
 
     def eval_objective(self, x):
-        """Objective value, gradient and (sparse) Hessian."""
+        """Objective value, gradient and the (k, 6, 6) Hessian blocks of the
+        VUF buses' penalty terms (none without a penalty)."""
         val = float(self._cost_lin @ x)
         grad = self._cost_lin.copy()
         if not self._penalised:
-            return val, grad, sp.csr_matrix((self.nvar, self.nvar))
+            return val, grad, np.zeros((0, 6, 6))
         f, g, h = self._penalty(x, derivs=True)
         grad[self._vuf_vars] += g
-        hess = sp.csr_matrix((h.ravel(), (self._vuf_hrows.ravel(), self._vuf_hcols.ravel())),
-                             shape=(self.nvar, self.nvar))
-        return _sum_in_order(val, f), grad, hess
+        return _sum_in_order(val, f), grad, h
 
     def objective_value(self, x):
         val = float(self._cost_lin @ x)
@@ -564,8 +567,11 @@ class OpfProblem:
         bounds, thermal, VUF) and ``csr_matrix`` sums the duplicates; a
         multiplier that is exactly zero contributes no entry.
         """
-        hobj = self.eval_objective(x)[2].tocoo()
-        rows, cols, vals = [hobj.row], [hobj.col], [hobj.data]
+        rows, cols, vals = [], [], []
+        if self._penalised:
+            rows.append(self._hobj_rows)
+            cols.append(self._hobj_cols)
+            vals.append(self.eval_objective(x)[2].ravel()[self._hobj_order])
         # flow definitions: constant bilinear blocks, weight w = -(y_p - 1j y_q)
         # spelled out as the real operations the scalar expression performs
         yp = y_eq[0:self._balance_row0:2]

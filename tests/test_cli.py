@@ -5,8 +5,9 @@ import re
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
-from vudlmp import cli
+from vudlmp import cli, ipsolver
 from vudlmp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -67,6 +68,17 @@ class TestExitCodes:
         assert code == EXIT_SOLVER
         _, rows = read_csv(tmp_path / "out" / "summary.csv")
         assert rows[0]["status"] == "infeasible-or-nonconverged"
+
+    def test_kkt_solve_failure_exit_code(self, two_bus_file, tmp_path, monkeypatch,
+                                         capsys):
+        def broken(self, rhs):
+            raise scipy.linalg.LinAlgError("dsytrs failed")
+        monkeypatch.setattr(ipsolver._KktSystem, "solve", broken)
+        code = main(["opf", two_bus_file, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "KKT solve failed: dsytrs failed" in err
+        assert "Traceback" not in err
 
 
 class TestOpfOutputs:

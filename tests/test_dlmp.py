@@ -281,3 +281,37 @@ class TestShadowPrices:
             assert fd == pytest.approx(dual, rel=0.01)
             checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("weight", [1.5, 3.0])
+    def test_soft_duals_match_central_differences(self, simple5, simple5_pf, weight):
+        # every nodal dual against a re-solve at +/- eps of extra consumption;
+        # a forward difference misses b5/c reactive at 1.5 by 11 %
+        cfg = UnbalanceConfig("soft", 0.0, weight, buses=simple5.unbalance.buses)
+        base = solve(build_problem(simple5, cfg), warm=simple5_pf)
+        assert base.success
+        eps = 1e-4
+        checked = 0
+        for bus in simple5.buses:
+            if bus.id == simple5.substation_bus:
+                continue
+            for ph in PHASES:
+                for key, dual in (("dp", base.phi_p(bus.id, ph)),
+                                  ("dq", base.phi_q(bus.id, ph))):
+                    obj = []
+                    for step in (eps, -eps):
+                        bumped = simple5.with_extra_load(bus.id, ph, **{key: step})
+                        sol = solve(build_problem(bumped, cfg), warm=simple5_pf)
+                        assert sol.success, (bus.id, ph, key, step)
+                        obj.append(sol.objective)
+                    fd = (obj[0] - obj[1]) / (2 * eps)
+                    assert fd == pytest.approx(dual, rel=0.01, abs=1e-4), (bus.id, ph, key)
+                    checked += 1
+        assert checked == 30
+
+    def test_soft_penalty_prices_b4_phase_b_below_energy(self, simple5_solve):
+        sol = simple5_solve("soft", penalty=1.5)
+        row, = [d for d in decompose(sol)
+                if (d.bus, d.phase, d.power_kind) == ("b4", "b", "active")]
+        assert row.total == pytest.approx(0.935, abs=5e-4)
+        assert row.unbalance == pytest.approx(-0.104, abs=5e-4)
+        assert row.total < row.energy

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
+from vudlmp import ipsolver
 from vudlmp.dlmp import decompose
-from vudlmp.ipsolver import SolverSettings, solve
+from vudlmp.ipsolver import (
+    SolverSettings,
+    _DenseLagrangian,
+    _inertia,
+    _row_scales,
+    _scale_rows,
+    solve,
+)
 from vudlmp.netmodel import BusSpec, GenSpec, LoadSpec, NetworkSpec, UnbalanceConfig
 from vudlmp.opf import ConstraintTag, build_problem
 from vudlmp.powerflow import solve_pf
@@ -247,3 +258,130 @@ class TestInitialMultipliers:
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", broken)
         with pytest.raises(TypeError):
             solve(build_problem(two_bus), warm=two_bus_pf)
+
+
+def eigen_inertia(a, tol):
+    ev = np.linalg.eigvalsh(a)
+    return (int(np.sum(ev > tol)), int(np.sum(ev < -tol)),
+            int(np.sum(np.abs(ev) <= tol)))
+
+
+class TestInertia:
+    """The signs read off the Bunch-Kaufman factor against eigenvalues."""
+
+    def test_matches_eigenvalue_signs(self):
+        rng = np.random.default_rng(3)
+        blocks = overflowed = 0
+        for i in range(300):
+            n = int(rng.integers(2, 12))
+            a = rng.standard_normal((n, n))
+            # every third matrix is scaled so that 2x2 determinants overflow
+            scale = 1e200 if i % 3 == 0 else 1.0
+            a = (a + a.T) * scale
+            ldu, ipiv, _ = lapack.dsytrf(a, lower=1)
+            k = np.flatnonzero(ipiv < 0)[::2]
+            blocks += k.size
+            with np.errstate(over="ignore", invalid="ignore"):
+                det = ldu[k, k] * ldu[k + 1, k + 1] - ldu[k + 1, k] ** 2
+            overflowed += np.count_nonzero(~np.isfinite(det))
+            assert _inertia(ldu, ipiv) == eigen_inertia(a, 1e-10 * scale), i
+        assert blocks > 100
+        assert overflowed > 10
+
+    def test_zero_row_and_column_counts_as_zero(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((7, 7))
+        a = a + a.T
+        a[3, :] = a[:, 3] = 0.0
+        ldu, ipiv, _ = lapack.dsytrf(a, lower=1)
+        inertia = _inertia(ldu, ipiv)
+        assert inertia[2] > 0
+        assert inertia == eigen_inertia(a, 1e-10)
+
+    def test_non_finite_factor_is_all_zero(self):
+        ldu = np.eye(4)
+        ldu[2, 1] = np.inf
+        assert _inertia(ldu, np.arange(1, 5)) == (0, 0, 4)
+
+
+def scipy_dense_w(hess, ji, sigma):
+    """Dense W from scipy.sparse products: the reference, bit for bit."""
+    w = (hess + (ji.T @ sp.diags(sigma) @ ji)).tocsr()
+    return np.asarray(((w + w.T) * 0.5).todense())
+
+
+class TestDenseAssembly:
+    """Row scaling and the dense W, bit for bit against scipy.sparse."""
+
+    @pytest.fixture(scope="class", params=[
+        (UnbalanceConfig("soft", 0.0, 2.5), "f"),
+        (UnbalanceConfig("soft", 0.0, 2.5), "vuf"),
+        (UnbalanceConfig("hard", 1.0), "f"),
+    ], ids=["soft-f", "soft-vuf", "hard"])
+    def points(self, request, simple5, simple5_pf):
+        cfg, penalty_on = request.param
+        prob = build_problem(simple5, cfg, penalty_on=penalty_on)
+        warm = prob.x0(simple5_pf)
+        rng = np.random.default_rng(5)
+        # the flat start has exact zeros in the inequality Jacobian
+        return prob, (prob.x0(), warm, warm + 0.02 * rng.standard_normal(prob.nvar))
+
+    def test_row_scaling_matches_scipy(self, points):
+        prob, xs = points
+        for x in xs:
+            e = prob.evaluate(x)
+            for jac in (e.jac_eq, e.jac_ineq):
+                d = _row_scales(jac)
+                ours, ref = _scale_rows(d, jac), sp.diags(d) @ jac
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(ours, part), getattr(ref, part)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+    def test_dense_w_matches_scipy(self, points):
+        prob, xs = points
+        # laid out once from the flat start, used at every point
+        dense_w = _DenseLagrangian(prob.evaluate(xs[0]).jac_ineq)
+        rng = np.random.default_rng(6)
+        for x in xs:
+            e = prob.evaluate(x)
+            d_eq, d_in = _row_scales(e.jac_eq), _row_scales(e.jac_ineq)
+            y = rng.standard_normal(prob.n_eq)
+            z = np.abs(rng.standard_normal(prob.n_ineq))
+            z[rng.random(prob.n_ineq) < 0.3] = 0.0
+            sigma = np.exp(rng.uniform(-20.0, 20.0, prob.n_ineq))
+            hess = prob.hess_lagrangian(x, d_eq * y, d_in * z)
+            ours = dense_w(hess, e.jac_ineq, d_in, sigma)
+            ref = scipy_dense_w(hess, sp.diags(d_in) @ e.jac_ineq, sigma)
+            assert np.array_equal(ours, ref)
+            assert ours.tobytes() == ref.tobytes()
+
+    def test_dense_path_forms_no_diagonal_matrix(self, simple5, simple5_pf, monkeypatch):
+        def no_diags(*args, **kwargs):
+            raise AssertionError("sp.diags called on the dense path")
+        monkeypatch.setattr(ipsolver.sp, "diags", no_diags)
+        prob = build_problem(simple5, UnbalanceConfig("soft", 0.0, 1.5))
+        sol = solve(prob, warm=simple5_pf)
+        assert sol.success, sol.message
+
+
+class TestKktSolveFailure:
+    def test_failed_back_substitution_is_a_failed_solve(self, simple5, simple5_pf,
+                                                        monkeypatch):
+        # fail once the iterates are feasible, so the status is not "infeasible"
+        calls = []
+        working = ipsolver._KktSystem.solve
+
+        def breaks_late(self, rhs):
+            calls.append(1)
+            if len(calls) > 20:
+                raise scipy.linalg.LinAlgError("dsytrs failed")
+            return working(self, rhs)
+        monkeypatch.setattr(ipsolver._KktSystem, "solve", breaks_late)
+        sol = solve(build_problem(simple5), warm=simple5_pf)
+        assert sol.status == "failed"
+        assert sol.message == "KKT solve failed: dsytrs failed"
+        assert sol.iterations == 21
+        # unscaled residuals of the last evaluation, at the returned x
+        for name, value in zip(("stationarity", "feasibility", "complementarity"),
+                               kkt_residuals(sol)):
+            assert sol.residuals[name] == pytest.approx(value, rel=1e-9)
