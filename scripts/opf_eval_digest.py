@@ -7,24 +7,31 @@ seeded multipliers of which about a third are exactly zero.  It then digests
 the ``solve_pf`` voltages of both feeders, four simple5
 ``perturb_and_resolve`` re-solves (1, 3, 3 and 4 Newton steps) and the
 closed-form and finite-difference columns of the eulv117 sensitivity report
-on its VUF buses.  Last it runs whole interior-point solves (simple5 none,
+on its VUF buses.  Then it runs whole interior-point solves (simple5 none,
 soft on f, soft on f at weight 0 (no objective Hessian), soft on VUF, hard
-1.1 % (a slack limit), hard 1 % and hard 0.5 %; eulv117 hard 0.5 %; the
-two-bus feeder of the tests cold-started, and at a 1e-4 % hard limit that
-ends infeasible) and prints each one's status, iteration count, message,
-the ``repr`` of its objective and residuals, and digests of its primal and
-dual iterates and of its ``decompose`` rows.  Each digest is a prefix of the
-SHA-256 of the raw bytes (values, ``indices``, ``indptr`` and their dtypes)
-of one vector or matrix.  Run it on two checkouts and diff the outputs to
-show that a change to the assembly, the power flow or the solver leaves
+1.1 % (a slack limit), hard 1 % and hard 0.5 %; eulv117 none, soft 3.0 and
+hard 0.5 %, all on the sparse KKT path; the two-bus feeder of the tests
+cold-started, and at a 1e-4 % hard limit that ends infeasible) and prints
+each one's status, iteration count, message, the ``repr`` of its objective
+and residuals, and digests of its primal and dual iterates and of its
+``decompose`` rows.  Last, one ``kkt`` line digests every matrix handed to
+SuperLU in the eulv117 hard 0.5 % solve and to LAPACK ``dsytrf`` in the
+simple5 soft-f solve.  Each digest is a prefix of the SHA-256 of the raw
+bytes (values, ``indices``, ``indptr`` and their dtypes) of one vector or
+matrix.  Run it on two checkouts with the same BLAS thread count (the
+eulv117 power flow's dense LU rounds by thread count) and diff the outputs
+to show that a change to the assembly, the power flow or the solver leaves
 every bit in place:
 
-    PYTHONPATH=src python scripts/opf_eval_digest.py > digests.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/opf_eval_digest.py > digests.txt
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
+import scipy.linalg.lapack
+import scipy.sparse.linalg
 
 from vudlmp import (
     BusSpec,
@@ -62,6 +69,8 @@ SOLVES = (
     ("simple5", "hard-1.1", UnbalanceConfig("hard", 1.1), "f"),
     ("simple5", "hard-1.0", UnbalanceConfig("hard", 1.0), "f"),
     ("simple5", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),
+    ("eulv117", "none", UnbalanceConfig("none"), "f"),
+    ("eulv117", "soft-3.0", UnbalanceConfig("soft", 0.0, 3.0), "f"),
     ("eulv117", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),
 )
 
@@ -181,10 +190,41 @@ def print_solve_digests():
                        solve(infeasible, settings=SolverSettings(max_iter=80)))
 
 
+@contextlib.contextmanager
+def recording(module, name, digest_of, log):
+    """Digest every first argument passed to ``module.name`` into ``log``."""
+    real = getattr(module, name)
+
+    def record(a, *args, **kwargs):
+        log.append(digest_of(a))
+        return real(a, *args, **kwargs)
+    setattr(module, name, record)
+    try:
+        yield
+    finally:
+        setattr(module, name, real)
+
+
+def print_kkt_digest():
+    """Digests of every KKT matrix the solver factors, in call order."""
+    splu, dsytrf = [], []
+    with recording(scipy.sparse.linalg, "splu", sparse_digest, splu):
+        net = load_network(bundled_network("eulv117"))
+        solve(build_problem(net, UnbalanceConfig("hard", 0.5)), warm=solve_pf(net))
+    with recording(scipy.linalg.lapack, "dsytrf", digest, dsytrf):
+        net = load_network(bundled_network("simple5"))
+        solve(build_problem(net, UnbalanceConfig("soft", 0.0, 2.5)), warm=solve_pf(net))
+
+    def joined(log):
+        return f"{len(log)}:{digest(np.frombuffer(''.join(log).encode(), np.uint8))}"
+    print(f"kkt eulv117 hard-0.5 splu={joined(splu)} simple5 soft-f dsytrf={joined(dsytrf)}")
+
+
 def main():
     print_opf_digests()
     print_pf_digests()
     print_solve_digests()
+    print_kkt_digest()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ Networks are JSON files (see netmodel) or the bundled names ``simple5`` and
 ``eulv117``.  All CSV output is UTF-8 with LF line endings and ``.`` decimal
 separators, and is byte-identical across repeated runs with the same config
 except for the wall-clock timing column.  Exit codes: 0 success, 1 config or
-parse error, 2 solver failure.
+parse error, 2 solver failure (or, in a sweep, a case that raised; its
+status is ``error``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -201,9 +203,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 def _sweep_worker(cfg_kwargs):
     try:
         return run_scenario(ScenarioConfig(**cfg_kwargs))
-    except Exception as exc:     # per-run isolation: never abort siblings
-        return ScenarioResult(case_id=cfg_kwargs.get("case_id", "case"),
-                              status="infeasible-or-nonconverged",
+    except Exception as exc:     # per-run isolation: a bug fails this run only
+        traceback.print_exc()
+        return ScenarioResult(case_id=cfg_kwargs.get("case_id", "case"), status="error",
                               message=f"{type(exc).__name__}: {exc}")
 
 

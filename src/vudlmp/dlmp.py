@@ -200,6 +200,10 @@ def decompose(sol):
     base_kw = net.base_kw
     v = sol.voltages()
     slack = net.bus_index(net.substation_bus)
+    # multipliers read by row: balance (p, q per bus and phase), voltage box
+    # (lo, hi per non-slack bus and phase) and thermal (per line and phase)
+    phi_p, phi_q = sol.y_eq[prob._balance_row0:].reshape(-1, NPHASE, 2).transpose(2, 0, 1)
+    z_box = sol.z_ineq[:prob._box_row0].reshape(-1, NPHASE, 2)
 
     # multipliers below tolerance are barrier dust on inactive rows; they
     # would contribute far less than the decomposition tolerance, so they are
@@ -213,8 +217,7 @@ def decompose(sol):
     g_cong, g_vlim, g_unb = np.zeros((3, len(net.buses), NPHASE), dtype=complex)
     # congestion: sum of eta |s_from|^2, which changes by Re(c ds) with
     # c = 2 eta conj(s_from) and ds = dv_i conj(i) + v_i conj(Y (dv_i - dv_j))
-    eta = binding(np.array([[sol.eta((ln.from_bus, ln.to_bus), ph) for ph in PHASES]
-                            for ln in net.lines]).reshape(-1, NPHASE))
+    eta = binding(sol.z_ineq[prob._thermal_row0:prob._vuf_row0].reshape(-1, NPHASE))
     i_from, s_from, _ = line_flows(net, v)
     c = 2.0 * eta * np.conj(s_from)
     vi = v[net.line_from]
@@ -222,10 +225,8 @@ def decompose(sol):
     np.add.at(g_cong, net.line_from, np.conj(c) * i_from + via_y)
     np.add.at(g_cong, net.line_to, -via_y)
     # voltage limits: sum of (sigma_hi - sigma_lo) * |v|^2
-    for b, bus in enumerate(net.buses):
-        if bus.id != net.substation_bus:
-            lo_hi = [sol.sigma(bus.id, ph) for ph in PHASES]
-            g_vlim[b] = 2.0 * binding(np.array([hi - lo for lo, hi in lo_hi])) * v[b]
+    ns = np.arange(len(net.buses)) != slack
+    g_vlim[ns] = 2.0 * binding(z_box[..., 1] - z_box[..., 0]) * v[ns]
     # unbalance: sum over the VUF buses of (the problem's weight) * f
     weights = binding(prob.unbalance_weights(sol.x, sol.z_ineq))
     for bid, w in zip(prob.vuf_buses, weights):
@@ -234,9 +235,8 @@ def decompose(sol):
     # energy + loss: sum of phi_p P + phi_q Q over the substation phases,
     # which changes by Re(conj(c) Y dV)
     ybus = build_ybus(net)
-    sub = net.substation_bus
     c_sub = np.zeros((len(net.buses), NPHASE), dtype=complex)
-    c_sub[slack] = v[slack] * [sol.phi_p(sub, ph) - 1j * sol.phi_q(sub, ph) for ph in PHASES]
+    c_sub[slack] = v[slack] * (phi_p[slack] - 1j * phi_q[slack])
     g_sub = (np.conj(ybus).T @ c_sub.ravel()).reshape(c_sub.shape)
 
     # + 0.0 keeps components with no binding term at +0.0 rather than -0.0
@@ -245,15 +245,12 @@ def decompose(sol):
         np.stack((g_cong, g_vlim, g_unb, g_sub))) / base_kw + 0.0
 
     out = []
-    for kind, comp, phi in (
-        ("active", comp_p, sol.phi_p),
-        ("reactive", comp_q, sol.phi_q),
-    ):
-        energy = [phi(net.substation_bus, ph) / base_kw for ph in PHASES]
+    for kind, comp, phi in (("active", comp_p, phi_p), ("reactive", comp_q, phi_q)):
+        energy = [float(p) / base_kw for p in phi[slack]]
         comp[slack, :, 3] = energy      # energy + loss at the substation itself
         for b, bus in enumerate(net.buses):
             for ph, phase in enumerate(PHASES):
-                total = phi(bus.id, phase) / base_kw
+                total = float(phi[b, ph]) / base_kw
                 cong, vlim, unb, energy_loss = map(float, comp[b, ph])
                 out.append(DlmpBreakdown(
                     bus=bus.id, phase=phase, power_kind=kind,

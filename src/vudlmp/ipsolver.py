@@ -13,26 +13,35 @@ MU0, MU_FACTOR and the mu**1.5 tail are the barrier schedule of Wächter &
 Biegler, "On the implementation of an interior-point filter line-search
 algorithm", Math. Prog. 2006; the other constants are this solver's own.
 
-On the dense path the KKT inputs are built with array operations on index
-arrays laid out once per solve.  These rules keep every value equal, bit for
-bit, to the scipy.sparse products they replace, which the seed-0 benchmark
-outputs are pinned to:
+The KKT inputs are built with array operations on index arrays laid out
+once per solve.  These rules keep every value, and every matrix handed to
+SuperLU or LAPACK, equal bit for bit to the scipy.sparse expressions they
+replace, which the seed-0 benchmark outputs are pinned to:
 
 - Row scaling emits what ``sp.diags(d) @ jac`` (scipy's ``csr_matmat``)
   emits: each row's entries in the reverse of their stored order, so
-  descending columns, and exact-zero products dropped.  ``ji @ dx`` sums the
-  six-entry VUF rows in that stored order.
+  descending columns, and exact-zero products dropped.
+- Matvecs add as scipy's do, by ``bincount`` in input order from 0: ``J x``
+  sums each row in that stored order (CSR matvec), ``J' y`` each column in
+  ascending row (CSC matvec of ``J.T``).
 - ``J' diag(sigma) J`` is summed term by term, ``J[k, c] * (sigma_k *
   J[k, r])`` into ``[r, c]``, in ascending row ``k``, as the sparse product
   sums it; entries with three terms (lower bound, upper bound, VUF) round
-  by that order.  It is added to the dense Lagrangian Hessian and
-  symmetrized as ``(w + w') * 0.5``.
+  by that order.  It is added to the Lagrangian Hessian and symmetrized as
+  ``(w + w') * 0.5``.
+- Sparse path: the KKT matrix ``[[W + delta I, Je'], [Je, 0]]`` and its
+  factored copy with ``-DELTA_C`` on the lower diagonal are canonical CSC.
+  scipy's sparse sums and products drop results that are exactly zero, so
+  an entry of ``W + delta I`` is kept only if it is nonzero once ``delta``
+  is added.  The Hessian and equality Jacobian lose their exact zeros too,
+  so their entries are mapped to slots again whenever their patterns change.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -52,6 +61,7 @@ TAU = 0.995             # fraction-to-boundary
 REG_INIT = 1e-8         # initial inertia regularization
 REG_CAP = 1e12          # regularization past which a KKT matrix is given up on
 BOUND_RELAX = 1e-8      # tiny inequality relaxation (handles pinned boxes)
+DELTA_C = 1e-8          # dual regularization of the sparse KKT matrix
 
 
 @dataclass(frozen=True)
@@ -81,18 +91,19 @@ class OpfSolution:
     residuals: dict = field(default_factory=dict)
     message: str = ""
 
-    def __post_init__(self):
-        self._eq_index = {t: i for i, t in enumerate(self.problem.eq_tags)}
-        self._ineq_index = {t: i for i, t in enumerate(self.problem.ineq_tags)}
-
     @property
     def success(self):
         return self.status == STATUS_SUCCESS
 
+    @cached_property
+    def _tag_rows(self):
+        """tag -> (multiplier vector, row), built on the first named lookup."""
+        rows = {t: (self.y_eq, i) for i, t in enumerate(self.problem.eq_tags)}
+        return rows | {t: (self.z_ineq, i) for i, t in enumerate(self.problem.ineq_tags)}
+
     def multiplier(self, tag: ConstraintTag) -> float:
-        if tag in self._eq_index:
-            return float(self.y_eq[self._eq_index[tag]])
-        return float(self.z_ineq[self._ineq_index[tag]])
+        vec, row = self._tag_rows[tag]
+        return float(vec[row])
 
     # named accessors, EUR/h per per-unit constraint shift
     def phi_p(self, bus, phase):
@@ -218,17 +229,8 @@ class _SparseKktSystem:
     without that perturbation.
     """
 
-    DELTA_C = 1e-8
-
-    def __init__(self, w_sparse, j_eq_sparse, delta):
-        n = w_sparse.shape[0]
-        m = j_eq_sparse.shape[0]
-        self.target = sp.bmat(
-            [[w_sparse + delta * sp.eye(n), j_eq_sparse.T],
-             [j_eq_sparse, sp.csr_matrix((m, m))]],
-            format="csc")
-        perturbed = self.target + sp.diags(
-            np.concatenate([np.zeros(n), -self.DELTA_C * np.ones(m)])).tocsc()
+    def __init__(self, target, perturbed):
+        self.target = target
         self.ok = True
         try:
             self.lu = sp.linalg.splu(perturbed)
@@ -247,49 +249,153 @@ class _SparseKktSystem:
         return x
 
 
+def _unique(a):
+    """``np.unique`` of an integer array by sorting, which is far faster here
+    than numpy's default (hash-based) path on some 100,000 keys."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _row_scales(jac):
     mags = np.abs(jac).max(axis=1).toarray().ravel()
     return 1.0 / np.maximum(1.0, mags)
 
 
-def _scale_rows(d, jac):
-    """``sp.diags(d) @ jac``, entries in the order scipy emits them (see the
-    module docstring)."""
-    rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
-    rev = jac.indptr[rows] + jac.indptr[rows + 1] - 1 - np.arange(jac.nnz)
-    data = d[rows] * jac.data[rev]
-    keep = data != 0
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=len(d)))))
-    return sp.csr_matrix((data[keep], jac.indices[rev[keep]], indptr), shape=jac.shape)
+class _ScaledRows:
+    """``sp.diags(d) @ jac`` as CSR arrays in the order scipy emits them (see
+    the module docstring), and each entry's row."""
+
+    def __init__(self, d, jac):
+        rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
+        rev = jac.indptr[rows] + jac.indptr[rows + 1] - 1 - np.arange(jac.nnz)
+        data = d[rows] * jac.data[rev]
+        keep = data != 0
+        self.shape, self.rows = jac.shape, rows[keep]
+        self.data, self.indices = data[keep], jac.indices[rev[keep]]
+        self.indptr = np.concatenate(([0], np.cumsum(
+            np.bincount(self.rows, minlength=len(d))))).astype(jac.indptr.dtype)
+
+    def dot(self, x):
+        """``J x``, each row summed in stored order as the CSR matvec sums it."""
+        return np.bincount(self.rows, self.data * x[self.indices], self.shape[0])
+
+    def tdot(self, y):
+        """``J' y``, summed in ascending row as the CSC matvec of ``J.T`` sums it."""
+        return np.bincount(self.indices, self.data * y[self.rows], self.shape[1])
 
 
-class _DenseLagrangian:
-    """Dense ``W = sym(H + J' diag(sigma) J)`` for one problem's ``J``.
+class _JtSigmaJ:
+    """The products of ``J' diag(sigma) J`` for one problem's ``J``.
 
     ``eval_ineq`` keeps explicit zeros, so its Jacobian has the same layout
     at every point of one problem and the products are laid out once, from
     the first one.  Each product pairs the entries ``a`` = J[k, r] and ``b``
     = J[k, c] of one row k; the pairs run ascending in k and ``bincount``
-    adds them in that order (see the module docstring).
+    adds them in that order into the slot of ``(r, c)`` (see the module
+    docstring).
     """
 
     def __init__(self, jac):
-        self.n = jac.shape[1]
         count = np.diff(jac.indptr)
         self.rows = np.repeat(np.arange(jac.shape[0]), count)
         per = count[self.rows]
         self.a = np.repeat(np.arange(jac.nnz), per)
         self.k = self.rows[self.a]
         self.b = jac.indptr[self.k] + np.arange(self.a.size) - np.repeat(np.cumsum(per) - per, per)
-        self.at = jac.indices[self.a] * self.n + jac.indices[self.b]
+        self.r = jac.indices[self.a].astype(np.int64)
+        self.c = jac.indices[self.b].astype(np.int64)
+
+    def __call__(self, slots, size, jac, d, sigma):
+        """The sums at this point; ``d`` are the row scales, applied as in ``_ScaledRows``."""
+        j = d[self.rows] * jac.data
+        return np.bincount(slots, j[self.b] * (sigma[self.k] * j[self.a]), size)
+
+
+class _DenseLagrangian:
+    """Dense ``W = sym(H + J' diag(sigma) J)`` for one problem's ``J``."""
+
+    def __init__(self, jac):
+        self.n = jac.shape[1]
+        self.jsj = _JtSigmaJ(jac)
+        self.slots = self.jsj.r * self.n + self.jsj.c
 
     def __call__(self, hess, jac, d, sigma):
-        """W at this point; ``d`` are the row scales, applied as in ``_scale_rows``."""
-        j = d[self.rows] * jac.data
-        jsj = np.bincount(self.at, weights=j[self.b] * (sigma[self.k] * j[self.a]),
-                          minlength=self.n * self.n).reshape(self.n, self.n)
-        w = hess.toarray() + jsj
+        n = self.n
+        w = hess.toarray() + self.jsj(self.slots, n * n, jac, d, sigma).reshape(n, n)
         return (w + w.T) * 0.5
+
+
+class _SparseKktLayout:
+    """The sparse path's KKT matrices on one CSC pattern laid out per solve.
+
+    The pattern is a superset of every pattern the scipy.sparse construction
+    can give: the problem's Hessian and equality-Jacobian layouts, their
+    transposes, the ``J' diag(sigma) J`` products, the diagonal and the dual
+    regularization.  Each iterate refills the values; each factorization
+    keeps the entries scipy's arithmetic keeps (see the module docstring).
+    """
+
+    def __init__(self, prob, jac_ineq):
+        n = self.n = prob.nvar
+        size = self.size = n + prob.n_eq
+        (hr, hc), (er, ec) = prob.derivative_patterns()
+        diag, eq = np.arange(n), n + np.arange(prob.n_eq)
+        self.jsj = _JtSigmaJ(jac_ineq)
+        r = np.concatenate((hr, hc, self.jsj.r, diag))
+        c = np.concatenate((hc, hr, self.jsj.c, diag))
+        # the W block in column-major order, its transpose and its diagonal
+        self.w_key = _unique(c * n + r)
+        wr, wc = self.w_key % n, self.w_key // n
+        self.w_t = np.searchsorted(self.w_key, wr * n + wc)
+        self.on_diag = (wr == wc).astype(float)
+        self.jsj_slots = np.searchsorted(self.w_key, self.jsj.c * n + self.jsj.r)
+        self.key = _unique(np.concatenate((wc * size + wr, ec * size + n + er,
+                                           (n + er) * size + ec, eq * size + eq)))
+        self.rows = (self.key % size).astype(np.int32)
+        self.indptr = np.searchsorted(self.key, np.arange(size + 1) * size)
+        self.w_slot = np.searchsorted(self.key, wc * size + wr)
+        self.d11 = np.searchsorted(self.key, eq * size + eq)
+        self._seen = {}
+
+    def _slots(self, name, mat, key):
+        """``key(rows, cols)`` of ``mat``'s entries, recomputed only when
+        its pattern changes (it loses the entries that are exactly zero)."""
+        seen = self._seen.get(name, (None, None))
+        if not (np.array_equal(seen[0], mat.indptr) and np.array_equal(seen[1], mat.indices)):
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            seen = self._seen[name] = (mat.indptr.copy(), mat.indices.copy(),
+                                       key(rows, mat.indices.astype(np.int64)))
+        return seen[2]
+
+    def refill(self, hess, jac_ineq, d_in, sigma, je):
+        """Lay in this iterate's values: ``sym(H + J' diag(sigma) J)`` and the
+        scaled equality Jacobian ``je``."""
+        n, size, nw = self.n, self.size, len(self.w_key)
+        h = np.zeros(nw)
+        h[self._slots("hess", hess, lambda r, c: np.searchsorted(self.w_key, c * n + r))] = hess.data
+        v = h + self.jsj(self.jsj_slots, nw, jac_ineq, d_in, sigma)
+        self.w = (v + v[self.w_t]) * 0.5
+        eq = self._slots("je", je, lambda r, c: np.searchsorted(
+            self.key, np.stack((c * size + n + r, (n + r) * size + c))))
+        self.vals = np.zeros(len(self.key))
+        self.vals[eq] = je.data     # nonzero: ``je`` has dropped its zeros
+
+    def matrices(self, delta):
+        """The KKT matrix at primal regularization ``delta`` and its copy
+        with the dual regularization, as scipy.sparse would build them."""
+        self.vals[self.w_slot] = self.w + delta * self.on_diag
+        self.vals[self.d11] = 0.0
+        target = self._csc()
+        self.vals[self.d11] = -DELTA_C
+        return target, self._csc()
+
+    def _csc(self):
+        """The entries that are not exactly zero, as scipy keeps them."""
+        keep = self.vals != 0
+        count = np.zeros(len(keep) + 1, dtype=np.int32)
+        np.cumsum(keep, out=count[1:])
+        return sp.csc_matrix((self.vals[keep], self.rows[keep], count[self.indptr]),
+                             shape=(self.size, self.size))
 
 
 def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -> OpfSolution:
@@ -308,7 +414,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
 
     def scale(e):
         return (e.c_eq * d_eq, (e.c_ineq - BOUND_RELAX) * d_in,
-                _scale_rows(d_eq, e.jac_eq), _scale_rows(d_in, e.jac_ineq))
+                _ScaledRows(d_eq, e.jac_eq), _ScaledRows(d_in, e.jac_ineq))
 
     def scaled(xv, want_jac=True):
         if want_jac:
@@ -323,13 +429,16 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     dense = n + m_eq <= 1200
     if dense:
         dense_w = _DenseLagrangian(e.jac_ineq)
+    else:
+        layout = _SparseKktLayout(prob, e.jac_ineq)
     s = np.maximum(1e-2, -ci)
     mu = MU0
     z = mu / s
     # least-squares initial equality multipliers, capped
     try:
-        a = (je @ je.T + 1e-10 * sp.eye(m_eq)).tocsc()
-        rhs = -(je @ (e.grad_objective + ji.T @ z))
+        a = sp.csr_matrix((je.data, je.indices, je.indptr), shape=je.shape)
+        a = (a @ a.T + 1e-10 * sp.eye(m_eq)).tocsc()
+        rhs = -je.dot(e.grad_objective + ji.tdot(z))
         y = sp.linalg.spsolve(a, rhs)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e6:
             y = np.zeros(m_eq)
@@ -344,7 +453,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     ls_failures = 0
 
     for it in range(1, st.max_iter + 1):
-        stat = np.max(np.abs(e.grad_objective + je.T @ y + ji.T @ z))
+        stat = np.max(np.abs(e.grad_objective + je.tdot(y) + ji.tdot(z)))
         # feasibility judged on the original (unscaled) constraint values so
         # that a declared success survives independent residual recomputation
         feas = max(np.max(np.abs(ce / d_eq)), np.max(np.abs((ci + s) / d_in)))
@@ -365,14 +474,14 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             mu = max(st.kkt_tol / 100, step)
             z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s)
 
-        hess = prob.hess_lagrangian(x, d_eq * y, d_in * z)
+        hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess)
         sigma = z / s
         if dense:
             w = dense_w(hess, e.jac_ineq, d_in, sigma)
-            j_eq_d = je.toarray()
+            j_eq_d = np.zeros((m_eq, n))
+            j_eq_d[je.rows, je.indices] = je.data
         else:
-            w_sp = (hess + (ji.T @ sp.diags(sigma) @ ji)).tocsr()
-            w_sp = (w_sp + w_sp.T) * 0.5
+            layout.refill(hess, e.jac_ineq, d_in, sigma, je)
 
         # inertia-corrected factorization; the dual regularization stays off
         # unless the plain system is singular, because it perturbs the
@@ -384,7 +493,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             if dense:
                 kkt = _KktSystem(w + delta * np.eye(n), j_eq_d, delta_c)
             else:
-                kkt = _SparseKktSystem(w_sp, je, delta)
+                kkt = _SparseKktSystem(*layout.matrices(delta))
             if kkt.correct():
                 break
             if dense and (not kkt.ok or kkt.inertia[2] > 0):
@@ -400,7 +509,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         forced_delta = 0.0
 
         r_i = ci + s
-        rhs_x = -(e.grad_objective + je.T @ y) - ji.T @ (mu / s + sigma * r_i)
+        rhs_x = -(e.grad_objective + je.tdot(y)) - ji.tdot(mu / s + sigma * r_i)
         rhs = np.concatenate([rhs_x, -ce])
         try:
             sol = kkt.solve(rhs)
@@ -409,7 +518,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             break
         dx = sol[:n]
         dy = sol[n:]
-        ds = -r_i - ji @ dx
+        ds = -r_i - ji.dot(dx)
         dz = (mu - s * z) / s - sigma * ds
 
         # fraction-to-boundary step limits

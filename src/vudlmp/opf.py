@@ -167,6 +167,7 @@ class EvalResult:
     jac_eq: sp.csr_matrix
     c_ineq: np.ndarray
     jac_ineq: sp.csr_matrix
+    vuf_hess: np.ndarray    # (k, 6, 6) blocks: the penalty's (soft), f's (hard)
 
 
 class OpfProblem:
@@ -528,6 +529,10 @@ class OpfProblem:
         return c, flows + self._bal_A
 
     def eval_ineq(self, x, want_jac=True):
+        return self._eval_ineq(x, want_jac)[:2]
+
+    def _eval_ineq(self, x, want_jac):
+        """c_ineq, its Jacobian and, in hard mode, f's (k, 6, 6) Hessian blocks."""
         c = np.empty(self.n_ineq)
         e = x[self._ve]
         f = x[self._vf]
@@ -542,14 +547,14 @@ class OpfProblem:
         p = x[self._tp]
         q = x[self._tq]
         c[self._thermal_row0:self._vuf_row0] = p * p + q * q - self._rating_sq
-        vuf_grad = np.zeros(0)
+        vuf_grad = vuf_hess = np.zeros((0, 6, 6))
         if self.cfg.mode == "hard":
             xv = x[self._vuf_vars]
-            fv, vuf_grad, _ = vuf_metric_grad_hess(xv) if want_jac else (
+            fv, vuf_grad, vuf_hess = vuf_metric_grad_hess(xv) if want_jac else (
                 vuf_metric_local(xv), None, None)
             c[self._vuf_row0:] = fv - self.cfg.vuf_limit_pct**2
         if not want_jac:
-            return c, None
+            return c, None, None
         stream = np.concatenate((
             np.stack((-2 * e, -2 * f, 2 * e, 2 * f), axis=1).ravel(),
             self._box_values,
@@ -558,20 +563,23 @@ class OpfProblem:
         jac = sp.csr_matrix(
             (stream[self._jin_take], self._jin_indices.copy(), self._jin_indptr.copy()),
             shape=(self.n_ineq, self.nvar))
-        return c, jac
+        return c, jac, vuf_hess
 
-    def hess_lagrangian(self, x, y_eq, z_ineq):
+    def hess_lagrangian(self, x, y_eq, z_ineq, vuf_hess=None):
         """Sparse Hessian of obj + y'c_eq + z'c_ineq at x.
 
         Entries are streamed family by family (objective, flow, voltage
         bounds, thermal, VUF) and ``csr_matrix`` sums the duplicates; a
-        multiplier that is exactly zero contributes no entry.
+        multiplier that is exactly zero contributes no entry.  ``vuf_hess``
+        is :attr:`EvalResult.vuf_hess` at the same x, computed here if not
+        given.
         """
         rows, cols, vals = [], [], []
         if self._penalised:
+            h = self.eval_objective(x)[2] if vuf_hess is None else vuf_hess
             rows.append(self._hobj_rows)
             cols.append(self._hobj_cols)
-            vals.append(self.eval_objective(x)[2].ravel()[self._hobj_order])
+            vals.append(h.ravel()[self._hobj_order])
         # flow definitions: constant bilinear blocks, weight w = -(y_p - 1j y_q)
         # spelled out as the real operations the scalar expression performs
         yp = y_eq[0:self._balance_row0:2]
@@ -603,25 +611,41 @@ class OpfProblem:
         if self.cfg.mode == "hard":
             w = z_ineq[self._vuf_row0:]
             keep = w != 0
+            h = vuf_metric_grad_hess(x[self._vuf_vars[keep]])[2] if vuf_hess is None \
+                else vuf_hess[keep]
             rows.append(self._vuf_hrows[keep].ravel())
             cols.append(self._vuf_hcols[keep].ravel())
-            vals.append((w[keep, None, None] * vuf_metric_grad_hess(
-                x[self._vuf_vars[keep]])[2]).ravel())
+            vals.append((w[keep, None, None] * h).ravel())
         return sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.nvar, self.nvar))
 
     def evaluate(self, x) -> EvalResult:
-        """Objective, constraints and their first derivatives at x."""
+        """Objective, constraints and their first derivatives at x, and the
+        VUF Hessian blocks the one kernel pass gave."""
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite variable vector")
-        obj, gobj, _ = self.eval_objective(x)
+        obj, gobj, h_obj = self.eval_objective(x)
         c_eq, j_eq = self.eval_eq(x)
-        c_ineq, j_ineq = self.eval_ineq(x)
+        c_ineq, j_ineq, h_vuf = self._eval_ineq(x, True)
         return EvalResult(
             objective=obj, grad_objective=gobj,
             c_eq=c_eq, jac_eq=j_eq, c_ineq=c_ineq, jac_ineq=j_ineq,
+            vuf_hess=h_vuf if self.cfg.mode == "hard" else h_obj,
         )
+
+    def derivative_patterns(self):
+        """(rows, cols) of every entry ``hess_lagrangian`` and ``eval_eq``'s
+        Jacobian can hold; the matrices drop the entries that are exactly 0."""
+        h = [(self._hflow_rows, self._hflow_cols), (self._hv_vars,) * 2, (self._hth_vars,) * 2]
+        if self._penalised:
+            h.append((self._hobj_rows, self._hobj_cols))
+        if self.cfg.mode == "hard":
+            h.append((self._vuf_hrows.ravel(), self._vuf_hcols.ravel()))
+        bal = self._bal_A.tocoo()
+        j = [(np.repeat(np.arange(self.n_eq), np.diff(self._jeq_indptr)), self._jeq_indices),
+             (bal.row, bal.col)]
+        return tuple(tuple(np.concatenate(p).astype(np.int64) for p in zip(*b)) for b in (h, j))
 
 
 def build_problem(net: NetworkSpec, cfg: UnbalanceConfig | None = None,

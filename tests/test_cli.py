@@ -222,6 +222,23 @@ class TestSweep:
             mask_wall_ms(tmp_path / "b" / "out" / "sweep.csv")
 
 
+    def test_exception_in_one_case_is_an_error_row(self, two_bus_file, tmp_path,
+                                                   capsys, monkeypatch):
+        real = cli.build_problem
+
+        def breaks_at_one(net, cfg, **kwargs):
+            if cfg.penalty_weight == 1.0:
+                raise TypeError("unexpected argument")
+            return real(net, cfg, **kwargs)
+        monkeypatch.setattr(cli, "build_problem", breaks_at_one)
+        cfg = self.sweep_config(tmp_path, two_bus_file, sweep_weights=[0.0, 1.0])
+        results = cli.run_sweep(ScenarioConfig.from_file(cfg))
+        assert [r.message for r in results] == ["", "TypeError: unexpected argument"]
+        assert main(["sweep", cfg]) == EXIT_SOLVER
+        _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        assert [r["status"] for r in rows] == ["success", "error"]
+
+
 class TestSens:
     def test_sens_writes_report(self, two_bus_file, tmp_path, capsys):
         out = tmp_path / "out"

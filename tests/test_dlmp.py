@@ -136,6 +136,16 @@ class TestDecomposition:
                 key = (d.bus, d.phase, d.power_kind)
                 assert abs(d.energy + d.loss - fd[key]) < 1e-7, key
 
+    def test_multipliers_are_read_by_row(self, simple5_solve):
+        sol = simple5_solve("hard", limit=1.0)
+        fresh = replace(sol)
+        rows = decompose(fresh)
+        # the tag indexes are built only for named lookups
+        assert "_eq_index" not in vars(fresh) and "_ineq_index" not in vars(fresh)
+        assert rows == decompose(sol)
+        for d in rows:
+            assert d.total == sol.dlmp(d.bus, d.phase, d.power_kind)
+
     def test_every_bus_phase_kind_present(self, simple5, simple5_solve):
         rows = decompose(simple5_solve("none"))
         keys = {(d.bus, d.phase, d.power_kind) for d in rows}

@@ -14,7 +14,8 @@ from vudlmp.ipsolver import (
     _DenseLagrangian,
     _inertia,
     _row_scales,
-    _scale_rows,
+    _ScaledRows,
+    _SparseKktLayout,
     solve,
 )
 from vudlmp.netmodel import BusSpec, GenSpec, LoadSpec, NetworkSpec, UnbalanceConfig
@@ -332,7 +333,7 @@ class TestDenseAssembly:
             e = prob.evaluate(x)
             for jac in (e.jac_eq, e.jac_ineq):
                 d = _row_scales(jac)
-                ours, ref = _scale_rows(d, jac), sp.diags(d) @ jac
+                ours, ref = _ScaledRows(d, jac), sp.diags(d) @ jac
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(ours, part), getattr(ref, part)
                     assert a.dtype == b.dtype and np.array_equal(a, b), part
@@ -362,6 +363,97 @@ class TestDenseAssembly:
         prob = build_problem(simple5, UnbalanceConfig("soft", 0.0, 1.5))
         sol = solve(prob, warm=simple5_pf)
         assert sol.success, sol.message
+
+
+def scipy_kkt(hess, ji, sigma, je, delta):
+    """The KKT matrix and its dual-regularized copy from scipy.sparse
+    products: the reference, bit for bit."""
+    w = (hess + (ji.T @ sp.diags(sigma) @ ji)).tocsr()
+    w = (w + w.T) * 0.5
+    n, m = w.shape[0], je.shape[0]
+    target = sp.bmat([[w + delta * sp.eye(n), je.T], [je, sp.csr_matrix((m, m))]],
+                     format="csc")
+    return target, target + sp.diags(np.concatenate([np.zeros(n), -1e-8 * np.ones(m)])).tocsc()
+
+
+def assert_same_arrays(ours, ref):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(ours, part), getattr(ref, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+class TestSparseAssembly:
+    """The sparse path's laid-out KKT matrices and matvecs, bit for bit
+    against the scipy.sparse expressions, on eulv117."""
+
+    @pytest.fixture(scope="class", params=[
+        UnbalanceConfig("none"),
+        UnbalanceConfig("soft", 0.0, 3.0),
+        UnbalanceConfig("hard", 0.5),
+    ], ids=["none", "soft-3.0", "hard-0.5"])
+    def points(self, request, eulv117):
+        prob = build_problem(eulv117, request.param)
+        warm = prob.x0(solve_pf(eulv117))
+        rng = np.random.default_rng(7)
+        # a bus outside the VUF subset at zero voltage: the equality Jacobian
+        # loses the entries of its lines
+        dead = warm.copy()
+        b = next(i for i, bus in enumerate(eulv117.buses)
+                 if bus.id not in eulv117.unbalance.buses and i != prob.slack)
+        dead[prob.idx_e[b]] = dead[prob.idx_f[b]] = 0.0
+        return prob, {"flat": prob.x0(), "warm": warm,
+                      "perturbed": warm + 0.02 * rng.standard_normal(prob.nvar), "dead": dead}
+
+    def iterate(self, prob, x, rng):
+        e = prob.evaluate(x)
+        d_eq, d_in = _row_scales(e.jac_eq), _row_scales(e.jac_ineq)
+        y = rng.standard_normal(prob.n_eq)
+        z = np.abs(rng.standard_normal(prob.n_ineq))
+        y[rng.random(prob.n_eq) < 0.3] = 0.0
+        z[rng.random(prob.n_ineq) < 0.3] = 0.0
+        sigma = np.exp(rng.uniform(-20.0, 20.0, prob.n_ineq))
+        hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess)
+        return e, d_eq, d_in, y, z, sigma, hess
+
+    def test_kkt_matrices_match_scipy(self, points):
+        prob, xs = points
+        # laid out once from the flat start, used at every point
+        layout = _SparseKktLayout(prob, prob.evaluate(xs["flat"]).jac_ineq)
+        rng = np.random.default_rng(8)
+        full = prob.evaluate(xs["warm"]).jac_eq.nnz
+        for where, x in xs.items():
+            e, d_eq, d_in, y, z, sigma, hess = self.iterate(prob, x, rng)
+            assert (e.jac_eq.nnz < full) == (where == "dead")
+            layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
+            for delta in (0.0, 1e-4):   # the plain system and a regularized retry
+                ref = scipy_kkt(hess, sp.diags(d_in) @ e.jac_ineq, sigma,
+                                sp.diags(d_eq) @ e.jac_eq, delta)
+                for ours, theirs in zip(layout.matrices(delta), ref):
+                    assert_same_arrays(ours, theirs)
+
+    def test_matvecs_match_scipy(self, points):
+        prob, xs = points
+        rng = np.random.default_rng(9)
+        for x in xs.values():
+            e, d_eq, d_in, y, z, _, _ = self.iterate(prob, x, rng)
+            je, ji = _ScaledRows(d_eq, e.jac_eq), _ScaledRows(d_in, e.jac_ineq)
+            ref_je, ref_ji = sp.diags(d_eq) @ e.jac_eq, sp.diags(d_in) @ e.jac_ineq
+            dx = rng.standard_normal(prob.nvar)
+            assert je.tdot(y).tobytes() == (ref_je.T @ y).tobytes()
+            assert ji.tdot(z).tobytes() == (ref_ji.T @ z).tobytes()
+            assert ji.dot(dx).tobytes() == (ref_ji @ dx).tobytes()
+            assert je.dot(dx).tobytes() == (ref_je @ dx).tobytes()
+
+    def test_sparse_path_forms_no_block_matrix(self, eulv117, eulv117_solve, monkeypatch):
+        def no_bmat(*args, **kwargs):
+            raise AssertionError("sp.bmat called on the sparse path")
+        ref = eulv117_solve("hard", limit=0.5)
+        monkeypatch.setattr(ipsolver.sp, "bmat", no_bmat)
+        cfg = UnbalanceConfig("hard", 0.5, buses=eulv117.unbalance.buses)
+        sol = solve(build_problem(eulv117, cfg), warm=solve_pf(eulv117))
+        assert sol.success, sol.message
+        assert sol.iterations == ref.iterations
+        assert sol.x.tobytes() == ref.x.tobytes()
 
 
 class TestKktSolveFailure:

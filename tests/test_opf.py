@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vudlmp import opf
 from vudlmp.netmodel import UnbalanceConfig, ValidationError
 from vudlmp.opf import (
     _VUF_A,
@@ -182,6 +183,32 @@ class TestDerivatives:
             dn = x.copy(); dn[k] -= h
             fd = (prob.objective_value(up) - prob.objective_value(dn)) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-5)
+
+
+class TestKernelReuse:
+    @pytest.mark.parametrize("mode_cfg,penalty_on", [
+        (UnbalanceConfig("soft", 0.0, 2.5), "f"),
+        (UnbalanceConfig("soft", 0.0, 2.5), "vuf"),
+        (UnbalanceConfig("hard", 1.0), "f"),
+    ], ids=["soft-f", "soft-vuf", "hard"])
+    def test_hessian_takes_the_evaluation_blocks(self, simple5, monkeypatch,
+                                                 mode_cfg, penalty_on):
+        prob = build_problem(simple5, mode_cfg, penalty_on=penalty_on)
+        rng = np.random.default_rng(11)
+        x = random_x(prob, rng)
+        y = rng.standard_normal(prob.n_eq)
+        z = np.abs(rng.standard_normal(prob.n_ineq))
+        z[rng.random(prob.n_ineq) < 0.3] = 0.0
+        z[prob._vuf_row0:prob._vuf_row0 + 1] = 0.0    # a hard VUF row drops out
+        ref = prob.hess_lagrangian(x, y, z)
+        calls = []
+        kernel = opf.vuf_metric_grad_hess
+        monkeypatch.setattr(opf, "vuf_metric_grad_hess",
+                            lambda xv: calls.append(1) or kernel(xv))
+        ours = prob.hess_lagrangian(x, y, z, prob.evaluate(x).vuf_hess)
+        assert len(calls) == 1      # in the evaluation only
+        for part in ("data", "indices", "indptr"):
+            assert getattr(ours, part).tobytes() == getattr(ref, part).tobytes(), part
 
 
 class TestFeederDerivatives:
