@@ -16,7 +16,8 @@ each one's status, iteration count, message, the ``repr`` of its objective
 and residuals, and digests of its primal and dual iterates and of its
 ``decompose`` rows.  Last, one ``kkt`` line digests every matrix handed to
 SuperLU in the eulv117 hard 0.5 % solve and to LAPACK ``dsytrf`` in the
-simple5 soft-f solve.  Each digest is a prefix of the SHA-256 of the raw
+simple5 soft-f and hard 1 % solves (the latter with the three-term
+``J' diag(sigma) J`` entries and the VUF Hessian blocks).  Each digest is a prefix of the SHA-256 of the raw
 bytes (values, ``indices``, ``indptr`` and their dtypes) of one vector or
 matrix.  Run it on two checkouts with the same BLAS thread count (the
 eulv117 power flow's dense LU rounds by thread count) and diff the outputs
@@ -207,17 +208,20 @@ def recording(module, name, digest_of, log):
 
 def print_kkt_digest():
     """Digests of every KKT matrix the solver factors, in call order."""
-    splu, dsytrf = [], []
+    splu, soft, hard = [], [], []
     with recording(scipy.sparse.linalg, "splu", sparse_digest, splu):
         net = load_network(bundled_network("eulv117"))
         solve(build_problem(net, UnbalanceConfig("hard", 0.5)), warm=solve_pf(net))
-    with recording(scipy.linalg.lapack, "dsytrf", digest, dsytrf):
-        net = load_network(bundled_network("simple5"))
-        solve(build_problem(net, UnbalanceConfig("soft", 0.0, 2.5)), warm=solve_pf(net))
+    net = load_network(bundled_network("simple5"))
+    for cfg, log in ((UnbalanceConfig("soft", 0.0, 2.5), soft),
+                     (UnbalanceConfig("hard", 1.0), hard)):
+        with recording(scipy.linalg.lapack, "dsytrf", digest, log):
+            solve(build_problem(net, cfg), warm=solve_pf(net))
 
     def joined(log):
         return f"{len(log)}:{digest(np.frombuffer(''.join(log).encode(), np.uint8))}"
-    print(f"kkt eulv117 hard-0.5 splu={joined(splu)} simple5 soft-f dsytrf={joined(dsytrf)}")
+    print(f"kkt eulv117 hard-0.5 splu={joined(splu)} simple5 soft-f dsytrf={joined(soft)}"
+          f" simple5 hard-1.0 dsytrf={joined(hard)}")
 
 
 def main():

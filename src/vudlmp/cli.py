@@ -10,7 +10,7 @@ Commands::
 Networks are JSON files (see netmodel) or the bundled names ``simple5`` and
 ``eulv117``.  All CSV output is UTF-8 with LF line endings and ``.`` decimal
 separators, and is byte-identical across repeated runs with the same config
-except for the wall-clock timing column.  Exit codes: 0 success, 1 config or
+and BLAS thread count except for the wall-clock timing column.  Exit codes: 0 success, 1 config or
 parse error, 2 solver failure (or, in a sweep, a case that raised; its
 status is ``error``).
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import numbers
 import os
 import sys
 import time
@@ -87,8 +88,16 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.penalty_on not in ("f", "vuf"):
             raise ConfigError(f"penalty_on must be 'f' or 'vuf', got {self.penalty_on!r}")
-        object.__setattr__(self, "sweep_weights", tuple(self.sweep_weights))
-        object.__setattr__(self, "sweep_limits", tuple(self.sweep_limits))
+        # values from a JSON sweep config arrive untyped: "2" or "ab"
+        if self.jobs is not None and not (isinstance(self.jobs, numbers.Integral)
+                                          and self.jobs >= 1):
+            raise ConfigError(f"jobs must be an integer of at least 1, got {self.jobs!r}")
+        for name in ("sweep_weights", "sweep_limits"):
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple))
+                    and all(isinstance(v, numbers.Real) for v in values)):
+                raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
 
     @classmethod
     def from_file(cls, path):
@@ -96,6 +105,8 @@ class ScenarioConfig:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -240,13 +251,13 @@ def run_sweep(cfg: ScenarioConfig) -> list:
 # -- report emission --------------------------------------------------------
 
 
+def _summary_row(r):
+    return (r.case_id, r.total_gen_cost_eur, r.total_losses_kw,
+            r.highest_vuf_pct, r.vuf_bus, r.status, round(r.wall_ms, 3))
+
+
 def write_summary(results, path):
-    rows = [
-        (r.case_id, r.total_gen_cost_eur, r.total_losses_kw,
-         r.highest_vuf_pct, r.vuf_bus, r.status, round(r.wall_ms, 3))
-        for r in results
-    ]
-    _write_csv(path, SUMMARY_COLUMNS, rows)
+    _write_csv(path, SUMMARY_COLUMNS, [_summary_row(r) for r in results])
 
 
 def write_dlmp(results, outdir):
@@ -316,13 +327,8 @@ def _emit_scenario_outputs(results, outdir):
         if r.ok:
             emit_plot_data(r, out)
     if any(r.weight is not None for r in results):     # a sweep
-        header = ("weight",) + SUMMARY_COLUMNS
-        rows = [
-            (r.weight, r.case_id, r.total_gen_cost_eur, r.total_losses_kw,
-             r.highest_vuf_pct, r.vuf_bus, r.status, round(r.wall_ms, 3))
-            for r in results
-        ]
-        _write_csv(out / "sweep.csv", header, rows)
+        _write_csv(out / "sweep.csv", ("weight",) + SUMMARY_COLUMNS,
+                   [(r.weight,) + _summary_row(r) for r in results])
     _print_footer(out)
 
 

@@ -29,12 +29,15 @@ replace, which the seed-0 benchmark outputs are pinned to:
   sums it; entries with three terms (lower bound, upper bound, VUF) round
   by that order.  It is added to the Lagrangian Hessian and symmetrized as
   ``(w + w') * 0.5``.
-- Sparse path: the KKT matrix ``[[W + delta I, Je'], [Je, 0]]`` and its
-  factored copy with ``-DELTA_C`` on the lower diagonal are canonical CSC.
-  scipy's sparse sums and products drop results that are exactly zero, so
-  an entry of ``W + delta I`` is kept only if it is nonzero once ``delta``
-  is added.  The Hessian and equality Jacobian lose their exact zeros too,
-  so their entries are mapped to slots again whenever their patterns change.
+- Both factorizations read the KKT matrix ``[[W + delta I, Je'], [Je, 0]]``
+  off one CSC superset pattern whose values each iterate refills.  scipy's
+  sparse sums and products drop exact-zero results, so SuperLU's canonical
+  CSC copies (one with ``-DELTA_C`` on the lower diagonal) keep an entry of
+  ``W + delta I`` only if it is nonzero once ``delta`` is added; LAPACK's
+  dense copy takes every entry and ``-delta_c I`` as its lower-right block,
+  signed zeros included.  The Hessian and equality Jacobian lose their exact
+  zeros too, so their entries are mapped to slots again when their patterns
+  change.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ TAU = 0.995             # fraction-to-boundary
 REG_INIT = 1e-8         # initial inertia regularization
 REG_CAP = 1e12          # regularization past which a KKT matrix is given up on
 BOUND_RELAX = 1e-8      # tiny inequality relaxation (handles pinned boxes)
-DELTA_C = 1e-8          # dual regularization of the sparse KKT matrix
+DELTA_C = 1e-8          # dual regularization of the KKT matrix
 
 
 @dataclass(frozen=True)
@@ -189,27 +192,20 @@ def _inertia(ldu, ipiv):
 
 
 class _KktSystem:
-    """One factorization of the regularized primal-dual KKT matrix (dense)."""
+    """Bunch-Kaufman factorization of the dense KKT matrix ``k`` with ``n``
+    primal rows, and its inertia."""
 
-    def __init__(self, w_dense, j_eq_dense, delta_c):
-        n = w_dense.shape[0]
-        m = j_eq_dense.shape[0]
-        k = np.zeros((n + m, n + m))
-        k[:n, :n] = w_dense
-        k[:n, n:] = j_eq_dense.T
-        k[n:, :n] = j_eq_dense
-        k[n:, n:] = -delta_c * np.eye(m)
-        self.n, self.m = n, m
+    def __init__(self, k, n):
+        self.want = (n, k.shape[0] - n, 0)
         self.ldu, self.ipiv, info = lapack.dsytrf(k, lower=1)
         self.ok = info == 0
-        if self.ok:
-            self.inertia = _inertia(self.ldu, self.ipiv)
-        else:
-            self.inertia = (0, 0, self.n + self.m)
+        self.inertia = _inertia(self.ldu, self.ipiv) if self.ok else (0, 0, k.shape[0])
 
     def correct(self):
-        want = (self.n, self.m, 0)
-        return self.ok and self.inertia == want
+        return self.ok and self.inertia == self.want
+
+    def singular(self):
+        return not self.ok or self.inertia[2] > 0
 
     def solve(self, rhs):
         sol, info = lapack.dsytrs(self.ldu, self.ipiv, rhs, lower=1)
@@ -239,6 +235,9 @@ class _SparseKktSystem:
 
     def correct(self):
         return self.ok
+
+    def singular(self):
+        return not self.ok
 
     def solve(self, rhs):
         x = self.lu.solve(rhs)
@@ -284,71 +283,42 @@ class _ScaledRows:
         return np.bincount(self.indices, self.data * y[self.rows], self.shape[1])
 
 
-class _JtSigmaJ:
-    """The products of ``J' diag(sigma) J`` for one problem's ``J``.
-
-    ``eval_ineq`` keeps explicit zeros, so its Jacobian has the same layout
-    at every point of one problem and the products are laid out once, from
-    the first one.  Each product pairs the entries ``a`` = J[k, r] and ``b``
-    = J[k, c] of one row k; the pairs run ascending in k and ``bincount``
-    adds them in that order into the slot of ``(r, c)`` (see the module
-    docstring).
-    """
-
-    def __init__(self, jac):
-        count = np.diff(jac.indptr)
-        self.rows = np.repeat(np.arange(jac.shape[0]), count)
-        per = count[self.rows]
-        self.a = np.repeat(np.arange(jac.nnz), per)
-        self.k = self.rows[self.a]
-        self.b = jac.indptr[self.k] + np.arange(self.a.size) - np.repeat(np.cumsum(per) - per, per)
-        self.r = jac.indices[self.a].astype(np.int64)
-        self.c = jac.indices[self.b].astype(np.int64)
-
-    def __call__(self, slots, size, jac, d, sigma):
-        """The sums at this point; ``d`` are the row scales, applied as in ``_ScaledRows``."""
-        j = d[self.rows] * jac.data
-        return np.bincount(slots, j[self.b] * (sigma[self.k] * j[self.a]), size)
-
-
-class _DenseLagrangian:
-    """Dense ``W = sym(H + J' diag(sigma) J)`` for one problem's ``J``."""
-
-    def __init__(self, jac):
-        self.n = jac.shape[1]
-        self.jsj = _JtSigmaJ(jac)
-        self.slots = self.jsj.r * self.n + self.jsj.c
-
-    def __call__(self, hess, jac, d, sigma):
-        n = self.n
-        w = hess.toarray() + self.jsj(self.slots, n * n, jac, d, sigma).reshape(n, n)
-        return (w + w.T) * 0.5
-
-
-class _SparseKktLayout:
-    """The sparse path's KKT matrices on one CSC pattern laid out per solve.
+class _KktLayout:
+    """The KKT matrices of one solve on one CSC pattern laid out per solve.
 
     The pattern is a superset of every pattern the scipy.sparse construction
     can give: the problem's Hessian and equality-Jacobian layouts, their
     transposes, the ``J' diag(sigma) J`` products, the diagonal and the dual
     regularization.  Each iterate refills the values; each factorization
-    keeps the entries scipy's arithmetic keeps (see the module docstring).
+    reads them out, sparse or dense (see the module docstring).
+
+    ``jac`` is the inequality Jacobian.  ``eval_ineq`` keeps explicit zeros,
+    so its layout is the same at every point of one problem.  Each product
+    of ``J' diag(sigma) J`` pairs the entries ``a`` = J[k, r] and ``b`` =
+    J[k, c] of one row k; the pairs run ascending in k and ``bincount`` adds
+    them in that order into the slot of ``(r, c)``.
     """
 
-    def __init__(self, prob, jac_ineq):
+    def __init__(self, prob, jac):
         n = self.n = prob.nvar
         size = self.size = n + prob.n_eq
         (hr, hc), (er, ec) = prob.derivative_patterns()
         diag, eq = np.arange(n), n + np.arange(prob.n_eq)
-        self.jsj = _JtSigmaJ(jac_ineq)
-        r = np.concatenate((hr, hc, self.jsj.r, diag))
-        c = np.concatenate((hc, hr, self.jsj.c, diag))
+        count = np.diff(jac.indptr)
+        self.j_rows = np.repeat(np.arange(jac.shape[0]), count)
+        per = count[self.j_rows]
+        self.a = np.repeat(np.arange(jac.nnz), per)
+        self.k = self.j_rows[self.a]
+        self.b = jac.indptr[self.k] + np.arange(self.a.size) - np.repeat(np.cumsum(per) - per, per)
+        pr, pc = jac.indices[self.a].astype(np.int64), jac.indices[self.b].astype(np.int64)
+        r = np.concatenate((hr, hc, pr, diag))
+        c = np.concatenate((hc, hr, pc, diag))
         # the W block in column-major order, its transpose and its diagonal
         self.w_key = _unique(c * n + r)
         wr, wc = self.w_key % n, self.w_key // n
         self.w_t = np.searchsorted(self.w_key, wr * n + wc)
         self.on_diag = (wr == wc).astype(float)
-        self.jsj_slots = np.searchsorted(self.w_key, self.jsj.c * n + self.jsj.r)
+        self.jsj_slots = np.searchsorted(self.w_key, pc * n + pr)
         self.key = _unique(np.concatenate((wc * size + wr, ec * size + n + er,
                                            (n + er) * size + ec, eq * size + eq)))
         self.rows = (self.key % size).astype(np.int32)
@@ -373,7 +343,9 @@ class _SparseKktLayout:
         n, size, nw = self.n, self.size, len(self.w_key)
         h = np.zeros(nw)
         h[self._slots("hess", hess, lambda r, c: np.searchsorted(self.w_key, c * n + r))] = hess.data
-        v = h + self.jsj(self.jsj_slots, nw, jac_ineq, d_in, sigma)
+        # ``d_in`` are the row scales, applied as in ``_ScaledRows``
+        j = d_in[self.j_rows] * jac_ineq.data
+        v = h + np.bincount(self.jsj_slots, j[self.b] * (sigma[self.k] * j[self.a]), nw)
         self.w = (v + v[self.w_t]) * 0.5
         eq = self._slots("je", je, lambda r, c: np.searchsorted(
             self.key, np.stack((c * size + n + r, (n + r) * size + c))))
@@ -396,6 +368,16 @@ class _SparseKktLayout:
         np.cumsum(keep, out=count[1:])
         return sp.csc_matrix((self.vals[keep], self.rows[keep], count[self.indptr]),
                              shape=(self.size, self.size))
+
+    def dense(self, delta, delta_c):
+        """The KKT matrix at primal regularization ``delta`` as a dense array
+        with ``-delta_c I`` as its lower-right block."""
+        self.vals[self.w_slot] = self.w + delta * self.on_diag
+        k = np.zeros(self.size * self.size)
+        k[self.key] = self.vals
+        k = k.reshape(self.size, self.size).T      # the keys are column-major
+        k[self.n:, self.n:] = -delta_c * np.eye(self.size - self.n)
+        return k
 
 
 def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -> OpfSolution:
@@ -427,10 +409,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     ce, ci, je, ji = scale(e)
     m_eq = len(ce)
     dense = n + m_eq <= 1200
-    if dense:
-        dense_w = _DenseLagrangian(e.jac_ineq)
-    else:
-        layout = _SparseKktLayout(prob, e.jac_ineq)
+    layout = _KktLayout(prob, e.jac_ineq)
     s = np.maximum(1e-2, -ci)
     mu = MU0
     z = mu / s
@@ -476,12 +455,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
 
         hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess)
         sigma = z / s
-        if dense:
-            w = dense_w(hess, e.jac_ineq, d_in, sigma)
-            j_eq_d = np.zeros((m_eq, n))
-            j_eq_d[je.rows, je.indices] = je.data
-        else:
-            layout.refill(hess, e.jac_ineq, d_in, sigma, je)
+        layout.refill(hess, e.jac_ineq, d_in, sigma, je)
 
         # inertia-corrected factorization; the dual regularization stays off
         # unless the plain system is singular, because it perturbs the
@@ -491,13 +465,13 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         trial = max(REG_INIT, delta_last / 3.0, forced_delta)
         while True:
             if dense:
-                kkt = _KktSystem(w + delta * np.eye(n), j_eq_d, delta_c)
+                kkt = _KktSystem(layout.dense(delta, delta_c), n)
             else:
                 kkt = _SparseKktSystem(*layout.matrices(delta))
             if kkt.correct():
                 break
-            if dense and (not kkt.ok or kkt.inertia[2] > 0):
-                delta_c = 1e-8
+            if kkt.singular():
+                delta_c = DELTA_C
             delta = trial if delta == 0.0 else delta * 10.0
             trial = delta
             if delta > REG_CAP:

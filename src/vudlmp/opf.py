@@ -574,12 +574,14 @@ class OpfProblem:
         is :attr:`EvalResult.vuf_hess` at the same x, computed here if not
         given.
         """
+        if vuf_hess is None:
+            vuf_hess = vuf_metric_grad_hess(x[self._vuf_vars])[2] if self.cfg.mode == "hard" \
+                else self.eval_objective(x)[2]
         rows, cols, vals = [], [], []
         if self._penalised:
-            h = self.eval_objective(x)[2] if vuf_hess is None else vuf_hess
             rows.append(self._hobj_rows)
             cols.append(self._hobj_cols)
-            vals.append(h.ravel()[self._hobj_order])
+            vals.append(vuf_hess.ravel()[self._hobj_order])
         # flow definitions: constant bilinear blocks, weight w = -(y_p - 1j y_q)
         # spelled out as the real operations the scalar expression performs
         yp = y_eq[0:self._balance_row0:2]
@@ -611,11 +613,9 @@ class OpfProblem:
         if self.cfg.mode == "hard":
             w = z_ineq[self._vuf_row0:]
             keep = w != 0
-            h = vuf_metric_grad_hess(x[self._vuf_vars[keep]])[2] if vuf_hess is None \
-                else vuf_hess[keep]
             rows.append(self._vuf_hrows[keep].ravel())
             cols.append(self._vuf_hcols[keep].ravel())
-            vals.append((w[keep, None, None] * h).ravel())
+            vals.append((w[keep, None, None] * vuf_hess[keep]).ravel())
         return sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.nvar, self.nvar))

@@ -200,6 +200,25 @@ class TestSweep:
         _, rows = read_csv(tmp_path / "out" / "sweep.csv")
         assert [r["status"] for r in rows] == statuses
 
+    @pytest.mark.parametrize("doc", [
+        {"jobs": "2"},
+        {"jobs": 0},
+        {"sweep_weights": "ab"},
+        {"sweep_weights": 5},
+        [1, 2],
+    ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document"])
+    def test_sweep_malformed_config_is_config_error(self, two_bus_file, tmp_path, capsys,
+                                                    doc):
+        if isinstance(doc, dict):
+            cfg = self.sweep_config(tmp_path, two_bus_file, **doc)
+        else:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps(doc))
+        assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flags, named", [
         (["--mode", "hard", "--limit", "0"], "vuf_limit_pct"),
         (["--kkt-tol", "2"], "kkt_tol"),

@@ -10,12 +10,12 @@ from scipy.linalg import lapack
 from vudlmp import ipsolver
 from vudlmp.dlmp import decompose
 from vudlmp.ipsolver import (
+    DELTA_C,
     SolverSettings,
-    _DenseLagrangian,
     _inertia,
+    _KktLayout,
     _row_scales,
     _ScaledRows,
-    _SparseKktLayout,
     solve,
 )
 from vudlmp.netmodel import BusSpec, GenSpec, LoadSpec, NetworkSpec, UnbalanceConfig
@@ -312,7 +312,7 @@ def scipy_dense_w(hess, ji, sigma):
 
 
 class TestDenseAssembly:
-    """Row scaling and the dense W, bit for bit against scipy.sparse."""
+    """Row scaling and the dense KKT matrix, bit for bit against scipy.sparse."""
 
     @pytest.fixture(scope="class", params=[
         (UnbalanceConfig("soft", 0.0, 2.5), "f"),
@@ -340,8 +340,9 @@ class TestDenseAssembly:
 
     def test_dense_w_matches_scipy(self, points):
         prob, xs = points
+        n, m = prob.nvar, prob.n_eq
         # laid out once from the flat start, used at every point
-        dense_w = _DenseLagrangian(prob.evaluate(xs[0]).jac_ineq)
+        layout = _KktLayout(prob, prob.evaluate(xs[0]).jac_ineq)
         rng = np.random.default_rng(6)
         for x in xs:
             e = prob.evaluate(x)
@@ -351,10 +352,32 @@ class TestDenseAssembly:
             z[rng.random(prob.n_ineq) < 0.3] = 0.0
             sigma = np.exp(rng.uniform(-20.0, 20.0, prob.n_ineq))
             hess = prob.hess_lagrangian(x, d_eq * y, d_in * z)
-            ours = dense_w(hess, e.jac_ineq, d_in, sigma)
-            ref = scipy_dense_w(hess, sp.diags(d_in) @ e.jac_ineq, sigma)
-            assert np.array_equal(ours, ref)
-            assert ours.tobytes() == ref.tobytes()
+            layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
+            w = scipy_dense_w(hess, sp.diags(d_in) @ e.jac_ineq, sigma)
+            je = (sp.diags(d_eq) @ e.jac_eq).toarray()
+            for delta in (0.0, 1e-4):
+                ref_w = w if delta == 0.0 else w + delta * np.eye(n)
+                for delta_c in (0.0, DELTA_C):
+                    k = layout.dense(delta, delta_c)
+                    for ours, ref in ((k[:n, :n], ref_w), (k[n:, :n], je), (k[:n, n:], je.T),
+                                      (k[n:, n:], -delta_c * np.eye(m))):
+                        assert np.ascontiguousarray(ours).tobytes() == \
+                            np.ascontiguousarray(ref).tobytes()
+
+    def test_dense_matches_sparse_read_out(self, simple5, simple5_pf):
+        prob = build_problem(simple5, UnbalanceConfig("hard", 1.0))
+        x = prob.x0(simple5_pf)
+        e = prob.evaluate(x)
+        d_eq, d_in = _row_scales(e.jac_eq), _row_scales(e.jac_ineq)
+        rng = np.random.default_rng(10)
+        y = rng.standard_normal(prob.n_eq)
+        z = np.abs(rng.standard_normal(prob.n_ineq))
+        sigma = np.exp(rng.uniform(-20.0, 20.0, prob.n_ineq))
+        hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess)
+        layout = _KktLayout(prob, e.jac_ineq)
+        layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
+        for delta in (0.0, 1e-4):
+            assert np.array_equal(layout.dense(delta, 0.0), layout.matrices(delta)[0].toarray())
 
     def test_dense_path_forms_no_diagonal_matrix(self, simple5, simple5_pf, monkeypatch):
         def no_diags(*args, **kwargs):
@@ -418,7 +441,7 @@ class TestSparseAssembly:
     def test_kkt_matrices_match_scipy(self, points):
         prob, xs = points
         # laid out once from the flat start, used at every point
-        layout = _SparseKktLayout(prob, prob.evaluate(xs["flat"]).jac_ineq)
+        layout = _KktLayout(prob, prob.evaluate(xs["flat"]).jac_ineq)
         rng = np.random.default_rng(8)
         full = prob.evaluate(xs["warm"]).jac_eq.nnz
         for where, x in xs.items():
