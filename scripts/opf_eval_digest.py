@@ -15,8 +15,9 @@ cold-started, and at a 1e-4 % hard limit that ends infeasible) and prints
 each one's status, iteration count, message, the ``repr`` of its objective
 and residuals, and digests of its primal and dual iterates and of its
 ``decompose`` rows.  Last, one ``kkt`` line digests every matrix handed to
-SuperLU in the eulv117 hard 0.5 % solve and to LAPACK ``dsytrf`` in the
-simple5 soft-f and hard 1 % solves (the latter with the three-term
+SuperLU in the eulv117 hard 0.5 % solve (the stand-in its one ordering is
+taken from, then the permuted ``P K P'`` of every factorization) and to
+LAPACK ``dsytrf`` in the simple5 soft-f and hard 1 % solves (the latter with the three-term
 ``J' diag(sigma) J`` entries and the VUF Hessian blocks).  Each digest is a prefix of the SHA-256 of the raw
 bytes (values, ``indices``, ``indptr`` and their dtypes) of one vector or
 matrix.  Run it on two checkouts with the same BLAS thread count (the

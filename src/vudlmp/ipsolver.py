@@ -1,13 +1,14 @@
 """Primal-dual interior-point solver for the assembled OPF.
 
 Exact-Newton method on the perturbed KKT system with slacked inequalities,
-a monotone barrier schedule and a merit line search.  KKT systems of up to
-1,200 rows are factored dense (LAPACK Bunch-Kaufman) with inertia
-correction; larger ones by SuperLU, which gives no inertia, so a nonconvex
-stretch is caught by a failed line search and the next system convexified.
-The multipliers are first-class outputs: convergence is declared only when
-stationarity, feasibility and complementarity all fall below the KKT
-tolerance, so the duals are clean enough to be read as prices.
+a monotone barrier schedule and a merit line search.  Every KKT matrix is
+inertia-corrected (Wächter & Biegler 2006, §3.1): systems of up to 1,200
+rows are factored dense by LAPACK Bunch-Kaufman, larger ones by SuperLU in
+symmetric mode, whose inertia is the signs of the U diagonal when it
+pivoted on the diagonal only.  The multipliers are first-class outputs:
+convergence is declared only when stationarity, feasibility and
+complementarity all fall below the KKT tolerance, so the duals are clean
+enough to be read as prices.
 
 MU0, MU_FACTOR and the mu**1.5 tail are the barrier schedule of Wächter &
 Biegler, "On the implementation of an interior-point filter line-search
@@ -38,6 +39,12 @@ replace, which the seed-0 benchmark outputs are pinned to:
   signed zeros included.  The Hessian and equality Jacobian lose their exact
   zeros too, so their entries are mapped to slots again when their patterns
   change.
+- SuperLU gets those matrices as ``P K P'``, with P one fill-reducing
+  ordering per solve, bit for bit what scipy's products with the
+  permutation matrix give, and factors them in that order
+  (``permc_spec="NATURAL"``).  The dense path keeps the natural order and
+  LAPACK: moving the small systems onto SuperLU would round every simple5
+  bit differently.
 """
 
 from __future__ import annotations
@@ -215,37 +222,56 @@ class _KktSystem:
 
 
 class _SparseKktSystem:
-    """Sparse LU of the quasi-definite regularized KKT matrix.
+    """Symmetric-mode SuperLU factorization of the permuted KKT matrix, and
+    its inertia.
 
-    Inertia is not available from an LU factorization, so correctness is
-    judged by factorization success; nonconvexity is handled by the caller
-    escalating the primal regularization whenever the line search fails.
-    A fixed dual regularization keeps the matrix quasi-definite; its effect
-    on the step is removed by iterative refinement against the matrix
-    without that perturbation.
+    ``target`` and ``perturbed`` are ``P K P'`` without and with the dual
+    regularization; ``perm[i]`` is the row of ``P K P'`` that holds row i of
+    K.  With ``diag_pivot_thresh=0`` SuperLU pivots on every diagonal entry
+    that is not zero, so when it kept to the diagonal (``perm_r ==
+    perm_c``) the factors are ``L D L'`` with D the diagonal of U, and the
+    signs of D are the inertia (Sylvester).  Otherwise the inertia is
+    unknown and the system not correct, so the caller regularizes further:
+    a regularized KKT matrix is quasi-definite and factors under any
+    symmetric ordering (Vanderbei, SIAM J. Optim. 1995).  The dual
+    regularization's effect on the step is removed by iterative refinement
+    against the matrix without it.
     """
 
-    def __init__(self, target, perturbed):
-        self.target = target
-        self.ok = True
+    def __init__(self, target, perturbed, perm, n):
+        self.target, self.perm = target, perm
+        self.want = (n, target.shape[0] - n, 0)
+        self.inertia = None
         try:
-            self.lu = sp.linalg.splu(perturbed)
+            # a panel of 4 columns, not SuperLU's default, suits the small
+            # supernodes of these matrices: an eulv117 KKT matrix factors in
+            # 1.8-2.3 ms against 3.3 ms (one BLAS thread, 2-core Xeon)
+            self.lu = sp.linalg.splu(perturbed, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                     panel_size=4, options={"SymmetricMode": True})
         except RuntimeError:
             self.ok = False
+            return
+        self.ok = True
+        if np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            d = self.lu.U.diagonal()
+            pos, neg = np.count_nonzero(d > 0), np.count_nonzero(d < 0)
+            self.inertia = (pos, neg, len(d) - pos - neg)
 
     def correct(self):
-        return self.ok
+        return self.ok and self.inertia == self.want
 
     def singular(self):
         return not self.ok
 
     def solve(self, rhs):
-        x = self.lu.solve(rhs)
+        b = np.empty_like(rhs)
+        b[self.perm] = rhs
+        x = self.lu.solve(b)
         for _ in range(2):   # refinement against the unperturbed-dual matrix
-            x = x + self.lu.solve(rhs - self.target @ x)
+            x = x + self.lu.solve(b - self.target @ x)
         if not np.all(np.isfinite(x)):
             raise scipy.linalg.LinAlgError("sparse KKT solve produced non-finite values")
-        return x
+        return x[self.perm]
 
 
 def _unique(a):
@@ -321,8 +347,6 @@ class _KktLayout:
         self.jsj_slots = np.searchsorted(self.w_key, pc * n + pr)
         self.key = _unique(np.concatenate((wc * size + wr, ec * size + n + er,
                                            (n + er) * size + ec, eq * size + eq)))
-        self.rows = (self.key % size).astype(np.int32)
-        self.indptr = np.searchsorted(self.key, np.arange(size + 1) * size)
         self.w_slot = np.searchsorted(self.key, wc * size + wr)
         self.d11 = np.searchsorted(self.key, eq * size + eq)
         self._seen = {}
@@ -352,21 +376,53 @@ class _KktLayout:
         self.vals = np.zeros(len(self.key))
         self.vals[eq] = je.data     # nonzero: ``je`` has dropped its zeros
 
+    def zero_on_diagonal(self):
+        """Whether the diagonal of ``W`` holds an exact zero."""
+        return not np.all(self.w[self.on_diag > 0])
+
+    @cached_property
+    def _ordering(self):
+        """A fill-reducing symmetric ordering of the pattern, and the pattern
+        laid out in that order.
+
+        SuperLU's minimum degree ordering of ``A + A'`` is taken once, from
+        one factorization of a quasi-definite stand-in on the superset
+        pattern: I on the W diagonal, -I on the lower diagonal, 1 on the
+        ``Je`` entries and explicit zeros elsewhere.  Returns ``perm`` (row
+        i of K is row ``perm[i]`` of ``P K P'``), the storage order that
+        sorts ``vals`` into the CSC order of ``P K P'``, and that matrix's
+        row indices and column pointers.
+        """
+        n, size = self.n, self.size
+        r, c = self.key % size, self.key // size
+        stand_in = np.where(r == c, np.where(r < n, 1.0, -1.0), ((r < n) != (c < n)) * 1.0)
+        lu = sp.linalg.splu(sp.csc_matrix((stand_in, (r, c)), shape=(size, size)),
+                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+        perm = lu.perm_c.astype(np.int64)
+        key = perm[c] * size + perm[r]
+        order = np.argsort(key)
+        key = key[order]
+        return (perm, order, (key % size).astype(np.int32),
+                np.searchsorted(key, np.arange(size + 1) * size))
+
     def matrices(self, delta):
-        """The KKT matrix at primal regularization ``delta`` and its copy
-        with the dual regularization, as scipy.sparse would build them."""
+        """``P K P'`` for the KKT matrix K at primal regularization ``delta``
+        and its copy with the dual regularization, as scipy.sparse would
+        build and permute them, and the permutation (see ``_ordering``)."""
+        perm, order, rows, indptr = self._ordering
         self.vals[self.w_slot] = self.w + delta * self.on_diag
         self.vals[self.d11] = 0.0
-        target = self._csc()
+        target = self._csc(self.vals[order], rows, indptr)
         self.vals[self.d11] = -DELTA_C
-        return target, self._csc()
+        return target, self._csc(self.vals[order], rows, indptr), perm
 
-    def _csc(self):
+    def _csc(self, vals, rows, indptr):
         """The entries that are not exactly zero, as scipy keeps them."""
-        keep = self.vals != 0
+        keep = vals != 0
         count = np.zeros(len(keep) + 1, dtype=np.int32)
         np.cumsum(keep, out=count[1:])
-        return sp.csc_matrix((self.vals[keep], self.rows[keep], count[self.indptr]),
+        return sp.csc_matrix((vals[keep], rows[keep], count[indptr]),
                              shape=(self.size, self.size))
 
     def dense(self, delta, delta_c):
@@ -426,7 +482,6 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
 
     nu = 1.0        # merit penalty weight
     delta_last = 0.0
-    forced_delta = 0.0      # convexification requested by a failed line search
     status = STATUS_FAILED
     message = ""
     ls_failures = 0
@@ -459,28 +514,31 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
 
         # inertia-corrected factorization; the dual regularization stays off
         # unless the plain system is singular, because it perturbs the
-        # equality rows and the merit function notices
-        delta = forced_delta
+        # equality rows and the merit function notices.  Symmetric pivoting
+        # cannot certify a W with an exact zero on its diagonal, so the sparse
+        # path starts that one regularized.
+        trial = max(REG_INIT, delta_last / 3.0)
+        delta = trial if not dense and layout.zero_on_diagonal() else 0.0
         delta_c = 0.0
-        trial = max(REG_INIT, delta_last / 3.0, forced_delta)
         while True:
             if dense:
                 kkt = _KktSystem(layout.dense(delta, delta_c), n)
             else:
-                kkt = _SparseKktSystem(*layout.matrices(delta))
+                kkt = _SparseKktSystem(*layout.matrices(delta), n)
             if kkt.correct():
                 break
             if kkt.singular():
                 delta_c = DELTA_C
-            delta = trial if delta == 0.0 else delta * 10.0
-            trial = delta
-            if delta > REG_CAP:
+            step = trial if delta == 0.0 else delta * 10.0
+            if step > REG_CAP:
                 break
+            delta = step
         if not kkt.correct():
-            message = "KKT matrix could not be regularized"
+            inertia = "unknown" if kkt.inertia is None else tuple(map(int, kkt.inertia))
+            message = (f"KKT matrix could not be regularized: inertia {inertia} "
+                       f"at delta {delta:.1e}, wanted {kkt.want}")
             break
         delta_last = delta
-        forced_delta = 0.0
 
         r_i = ci + s
         rhs_x = -(e.grad_objective + je.tdot(y)) - ji.tdot(mu / s + sigma * r_i)
@@ -557,9 +615,6 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             if ls_failures >= 5:
                 message = "line search failed repeatedly"
                 break
-            # without an inertia test the direction may be an ascent one on a
-            # nonconvex stretch; convexify the next KKT system
-            forced_delta = max(10.0 * max(delta, REG_INIT), 1e-6)
             alpha = min(alpha_max, 1e-3)
             x_t = x + alpha * dx
             s_t = np.maximum(s + alpha * ds, 1e-16)

@@ -377,7 +377,8 @@ class TestDenseAssembly:
         layout = _KktLayout(prob, e.jac_ineq)
         layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
         for delta in (0.0, 1e-4):
-            assert np.array_equal(layout.dense(delta, 0.0), layout.matrices(delta)[0].toarray())
+            target, _, perm = layout.matrices(delta)    # P K P'
+            assert np.array_equal(layout.dense(delta, 0.0), target.toarray()[np.ix_(perm, perm)])
 
     def test_dense_path_forms_no_diagonal_matrix(self, simple5, simple5_pf, monkeypatch):
         def no_diags(*args, **kwargs):
@@ -399,6 +400,15 @@ def scipy_kkt(hess, ji, sigma, je, delta):
     return target, target + sp.diags(np.concatenate([np.zeros(n), -1e-8 * np.ones(m)])).tocsc()
 
 
+def permuted(k, perm):
+    """``P K P'`` with row i of K at row ``perm[i]``, from scipy.sparse
+    products with the permutation matrix: the reference, bit for bit."""
+    p = sp.csc_matrix((np.ones(len(perm)), (perm, np.arange(len(perm)))), shape=k.shape)
+    out = (p @ k @ p.T).tocsc()
+    out.sort_indices()
+    return out
+
+
 def assert_same_arrays(ours, ref):
     for part in ("data", "indices", "indptr"):
         a, b = getattr(ours, part), getattr(ref, part)
@@ -406,8 +416,9 @@ def assert_same_arrays(ours, ref):
 
 
 class TestSparseAssembly:
-    """The sparse path's laid-out KKT matrices and matvecs, bit for bit
-    against the scipy.sparse expressions, on eulv117."""
+    """The sparse path's laid-out KKT matrices, permuted into the solve's
+    ordering, and its matvecs, bit for bit against the scipy.sparse
+    expressions, on eulv117."""
 
     @pytest.fixture(scope="class", params=[
         UnbalanceConfig("none"),
@@ -444,6 +455,7 @@ class TestSparseAssembly:
         layout = _KktLayout(prob, prob.evaluate(xs["flat"]).jac_ineq)
         rng = np.random.default_rng(8)
         full = prob.evaluate(xs["warm"]).jac_eq.nnz
+        perms = []
         for where, x in xs.items():
             e, d_eq, d_in, y, z, sigma, hess = self.iterate(prob, x, rng)
             assert (e.jac_eq.nnz < full) == (where == "dead")
@@ -451,8 +463,14 @@ class TestSparseAssembly:
             for delta in (0.0, 1e-4):   # the plain system and a regularized retry
                 ref = scipy_kkt(hess, sp.diags(d_in) @ e.jac_ineq, sigma,
                                 sp.diags(d_eq) @ e.jac_eq, delta)
-                for ours, theirs in zip(layout.matrices(delta), ref):
-                    assert_same_arrays(ours, theirs)
+                *ours, perm = layout.matrices(delta)
+                perms.append(perm)
+                for mat, theirs in zip(ours, ref):
+                    assert_same_arrays(mat, permuted(theirs, perm))
+        # one ordering for the whole solve, and a permutation
+        assert all(p is perms[0] for p in perms)
+        assert np.array_equal(np.sort(perms[0]), np.arange(layout.size))
+        assert not np.array_equal(perms[0], np.arange(layout.size))
 
     def test_matvecs_match_scipy(self, points):
         prob, xs = points
@@ -478,6 +496,95 @@ class TestSparseAssembly:
         assert sol.iterations == ref.iterations
         assert sol.x.tobytes() == ref.x.tobytes()
 
+    def test_one_factorization_per_iteration_and_one_ordering(self, eulv117,
+                                                              monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(k["permc_spec"]) or splu(*a, **k))
+        cfg = UnbalanceConfig("hard", 0.5, buses=eulv117.unbalance.buses)
+        sol = solve(build_problem(eulv117, cfg), warm=solve_pf(eulv117))
+        assert sol.success, sol.message
+        assert calls[0] == "MMD_AT_PLUS_A"
+        assert set(calls[1:]) == {"NATURAL"}
+        assert len(calls) <= sol.iterations + 1
+
+
+def random_kkt(rng, n, m, zero_diag=0):
+    """A sparse KKT matrix pair: a symmetric W with eigenvalues of both
+    signs, a full-row-rank Je, 0 and ``-DELTA_C`` below; the first
+    ``zero_diag`` diagonal entries of W are structurally absent."""
+    a = sp.random(n, n, density=4.0 / n, random_state=rng, format="csr")
+    w = (a + a.T).tolil()
+    w.setdiag(rng.uniform(-0.5, 3.0, n))
+    w = w.tocsr()
+    w[np.arange(zero_diag), np.arange(zero_diag)] = 0.0
+    w.eliminate_zeros()
+    je = sp.hstack([sp.diags(rng.uniform(0.5, 2.0, m)),
+                    sp.random(m, n - m, density=3.0 / n, random_state=rng)]).tocsr()
+    je = je[:, rng.permutation(n)]
+    target = sp.bmat([[w, je.T], [je, None]], format="csc")
+    lower = sp.diags(np.concatenate([np.zeros(n), np.full(m, -DELTA_C)]))
+    return target, (target + lower).tocsc()
+
+
+def mmd_order(k):
+    return sp.linalg.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True}).perm_c
+
+
+class TestSparseInertia:
+    """The inertia read off symmetric-mode SuperLU against eigenvalues: it is
+    right whenever it is reported."""
+
+    def systems(self, rng, n, m, zero_diag, deltas):
+        target, perturbed = random_kkt(rng, n, m, zero_diag)
+        size = n + m
+        orders = (mmd_order(perturbed), rng.permutation(size), np.arange(size))
+        for delta in deltas:
+            shift = sp.diags(np.concatenate([np.full(n, delta), np.zeros(m)]))
+            t, pt = (target + shift).tocsc(), (perturbed + shift).tocsc()
+            want = eigen_inertia(pt.toarray(), 1e-12)
+            for perm in orders:
+                kkt = ipsolver._SparseKktSystem(permuted(t, perm), permuted(pt, perm), perm, n)
+                yield t, want, kkt
+
+    def test_reported_inertia_matches_eigenvalue_signs(self):
+        rng = np.random.default_rng(11)
+        reported, outcomes = 0, set()
+        for i in range(12):
+            for t, want, kkt in self.systems(rng, 240, 90, 0, (0.0, 0.1, 1.0, 10.0)):
+                if kkt.inertia is None:
+                    continue
+                reported += 1
+                assert kkt.inertia == want, i
+                assert kkt.correct() == (want == (240, 90, 0))
+                outcomes.add(kkt.correct())
+                rhs = rng.standard_normal(330)
+                assert np.allclose(t @ kkt.solve(rhs), rhs, atol=1e-8)
+        assert reported > 100
+        assert outcomes == {True, False}
+
+    def test_zero_diagonal_is_unknown_or_correct(self):
+        rng = np.random.default_rng(12)
+        unknown = 0
+        for i in range(12):
+            for _, want, kkt in self.systems(rng, 240, 90, 20, (0.0,)):
+                unknown += kkt.inertia is None
+                assert kkt.inertia in (None, want), i
+        assert unknown > 0
+
+
+class TestFeederSoft:
+    def test_soft_penalty_converges_in_few_iterations(self, eulv117_solve):
+        # eulv117 soft 3.0: 163 iterations without an inertia test on the
+        # sparse path, 37 with it
+        sol = eulv117_solve("soft", penalty=3.0)
+        assert sol.success, sol.message
+        assert sol.iterations <= 40
+        assert max(kkt_residuals(sol)) < 1e-6
+        assert max(abs(d.residual) for d in decompose(sol)) < 1e-6
+
 
 class TestKktSolveFailure:
     def test_failed_back_substitution_is_a_failed_solve(self, simple5, simple5_pf,
@@ -500,3 +607,35 @@ class TestKktSolveFailure:
         for name, value in zip(("stationarity", "feasibility", "complementarity"),
                                kkt_residuals(sol)):
             assert sol.residuals[name] == pytest.approx(value, rel=1e-9)
+
+
+class TestFailureMessages:
+    def test_failed_line_searches_are_named(self, simple5, simple5_pf, monkeypatch):
+        prob = build_problem(simple5)
+        monkeypatch.setattr(prob, "objective_value", lambda x: np.nan)
+        sol = solve(prob, warm=simple5_pf)
+        assert not sol.success
+        assert sol.message == "line search failed repeatedly"
+        assert sol.iterations == 5
+
+    @pytest.mark.parametrize("inertia", ["read", "unknown"])
+    def test_regularization_cap_names_delta_and_inertia(self, eulv117, monkeypatch,
+                                                        inertia):
+        # never correct: the delta loop runs from 1e-8 (W has zeros on its
+        # diagonal) past the cap; at 1e12 the read inertia is the wanted one
+        prob = build_problem(eulv117)
+        n, m = prob.nvar, prob.n_eq
+        monkeypatch.setattr(ipsolver._SparseKktSystem, "correct", lambda self: False)
+        if inertia == "unknown":
+            factor = ipsolver._SparseKktSystem.__init__
+
+            def unknown(self, *args):
+                factor(self, *args)
+                self.inertia = None
+            monkeypatch.setattr(ipsolver._SparseKktSystem, "__init__", unknown)
+        sol = solve(prob, warm=solve_pf(eulv117))
+        assert not sol.success
+        assert sol.iterations == 1
+        found = f"({n}, {m}, 0)" if inertia == "read" else "unknown"
+        assert sol.message == (f"KKT matrix could not be regularized: inertia {found} "
+                               f"at delta 1.0e+12, wanted ({n}, {m}, 0)")
