@@ -20,22 +20,28 @@ taken from, then the permuted ``P K P'`` of every factorization) and to
 LAPACK ``dsytrf`` in the simple5 soft-f and hard 1 % solves (the latter with the three-term
 ``J' diag(sigma) J`` entries and the VUF Hessian blocks).  Each digest is a prefix of the SHA-256 of the raw
 bytes (values, ``indices``, ``indptr`` and their dtypes) of one vector or
-matrix.  Run it on two checkouts with the same BLAS thread count (the
-eulv117 power flow's dense LU rounds by thread count) and diff the outputs
-to show that a change to the assembly, the power flow or the solver leaves
-every bit in place:
+matrix.  The script pins OpenBLAS, OpenMP and MKL to one thread before
+numpy loads (the eulv117 power flow's dense LU rounds by thread count), so
+the outputs of two checkouts can be diffed as they are, to show that a
+change to the assembly, the power flow or the solver leaves every bit in
+place:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/opf_eval_digest.py > digests.txt
+    PYTHONPATH=src python scripts/opf_eval_digest.py > digests.txt
 """
 
 import contextlib
 import hashlib
+import os
 
-import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse.linalg
+# set before numpy loads its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from vudlmp import (
+import numpy as np  # noqa: E402
+import scipy.linalg.lapack  # noqa: E402
+import scipy.sparse.linalg  # noqa: E402
+
+from vudlmp import (  # noqa: E402
     BusSpec,
     GenSpec,
     LineSpec,

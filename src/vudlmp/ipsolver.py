@@ -15,13 +15,19 @@ Biegler, "On the implementation of an interior-point filter line-search
 algorithm", Math. Prog. 2006; the other constants are this solver's own.
 
 The KKT inputs are built with array operations on index arrays laid out
-once per solve.  These rules keep every value, and every matrix handed to
-SuperLU or LAPACK, equal bit for bit to the scipy.sparse expressions they
-replace, which the seed-0 benchmark outputs are pinned to:
+once per solve, from the values the problem's evaluations write on its
+fixed derivative layouts (see :mod:`vudlmp.opf`): inside an iteration no
+scipy.sparse matrix is built except the two SuperLU inputs of a sparse
+factorization, and the dense path reuses one KKT buffer.  These rules keep
+every value, and every matrix handed to SuperLU or LAPACK, equal bit for
+bit to the scipy.sparse expressions they replace, which the seed-0
+benchmark outputs are pinned to:
 
 - Row scaling emits what ``sp.diags(d) @ jac`` (scipy's ``csr_matmat``)
-  emits: each row's entries in the reverse of their stored order, so
-  descending columns, and exact-zero products dropped.
+  emits: each row's entries in the reverse of their layout order, so
+  descending columns, and the products that are exactly zero dropped.  The
+  reversal is laid out once per solve; the dropping is done only at an
+  iterate that has such a product.
 - Matvecs add as scipy's do, by ``bincount`` in input order from 0: ``J x``
   sums each row in that stored order (CSR matvec), ``J' y`` each column in
   ascending row (CSC matvec of ``J.T``).
@@ -31,14 +37,13 @@ replace, which the seed-0 benchmark outputs are pinned to:
   by that order.  It is added to the Lagrangian Hessian and symmetrized as
   ``(w + w') * 0.5``.
 - Both factorizations read the KKT matrix ``[[W + delta I, Je'], [Je, 0]]``
-  off one CSC superset pattern whose values each iterate refills.  scipy's
-  sparse sums and products drop exact-zero results, so SuperLU's canonical
-  CSC copies (one with ``-DELTA_C`` on the lower diagonal) keep an entry of
-  ``W + delta I`` only if it is nonzero once ``delta`` is added; LAPACK's
-  dense copy takes every entry and ``-delta_c I`` as its lower-right block,
-  signed zeros included.  The Hessian and equality Jacobian lose their exact
-  zeros too, so their entries are mapped to slots again when their patterns
-  change.
+  off one CSC superset pattern whose values each iterate refills, from the
+  Hessian's values on its superset layout (0 where no term falls) and the
+  scaled equality Jacobian without its zero products.  scipy's sparse sums
+  and products drop exact-zero results, so SuperLU's canonical CSC copies
+  (one with ``-DELTA_C`` on the lower diagonal) keep an entry only if it is
+  nonzero once ``delta`` is added; LAPACK's dense copy takes every entry
+  and ``-delta_c I`` as its lower-right block, signed zeros included.
 - SuperLU gets those matrices as ``P K P'``, with P one fill-reducing
   ordering per solve, bit for bit what scipy's products with the
   permutation matrix give, and factors them in that order
@@ -281,24 +286,50 @@ def _unique(a):
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _row_scales(jac):
-    mags = np.abs(jac).max(axis=1).toarray().ravel()
+def _row_scales(layout, values):
+    """1 / max(1, largest |entry|) of each row of a matrix on ``layout``."""
+    mags = np.zeros(layout.shape[0])
+    np.maximum.at(mags, layout.rows, np.abs(values))
     return 1.0 / np.maximum(1.0, mags)
 
 
-class _ScaledRows:
-    """``sp.diags(d) @ jac`` as CSR arrays in the order scipy emits them (see
-    the module docstring), and each entry's row."""
+class _RowScaling:
+    """``sp.diags(d) @ J`` for the Jacobians J on one layout, laid out once
+    per solve.  scipy's ``csr_matmat`` emits each row's entries in the
+    reverse of their stored order (see the module docstring): ``rev`` gives
+    the layout entry of each emitted one."""
 
-    def __init__(self, d, jac):
-        rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
-        rev = jac.indptr[rows] + jac.indptr[rows + 1] - 1 - np.arange(jac.nnz)
-        data = d[rows] * jac.data[rev]
-        keep = data != 0
-        self.shape, self.rows = jac.shape, rows[keep]
-        self.data, self.indices = data[keep], jac.indices[rev[keep]]
-        self.indptr = np.concatenate(([0], np.cumsum(
-            np.bincount(self.rows, minlength=len(d))))).astype(jac.indptr.dtype)
+    def __init__(self, d, layout):
+        self.shape, self.rows = layout.shape, layout.rows
+        ends = layout.indptr.astype(np.int64)
+        self.rev = ends[self.rows] + ends[self.rows + 1] - 1 - np.arange(layout.nnz)
+        self.cols = layout.indices[self.rev]
+        self.d = d[self.rows]
+
+    def __call__(self, values):
+        return _ScaledRows(self, self.d * values[self.rev])
+
+
+class _ScaledRows:
+    """One iterate's ``sp.diags(d) @ J``: ``data`` in scipy's order without
+    the exact-zero products scipy drops, each entry's ``rows`` and
+    ``indices``, and ``entries``, its index on the layout."""
+
+    def __init__(self, scaling, data):
+        self.shape = scaling.shape
+        if data.all():
+            self.data, self.rows, self.indices = data, scaling.rows, scaling.cols
+            self.entries = scaling.rev
+        else:
+            keep = np.flatnonzero(data)
+            self.data, self.rows, self.indices = data[keep], scaling.rows[keep], scaling.cols[keep]
+            self.entries = scaling.rev[keep]
+
+    @cached_property
+    def indptr(self):
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=indptr[1:])
+        return indptr
 
     def dot(self, x):
         """``J x``, each row summed in stored order as the CSR matvec sums it."""
@@ -318,20 +349,22 @@ class _KktLayout:
     regularization.  Each iterate refills the values; each factorization
     reads them out, sparse or dense (see the module docstring).
 
-    ``jac`` is the inequality Jacobian.  ``eval_ineq`` keeps explicit zeros,
-    so its layout is the same at every point of one problem.  Each product
-    of ``J' diag(sigma) J`` pairs the entries ``a`` = J[k, r] and ``b`` =
-    J[k, c] of one row k; the pairs run ascending in k and ``bincount`` adds
-    them in that order into the slot of ``(r, c)``.
+    The inequality Jacobian keeps its explicit zeros, so one layout serves
+    every point of one problem.  Each product of ``J' diag(sigma) J`` pairs
+    the entries ``a`` = J[k, r] and ``b`` = J[k, c] of one row k; the pairs
+    run ascending in k and ``bincount`` adds them in that order into the
+    slot of ``(r, c)``.
     """
 
-    def __init__(self, prob, jac):
+    def __init__(self, prob):
         n = self.n = prob.nvar
         size = self.size = n + prob.n_eq
-        (hr, hc), (er, ec) = prob.derivative_patterns()
+        hess, jeq, jac = prob.hess_layout, prob.jac_eq_layout, prob.jac_ineq_layout
+        hr, hc = hess.rows, hess.indices.astype(np.int64)
+        er, ec = jeq.rows, jeq.indices.astype(np.int64)
         diag, eq = np.arange(n), n + np.arange(prob.n_eq)
         count = np.diff(jac.indptr)
-        self.j_rows = np.repeat(np.arange(jac.shape[0]), count)
+        self.j_rows = jac.rows
         per = count[self.j_rows]
         self.a = np.repeat(np.arange(jac.nnz), per)
         self.k = self.j_rows[self.a]
@@ -345,36 +378,29 @@ class _KktLayout:
         self.w_t = np.searchsorted(self.w_key, wr * n + wc)
         self.on_diag = (wr == wc).astype(float)
         self.jsj_slots = np.searchsorted(self.w_key, pc * n + pr)
+        self.h_slots = np.searchsorted(self.w_key, hc * n + hr)
         self.key = _unique(np.concatenate((wc * size + wr, ec * size + n + er,
                                            (n + er) * size + ec, eq * size + eq)))
         self.w_slot = np.searchsorted(self.key, wc * size + wr)
         self.d11 = np.searchsorted(self.key, eq * size + eq)
-        self._seen = {}
-
-    def _slots(self, name, mat, key):
-        """``key(rows, cols)`` of ``mat``'s entries, recomputed only when
-        its pattern changes (it loses the entries that are exactly zero)."""
-        seen = self._seen.get(name, (None, None))
-        if not (np.array_equal(seen[0], mat.indptr) and np.array_equal(seen[1], mat.indices)):
-            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-            seen = self._seen[name] = (mat.indptr.copy(), mat.indices.copy(),
-                                       key(rows, mat.indices.astype(np.int64)))
-        return seen[2]
+        # each equality-Jacobian entry's two slots: below and right of W
+        self.eq_slots = np.searchsorted(self.key, np.stack((ec * size + n + er,
+                                                            (n + er) * size + ec)))
+        self._dense = None
 
     def refill(self, hess, jac_ineq, d_in, sigma, je):
-        """Lay in this iterate's values: ``sym(H + J' diag(sigma) J)`` and the
-        scaled equality Jacobian ``je``."""
-        n, size, nw = self.n, self.size, len(self.w_key)
+        """Lay in this iterate's values: ``sym(H + J' diag(sigma) J)`` from the
+        Hessian and inequality-Jacobian values on the problem's layouts, and
+        the scaled equality Jacobian ``je`` (a :class:`_ScaledRows`)."""
+        nw = len(self.w_key)
         h = np.zeros(nw)
-        h[self._slots("hess", hess, lambda r, c: np.searchsorted(self.w_key, c * n + r))] = hess.data
-        # ``d_in`` are the row scales, applied as in ``_ScaledRows``
-        j = d_in[self.j_rows] * jac_ineq.data
+        h[self.h_slots] = hess
+        # ``d_in`` are the row scales, applied as in ``_RowScaling``
+        j = d_in[self.j_rows] * jac_ineq
         v = h + np.bincount(self.jsj_slots, j[self.b] * (sigma[self.k] * j[self.a]), nw)
         self.w = (v + v[self.w_t]) * 0.5
-        eq = self._slots("je", je, lambda r, c: np.searchsorted(
-            self.key, np.stack((c * size + n + r, (n + r) * size + c))))
         self.vals = np.zeros(len(self.key))
-        self.vals[eq] = je.data     # nonzero: ``je`` has dropped its zeros
+        self.vals[self.eq_slots[:, je.entries]] = je.data   # nonzero: ``je`` drops its zeros
 
     def zero_on_diagonal(self):
         """Whether the diagonal of ``W`` holds an exact zero."""
@@ -427,13 +453,32 @@ class _KktLayout:
 
     def dense(self, delta, delta_c):
         """The KKT matrix at primal regularization ``delta`` as a dense array
-        with ``-delta_c I`` as its lower-right block."""
+        with ``-delta_c I`` as its lower-right block (``-0.0`` off its
+        diagonal, as that product gives).  One buffer serves the whole
+        solve: entries off the pattern stay 0, and the result is valid
+        until the next call."""
+        if self._dense is None:
+            self._flat = np.zeros(self.size * self.size)
+            self._dense = self._flat.reshape(self.size, self.size).T   # the keys are column-major
+            self._eye = np.eye(self.size - self.n)
         self.vals[self.w_slot] = self.w + delta * self.on_diag
-        k = np.zeros(self.size * self.size)
-        k[self.key] = self.vals
-        k = k.reshape(self.size, self.size).T      # the keys are column-major
-        k[self.n:, self.n:] = -delta_c * np.eye(self.size - self.n)
-        return k
+        self._flat[self.key] = self.vals
+        np.multiply(-delta_c, self._eye, out=self._dense[self.n:, self.n:])
+        return self._dense
+
+
+def _worst_row(prob, e, z_ineq, tol):
+    """The largest unscaled feasibility residual of evaluation ``e``, or if
+    none exceeds ``tol`` the largest complementarity one, named by its
+    constraint tag; empty if neither exceeds ``tol``."""
+    viol = np.concatenate((np.abs(e.c_eq), np.maximum(e.c_ineq, 0.0)))
+    comp = np.abs(z_ineq * e.c_ineq)
+    for what, res, tags in (("feasibility", viol, prob.eq_tags + prob.ineq_tags),
+                            ("complementarity", comp, prob.ineq_tags)):
+        k = int(np.argmax(res))
+        if res[k] > tol:
+            return f"worst {what} residual {res[k]:.3g} at {tags[k].describe()}"
+    return ""
 
 
 def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -> OpfSolution:
@@ -447,12 +492,14 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     n = prob.nvar
 
     e = prob.evaluate(x)
-    d_eq = _row_scales(e.jac_eq)
-    d_in = _row_scales(e.jac_ineq)
+    d_eq = _row_scales(prob.jac_eq_layout, e.jac_eq_values)
+    d_in = _row_scales(prob.jac_ineq_layout, e.jac_ineq_values)
+    scale_eq = _RowScaling(d_eq, prob.jac_eq_layout)
+    scale_in = _RowScaling(d_in, prob.jac_ineq_layout)
 
     def scale(e):
         return (e.c_eq * d_eq, (e.c_ineq - BOUND_RELAX) * d_in,
-                _ScaledRows(d_eq, e.jac_eq), _ScaledRows(d_in, e.jac_ineq))
+                scale_eq(e.jac_eq_values), scale_in(e.jac_ineq_values))
 
     def scaled(xv, want_jac=True):
         if want_jac:
@@ -465,7 +512,8 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     ce, ci, je, ji = scale(e)
     m_eq = len(ce)
     dense = n + m_eq <= 1200
-    layout = _KktLayout(prob, e.jac_ineq)
+    layout = _KktLayout(prob)
+    hess = np.empty(prob.hess_layout.nnz)
     s = np.maximum(1e-2, -ci)
     mu = MU0
     z = mu / s
@@ -508,9 +556,9 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             mu = max(st.kkt_tol / 100, step)
             z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s)
 
-        hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess)
+        prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess, out=hess)
         sigma = z / s
-        layout.refill(hess, e.jac_ineq, d_in, sigma, je)
+        layout.refill(hess, e.jac_ineq_values, d_in, sigma, je)
 
         # inertia-corrected factorization; the dual regularization stays off
         # unless the plain system is singular, because it perturbs the
@@ -647,6 +695,9 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
                 if viol.size and np.max(viol, initial=0.0) > st.kkt_tol:
                     message = (message + "; " if message else "") + \
                         "hard voltage-unbalance limits violated at the final iterate"
+        worst = _worst_row(prob, e, z_un, st.kkt_tol)
+        if worst:
+            message = (message + "; " if message else "") + worst
 
     return OpfSolution(
         problem=prob, status=status, x=x, y_eq=y_un, z_ineq=z_un,

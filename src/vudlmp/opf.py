@@ -10,10 +10,14 @@ The objective is cost minimization in EUR/h: generator energy cost plus,
 in soft mode, the voltage-unbalance penalty over the configured bus
 subset.  Demand is a fixed parameter (inelastic).
 
-The sparsity of every derivative is laid out once per problem as index
-arrays; an evaluation only computes the values, with array operations.
-These rules keep those values equal, bit for bit, to a plain per-entry
-evaluation, which the seed-0 benchmark outputs are pinned to:
+The sparsity of every derivative is laid out once per problem as a fixed
+CSR pattern (:class:`CsrLayout`): the equality Jacobian (flow rows, then
+the constant balance rows), the inequality Jacobian and the superset of
+every Lagrangian Hessian entry.  An evaluation only computes the values on
+those layouts, with array operations; the ``csr_matrix`` a public caller
+gets is built from them.  These rules keep those values equal, bit for
+bit, to a plain per-entry evaluation assembled by scipy.sparse, which the
+seed-0 benchmark outputs are pinned to:
 
 - Products of complex scalars (``v * conj(y)``, ``1j * conj(i)``) are
   written as real arithmetic, ``(ar*br - ai*bi) + 1j*(ar*bi + ai*br)``,
@@ -21,12 +25,19 @@ evaluation, which the seed-0 benchmark outputs are pinned to:
   numpy's array complex multiply may fuse a product and a sum into one FMA
   and round differently in the last bit.  The flow Hessian weights times
   the constant ``g_V g_C'`` blocks stay array products.
-- ``csr_matrix`` sums duplicate Hessian entries in an order that depends
-  on where they sit in the triplet stream, so the stream keeps its order:
-  objective (row-major), flow (each block, then its transpose), voltage
-  bounds, thermal, VUF.
-- A multiplier that is exactly zero adds no entry.  An explicit zero would
-  change the sparsity pattern the sparse KKT factorization orders on.
+- A Hessian entry sums up to 8 terms of a triplet stream in a fixed family
+  order: objective (row-major), flow (each block, then its transpose),
+  voltage bounds, thermal, VUF.  ``csr_matrix`` would add them in the order
+  its unstable per-row sort (libstdc++ introsort, comparing columns only)
+  leaves them.  That order depends on the stream's columns alone, so it is
+  probed once per pattern, by sorting position labels the same way, and the
+  terms are then added left to right from the first.
+- A multiplier that is exactly zero adds no term.  It changes the pattern,
+  so the order is probed again; in the public matrix the entry is absent,
+  and an explicit zero would change the pattern the sparse KKT
+  factorization orders on.  The public equality Jacobian drops entries
+  that are exactly zero, as scipy's sum with the balance rows does; the
+  inequality Jacobian keeps them.
 - The VUF kernel takes all VUF buses in one pass and rounds as the 6x6
   forms do bus by bus: ``A x`` sums its products in index order, ``x'Ax``
   is a stacked ``(k, 1, 6) @ (k, 6, 1)`` matmul, squares and cubes go
@@ -41,7 +52,8 @@ gives :func:`~vudlmp.dlmp.decompose` its derivative in each bus's ``f``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,6 +92,17 @@ class ConstraintTag:
     def symbol(self):
         return MULTIPLIER_SYMBOL[self.kind]
 
+    def describe(self):
+        """The kind and the fields it sets, e.g. ``thermal line sub-b1 phase a``."""
+        words = [self.kind]
+        for name, value in (("bus", self.bus),
+                            ("line", self.line and "-".join(self.line)),
+                            ("end", None if self.end is None else ("from", "to")[self.end]),
+                            ("phase", self.phase), ("part", self.part)):
+            if value is not None:
+                words += [name, value]
+        return " ".join(words)
+
 
 # with x = [ea, fa, eb, fb, ec, fc], x'Ax = |v_neg_sum|^2 and
 # x'Bx = |v_pos_sum|^2 (un-normalized sums)
@@ -110,12 +133,50 @@ def _sum_in_order(val, terms):
     return np.cumsum(np.append(val, terms))[-1]
 
 
-def _csr_layout(rows, cols, nrow):
-    """(order, indices, indptr): the gather that sorts a duplicate-free
-    triplet stream into canonical CSR order, and the resulting layout."""
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrow))))
-    return order, cols[order], indptr
+class CsrLayout:
+    """A fixed CSR pattern of a ``shape`` matrix; a matrix on it is one value
+    per entry, in canonical order (rows ascending, columns ascending)."""
+
+    def __init__(self, rows, cols, shape):
+        """The pattern of the (row, col) pairs given; ``slots`` holds each
+        pair's entry."""
+        key = rows.astype(np.int64) * shape[1] + cols
+        order = np.argsort(key)
+        key = key[order]
+        first = np.diff(key, prepend=-1) != 0
+        self.slots = np.empty(len(key), dtype=np.int64)
+        self.slots[order] = np.cumsum(first) - 1
+        key = key[first]
+        self.shape = shape
+        self.rows = key // shape[1]
+        self.indices = (key % shape[1]).astype(np.int32)
+        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1)).astype(np.int32)
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def matrix(self, values, keep=None):
+        """``csr_matrix`` of ``values``, only of the entries ``keep`` selects
+        if given; it owns its arrays."""
+        if keep is None:
+            return sp.csr_matrix((values.copy(), self.indices.copy(), self.indptr.copy()),
+                                 shape=self.shape)
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows[keep], minlength=self.shape[0]), out=indptr[1:])
+        return sp.csr_matrix((values[keep], self.indices[keep], indptr), shape=self.shape)
+
+
+def _laid_out(rows, cols, shape):
+    """The layout of a stream of distinct (row, col) pairs, and the gather
+    that puts the stream in its order."""
+    layout = CsrLayout(rows, cols, shape)
+    if layout.nnz != len(rows):
+        raise ValueError("duplicate entries in a derivative stream")
+    take = np.empty(layout.nnz, dtype=np.int64)
+    take[layout.slots] = np.arange(len(rows))
+    return layout, take
+
 
 # smoothing added under the square root when the penalty targets VUF itself
 # (squared-percent units; 1e-6 corresponds to a VUF of 0.001 %)
@@ -161,17 +222,33 @@ def vuf_metric_grad_hess(xv):
 
 @dataclass
 class EvalResult:
+    """Objective, constraints and Jacobians at one point.
+
+    ``jac_eq_values`` and ``jac_ineq_values`` are the Jacobians' entries on
+    the problem's fixed layouts; ``jac_eq`` and ``jac_ineq`` build their
+    ``csr_matrix`` on first access.
+    """
+    problem: OpfProblem = field(repr=False)
     objective: float
     grad_objective: np.ndarray
     c_eq: np.ndarray
-    jac_eq: sp.csr_matrix
+    jac_eq_values: np.ndarray
     c_ineq: np.ndarray
-    jac_ineq: sp.csr_matrix
+    jac_ineq_values: np.ndarray
     vuf_hess: np.ndarray    # (k, 6, 6) blocks: the penalty's (soft), f's (hard)
+
+    @cached_property
+    def jac_eq(self) -> sp.csr_matrix:
+        return self.problem.jac_eq_matrix(self.jac_eq_values)
+
+    @cached_property
+    def jac_ineq(self) -> sp.csr_matrix:
+        return self.problem.jac_ineq_layout.matrix(self.jac_ineq_values)
 
 
 class OpfProblem:
-    """Assembled NLP; immutable after :func:`build_problem`."""
+    """Assembled NLP; immutable after :func:`build_problem`, but for the
+    Hessian summation order it keeps for the last multiplier pattern."""
 
     def __init__(self, net: NetworkSpec, cfg: UnbalanceConfig, penalty_on: str = "f"):
         if penalty_on not in ("f", "vuf"):
@@ -325,9 +402,10 @@ class OpfProblem:
             rows += [r.ravel(), r.ravel() + 1]
             cols += [cp.ravel(), cq.ravel()]
             vals.append(np.full(2 * r.size, sign))
-        self._bal_A = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_eq, self.nvar))
+        # in CSR order: ``c`` sums each row by ascending column, as a CSR matvec
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        order = np.lexsort((cols, rows))
+        self._bal = rows[order], cols[order], vals[order]
         demand = net.demand_pu().ravel()
         self._bal_b = np.zeros(self.n_eq)
         self._bal_b[row::2] = np.real(demand)
@@ -363,6 +441,7 @@ class OpfProblem:
 
         self._build_flow_derivatives()
         self._build_ineq_derivatives()
+        self._build_hessian_layout()
 
     def _build_flow_derivatives(self):
         """Index arrays of the flow-definition Jacobian and Hessian entries.
@@ -388,11 +467,13 @@ class OpfProblem:
         cols8 = np.broadcast_to(np.stack(np.broadcast_arrays(
             e_near, e_near, f_near, f_near, e_far, e_far, f_far, f_far), axis=-1), shape8)
         rows8 = np.broadcast_to(rp[..., None, None] + np.arange(8) % 2, shape8)
-        rows = np.concatenate((rp.ravel(), rp.ravel() + 1, rows8.ravel()))
-        cols = np.concatenate((self.idx_p.ravel(), self.idx_q.ravel(), cols8.ravel()))
+        # and the constant balance rows last
+        rows = np.concatenate((rp.ravel(), rp.ravel() + 1, rows8.ravel(), self._bal[0]))
+        cols = np.concatenate((self.idx_p.ravel(), self.idx_q.ravel(), cols8.ravel(),
+                               self._bal[1]))
         take = np.flatnonzero(cols >= 0)
-        self._jeq_take, self._jeq_indices, self._jeq_indptr = _csr_layout(
-            rows[take], cols[take], self.n_eq)
+        self.jac_eq_layout, self._jeq_take = _laid_out(rows[take], cols[take],
+                                                        (self.n_eq, self.nvar))
         self._jeq_take = take[self._jeq_take]
 
         # Hessian: block k is Re(w_k g_V g_C') with rows g_V over the near
@@ -447,11 +528,66 @@ class OpfProblem:
         if self.cfg.mode == "hard":
             rows.append(np.repeat(self._vuf_row0 + np.arange(len(self._vuf_vars)), 6))
             cols.append(self._vuf_vars.ravel())
-        self._jin_take, self._jin_indices, self._jin_indptr = _csr_layout(
-            np.concatenate(rows), np.concatenate(cols), self.n_ineq)
+        self.jac_ineq_layout, self._jin_take = _laid_out(
+            np.concatenate(rows), np.concatenate(cols), (self.n_ineq, self.nvar))
         # voltage-bound and thermal Hessian entries: (e, f) and (p, q) pairs
         self._hv_vars = np.stack((self._ve, self._vf), axis=1).ravel()
         self._hth_vars = np.stack((self._tp, self._tq), axis=1).ravel()
+
+    def _build_hessian_layout(self):
+        """The superset layout of every Lagrangian Hessian entry, and each
+        term of the full triplet stream: its slot and its group, whose
+        multiplier drops it when exactly zero.
+
+        The stream runs objective (group 0, always kept), flow, voltage
+        bounds, thermal, VUF, as in the module docstring; the groups are the
+        flow blocks, voltage-bound pairs, thermal pairs and VUF rows in turn.
+        """
+        fams = [(self._hflow_rows, self._hflow_cols, self._hflow_block, self._near.size * NPHASE),
+                (self._hv_vars, self._hv_vars, np.arange(self._hv_vars.size) // 2, self._ve.size),
+                (self._hth_vars, self._hth_vars, np.arange(self._hth_vars.size) // 2,
+                 self._tp.size)]
+        if self.cfg.mode == "hard":
+            fams.append((self._vuf_hrows.ravel(), self._vuf_hcols.ravel(),
+                         np.arange(self._vuf_hrows.size) // 36, len(self._vuf_vars)))
+        rows, cols, groups = [], [], []
+        if self._penalised:
+            rows.append(self._hobj_rows)
+            cols.append(self._hobj_cols)
+            groups.append(np.zeros(self._hobj_rows.size, dtype=int))
+        first = 1       # the first group of the next family
+        for r, c, g, count in fams:
+            rows.append(r)
+            cols.append(c)
+            groups.append(first + g)
+            first += count
+        self._h_rows, self._h_cols, self._h_group = map(np.concatenate, (rows, cols, groups))
+        self.hess_layout = CsrLayout(self._h_rows, self._h_cols, (self.nvar, self.nvar))
+        self._h_order = None
+
+    def _hessian_order(self, kept_groups):
+        """The summation of the terms ``kept_groups`` keeps, probed once per
+        pattern: (``kept_groups``, the slots that have a term, and per rank r
+        the slots with an r-th term and those terms, in the order
+        ``csr_matrix`` sums them; see the module docstring)."""
+        if self._h_order is not None and np.array_equal(kept_groups, self._h_order[0]):
+            return self._h_order
+        kept = np.flatnonzero(kept_groups[self._h_group])
+        rows = self._h_rows[kept]
+        # COO -> CSR keeps the stream order within a row; then the row sort
+        kept = kept[np.argsort(rows, kind="stable")]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.nvar))))
+        probe = sp.csr_matrix((np.arange(kept.size, dtype=float), self._h_cols[kept], indptr),
+                              shape=(self.nvar, self.nvar))
+        probe.sort_indices()    # sorts only if unsorted, as ``sum_duplicates`` does
+        terms = kept[probe.data.astype(np.int64)]
+        slots = self.hess_layout.slots[terms]
+        first = np.flatnonzero(np.diff(slots, prepend=-1))
+        rank = np.arange(terms.size) - np.repeat(first, np.diff(np.append(first, terms.size)))
+        self._h_order = (kept_groups, slots[first],
+                         [(slots[rank == r], terms[rank == r])
+                          for r in range(rank.max(initial=-1) + 1)])
+        return self._h_order
 
     # -- evaluation ----------------------------------------------------------
 
@@ -495,11 +631,15 @@ class OpfProblem:
             w = w / (2.0 * _root(vuf_metric_local(x[self._vuf_vars])))
         return w
 
-    def eval_eq(self, x, want_jac=True):
+    def eval_eq(self, x, want_jac=True, out=None):
+        """Equality residuals and, with ``want_jac``, their Jacobian: its
+        values on :attr:`jac_eq_layout` written to ``out`` if given, else
+        :meth:`jac_eq_matrix` of them."""
         v = self.voltages(x)
         i_from, s_from, s_to = line_flows(self.net, v)
         s = np.stack((s_from, s_to), axis=1)
-        c = self._bal_A @ x + self._bal_b
+        rows, cols, vals = self._bal
+        c = np.bincount(rows, vals * x[cols], self.n_eq) + self._bal_b
         # flow-definition rows, (line, end, phase) order, P then Q
         c[0:self._balance_row0:2] = (x[self.idx_p] - np.real(s)).ravel()
         c[1:self._balance_row0:2] = (x[self.idx_q] - np.imag(s)).ravel()
@@ -522,17 +662,25 @@ class OpfProblem:
         ds_df = diag_f - turned
         slots = np.stack((ds_de.real, ds_de.imag, ds_df.real, ds_df.imag,
                           far.real, far.imag, turned.real, turned.imag), axis=-1)
-        stream = np.concatenate((np.ones(2 * self.idx_p.size), -slots.ravel()))
-        flows = sp.csr_matrix(
-            (stream[self._jeq_take], self._jeq_indices.copy(), self._jeq_indptr.copy()),
-            shape=(self.n_eq, self.nvar))
-        return c, flows + self._bal_A
+        stream = np.concatenate((np.ones(2 * self.idx_p.size), -slots.ravel(), vals))
+        if out is None:
+            return c, self.jac_eq_matrix(stream[self._jeq_take])
+        return c, np.take(stream, self._jeq_take, out=out)
+
+    def jac_eq_matrix(self, values):
+        """``csr_matrix`` of equality-Jacobian values without the entries that
+        are exactly zero, which scipy's sum of the flow and balance rows drops."""
+        return self.jac_eq_layout.matrix(values, values != 0)
 
     def eval_ineq(self, x, want_jac=True):
-        return self._eval_ineq(x, want_jac)[:2]
+        """Inequality residuals and, with ``want_jac``, the ``csr_matrix`` of
+        their Jacobian (explicit zeros kept)."""
+        c, values, _ = self._eval_ineq(x, want_jac)
+        return c, self.jac_ineq_layout.matrix(values) if want_jac else None
 
     def _eval_ineq(self, x, want_jac):
-        """c_ineq, its Jacobian and, in hard mode, f's (k, 6, 6) Hessian blocks."""
+        """c_ineq, its Jacobian's values on :attr:`jac_ineq_layout` and, in
+        hard mode, f's (k, 6, 6) Hessian blocks."""
         c = np.empty(self.n_ineq)
         e = x[self._ve]
         f = x[self._vf]
@@ -560,28 +708,21 @@ class OpfProblem:
             self._box_values,
             np.stack((2 * p, 2 * q), axis=1).ravel(),
             vuf_grad.ravel()))
-        jac = sp.csr_matrix(
-            (stream[self._jin_take], self._jin_indices.copy(), self._jin_indptr.copy()),
-            shape=(self.n_ineq, self.nvar))
-        return c, jac, vuf_hess
+        return c, stream[self._jin_take], vuf_hess
 
-    def hess_lagrangian(self, x, y_eq, z_ineq, vuf_hess=None):
-        """Sparse Hessian of obj + y'c_eq + z'c_ineq at x.
+    def hess_lagrangian(self, x, y_eq, z_ineq, vuf_hess=None, out=None):
+        """Hessian of obj + y'c_eq + z'c_ineq at x: its values on
+        :attr:`hess_layout` written to ``out`` if given (0 where no term
+        falls), else the ``csr_matrix`` of the entries that have a term.
 
-        Entries are streamed family by family (objective, flow, voltage
-        bounds, thermal, VUF) and ``csr_matrix`` sums the duplicates; a
-        multiplier that is exactly zero contributes no entry.  ``vuf_hess``
+        A multiplier that is exactly zero contributes no term; the terms of
+        an entry are summed as the module docstring sets out.  ``vuf_hess``
         is :attr:`EvalResult.vuf_hess` at the same x, computed here if not
         given.
         """
         if vuf_hess is None:
             vuf_hess = vuf_metric_grad_hess(x[self._vuf_vars])[2] if self.cfg.mode == "hard" \
                 else self.eval_objective(x)[2]
-        rows, cols, vals = [], [], []
-        if self._penalised:
-            rows.append(self._hobj_rows)
-            cols.append(self._hobj_cols)
-            vals.append(vuf_hess.ravel()[self._hobj_order])
         # flow definitions: constant bilinear blocks, weight w = -(y_p - 1j y_q)
         # spelled out as the real operations the scalar expression performs
         yp = y_eq[0:self._balance_row0:2]
@@ -593,32 +734,27 @@ class OpfProblem:
         w.imag = -(0.0 - ji)
         block = (w.reshape(self._near.shape + (NPHASE,))[..., None, None]
                  * self._hflow_g).real.ravel()
-        keep = (w != 0)[self._hflow_block]
-        rows.append(self._hflow_rows[keep])
-        cols.append(self._hflow_cols[keep])
-        vals.append(block[self._hflow_entry[keep]])
-        # voltage-magnitude bounds: +/- 2 on the two rect coordinates
-        w = np.repeat(2.0 * (z_ineq[1:self._box_row0:2] - z_ineq[0:self._box_row0:2]), 2)
-        keep = w != 0
-        rows.append(self._hv_vars[keep])
-        cols.append(self._hv_vars[keep])
-        vals.append(w[keep])
-        # thermal circles
-        w = np.repeat(2.0 * z_ineq[self._thermal_row0:self._vuf_row0], 2)
-        keep = w != 0
-        rows.append(self._hth_vars[keep])
-        cols.append(self._hth_vars[keep])
-        vals.append(w[keep])
-        # hard VUF constraints
+        # voltage-magnitude bounds (+/- 2 on the two rect coordinates),
+        # thermal circles and hard VUF rows
+        w_v = 2.0 * (z_ineq[1:self._box_row0:2] - z_ineq[0:self._box_row0:2])
+        w_th = 2.0 * z_ineq[self._thermal_row0:self._vuf_row0]
+        w_vuf = z_ineq[self._vuf_row0:]
+        kept = np.concatenate(([True], w != 0, w_v != 0, w_th != 0, w_vuf != 0))
+        _, present, order = self._hessian_order(kept)
+        terms = [block[self._hflow_entry], np.repeat(w_v, 2), np.repeat(w_th, 2)]
+        if self._penalised:
+            terms.insert(0, vuf_hess.ravel()[self._hobj_order])
         if self.cfg.mode == "hard":
-            w = z_ineq[self._vuf_row0:]
-            keep = w != 0
-            rows.append(self._vuf_hrows[keep].ravel())
-            cols.append(self._vuf_hcols[keep].ravel())
-            vals.append((w[keep, None, None] * vuf_hess[keep]).ravel())
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.nvar, self.nvar))
+            terms.append((w_vuf[:, None, None] * vuf_hess).ravel())
+        terms = np.concatenate(terms)
+        h = np.zeros(self.hess_layout.nnz) if out is None else out
+        h.fill(0.0)
+        for r, (slots, idx) in enumerate(order):
+            if r:
+                h[slots] += terms[idx]
+            else:
+                h[slots] = terms[idx]
+        return h if out is not None else self.hess_layout.matrix(h, present)
 
     def evaluate(self, x) -> EvalResult:
         """Objective, constraints and their first derivatives at x, and the
@@ -626,26 +762,13 @@ class OpfProblem:
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite variable vector")
         obj, gobj, h_obj = self.eval_objective(x)
-        c_eq, j_eq = self.eval_eq(x)
+        c_eq, j_eq = self.eval_eq(x, out=np.empty(self.jac_eq_layout.nnz))
         c_ineq, j_ineq, h_vuf = self._eval_ineq(x, True)
         return EvalResult(
-            objective=obj, grad_objective=gobj,
-            c_eq=c_eq, jac_eq=j_eq, c_ineq=c_ineq, jac_ineq=j_ineq,
+            problem=self, objective=obj, grad_objective=gobj,
+            c_eq=c_eq, jac_eq_values=j_eq, c_ineq=c_ineq, jac_ineq_values=j_ineq,
             vuf_hess=h_vuf if self.cfg.mode == "hard" else h_obj,
         )
-
-    def derivative_patterns(self):
-        """(rows, cols) of every entry ``hess_lagrangian`` and ``eval_eq``'s
-        Jacobian can hold; the matrices drop the entries that are exactly 0."""
-        h = [(self._hflow_rows, self._hflow_cols), (self._hv_vars,) * 2, (self._hth_vars,) * 2]
-        if self._penalised:
-            h.append((self._hobj_rows, self._hobj_cols))
-        if self.cfg.mode == "hard":
-            h.append((self._vuf_hrows.ravel(), self._vuf_hcols.ravel()))
-        bal = self._bal_A.tocoo()
-        j = [(np.repeat(np.arange(self.n_eq), np.diff(self._jeq_indptr)), self._jeq_indices),
-             (bal.row, bal.col)]
-        return tuple(tuple(np.concatenate(p).astype(np.int64) for p in zip(*b)) for b in (h, j))
 
 
 def build_problem(net: NetworkSpec, cfg: UnbalanceConfig | None = None,

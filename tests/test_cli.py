@@ -69,6 +69,15 @@ class TestExitCodes:
         _, rows = read_csv(tmp_path / "out" / "summary.csv")
         assert rows[0]["status"] == "infeasible-or-nonconverged"
 
+    def test_infeasible_hard_limit_names_the_row(self, two_bus_file, tmp_path, capsys):
+        code = main(["opf", two_bus_file, "--mode", "hard", "--limit", "1e-4",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert re.search(r"worst feasibility residual [0-9.e+-]+ at vuf_limit bus load", err), err
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert rows[0]["status"] == "infeasible-or-nonconverged"
+
     def test_kkt_solve_failure_exit_code(self, two_bus_file, tmp_path, monkeypatch,
                                          capsys):
         def broken(self, rhs):

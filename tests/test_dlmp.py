@@ -22,23 +22,24 @@ from vudlmp.powerflow import build_ybus, solve_pf
 from vudlmp.sequence import PhasorSet, f_metric
 
 
-def consumption_fd(net, v, functional, h=1e-6):
+def consumption_fd(net, v, functional, h=1e-6, keys=None):
     """Central differences of ``functional(point)`` per unit of extra
-    consumption at every non-slack (bus, phase, power kind), generation
-    fixed (the slack swings), over the kW base; keyed (bus, phase, kind)."""
+    consumption at every non-slack (bus, phase, power kind), or at the
+    ``keys`` given, generation fixed (the slack swings), over the kW base;
+    keyed (bus, phase, kind)."""
+    if keys is None:
+        keys = [(bus.id, phase, kind) for bus in net.buses if bus.id != net.substation_bus
+                for phase in PHASES for kind in ("active", "reactive")]
     inj = (v.reshape(-1) * np.conj(build_ybus(net) @ v.reshape(-1))).reshape(v.shape)
     out = {}
-    for b, bus in enumerate(net.buses):
-        if bus.id == net.substation_bus:
-            continue
-        for ph, phase in enumerate(PHASES):
-            for kind, unit in (("active", 1.0), ("reactive", 1j)):
-                terms = []
-                for ds in (h * unit, -h * unit):
-                    pert = inj.copy()
-                    pert[b, ph] -= ds
-                    terms.append(functional(solve_pf(net, pert, v0=v)))
-                out[bus.id, phase, kind] = (np.subtract(*terms) / (2 * h)) / net.base_kw
+    for bus, phase, kind in keys:
+        unit = 1.0 if kind == "active" else 1j
+        terms = []
+        for ds in (h * unit, -h * unit):
+            pert = inj.copy()
+            pert[net.bus_index(bus), PHASES.index(phase)] -= ds
+            terms.append(functional(solve_pf(net, pert, v0=v)))
+        out[bus, phase, kind] = (np.subtract(*terms) / (2 * h)) / net.base_kw
     return out
 
 
@@ -266,6 +267,27 @@ class TestDecomposition:
         assert sol.psi(bus) > 0
         rows = [d for d in decompose(sol) if d.bus == bus]
         assert max(abs(d.unbalance) for d in rows) > 1e-6
+
+    def test_feeder_soft_unbalance_matches_finite_differences(self, eulv117, eulv117_solve):
+        # eulv117 soft 3.0 on the sparse KKT path: the unbalance component is
+        # the first-order change of sum w f over the VUF buses, at the three
+        # most negative and the three largest positive active components
+        # (-0.029317 EUR/kWh at n100/b; the differences agree to ~1e-10)
+        sol = eulv117_solve("soft", penalty=3.0)
+        assert sol.success, sol.message
+        idx = [eulv117.bus_index(bid) for bid in sol.problem.vuf_buses]
+
+        def priced(point):
+            return np.sum(3.0 * np.array([f_metric(PhasorSet.from_array(point.voltages[b]))
+                                          for b in idx]))
+
+        keys = [(bus, phase, "active") for bus, phase in (
+            ("n100", "b"), ("n98", "b"), ("n99", "b"), ("n99", "a"), ("n102", "a"), ("n100", "a"))]
+        fd = consumption_fd(eulv117, sol.voltages(), priced, keys=keys)
+        rows = {(d.bus, d.phase, d.power_kind): d.unbalance for d in decompose(sol)}
+        assert rows["n100", "b", "active"] == pytest.approx(-0.029317, abs=5e-7)
+        for key in keys:
+            assert abs(rows[key] - fd[key]) < 1e-8, key
 
     def test_component_names_are_stable(self):
         assert COMPONENTS == ("energy", "loss", "congestion",

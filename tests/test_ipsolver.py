@@ -1,5 +1,7 @@
 """Interior-point solver tests: KKT quality, mode behavior, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,7 @@ from vudlmp.ipsolver import (
     _inertia,
     _KktLayout,
     _row_scales,
-    _ScaledRows,
+    _RowScaling,
     solve,
 )
 from vudlmp.netmodel import BusSpec, GenSpec, LoadSpec, NetworkSpec, UnbalanceConfig
@@ -32,6 +34,18 @@ def kkt_residuals(sol):
     feas = float(max(np.max(np.abs(e.c_eq)), np.max(e.c_ineq, initial=0.0)))
     comp = float(np.max(np.abs(sol.z_ineq * e.c_ineq)))
     return stat, feas, comp
+
+
+def worst_row(sol):
+    """The worst-row suffix of a failed solve's message, recomputed from the
+    public evaluation at its x; every failure tested here is infeasible."""
+    prob = sol.problem
+    e = prob.evaluate(sol.x)
+    viol = np.concatenate((np.abs(e.c_eq), np.maximum(e.c_ineq, 0.0)))
+    k = int(np.argmax(viol))
+    assert viol[k] > 1e-6
+    tag = (prob.eq_tags + prob.ineq_tags)[k]
+    return f"; worst feasibility residual {viol[k]:.3g} at {tag.describe()}"
 
 
 class TestConvergence:
@@ -147,6 +161,14 @@ class TestModeBehavior:
         sol = solve(prob, settings=SolverSettings(max_iter=80))
         assert not sol.success
         assert sol.status in ("infeasible", "failed")
+
+    def test_infeasible_hard_limit_names_the_vuf_row(self, two_bus):
+        cfg = UnbalanceConfig("hard", 1e-4, buses=("load",))
+        sol = solve(build_problem(two_bus, cfg), settings=SolverSettings(max_iter=80))
+        assert sol.status == "infeasible"
+        assert sol.message.endswith(worst_row(sol))
+        assert re.search(r"; worst feasibility residual [0-9.e+-]+ at vuf_limit bus load$",
+                         sol.message), sol.message
 
 
 class TestSolutionViews:
@@ -305,6 +327,19 @@ class TestInertia:
         assert _inertia(ldu, np.arange(1, 5)) == (0, 0, 4)
 
 
+def row_scales(prob, e):
+    return (_row_scales(prob.jac_eq_layout, e.jac_eq_values),
+            _row_scales(prob.jac_ineq_layout, e.jac_ineq_values))
+
+
+def refill(layout, prob, x, e, d_eq, d_in, y, z, sigma):
+    """Lay one iterate into ``layout`` from the laid-out values, as the solver does."""
+    hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess,
+                                out=np.empty(prob.hess_layout.nnz))
+    layout.refill(hess, e.jac_ineq_values, d_in, sigma,
+                  _RowScaling(d_eq, prob.jac_eq_layout)(e.jac_eq_values))
+
+
 def scipy_dense_w(hess, ji, sigma):
     """Dense W from scipy.sparse products: the reference, bit for bit."""
     w = (hess + (ji.T @ sp.diags(sigma) @ ji)).tocsr()
@@ -331,9 +366,12 @@ class TestDenseAssembly:
         prob, xs = points
         for x in xs:
             e = prob.evaluate(x)
-            for jac in (e.jac_eq, e.jac_ineq):
-                d = _row_scales(jac)
-                ours, ref = _ScaledRows(d, jac), sp.diags(d) @ jac
+            for layout, values, jac in ((prob.jac_eq_layout, e.jac_eq_values, e.jac_eq),
+                                        (prob.jac_ineq_layout, e.jac_ineq_values, e.jac_ineq)):
+                d = _row_scales(layout, values)
+                ref_d = 1.0 / np.maximum(1.0, np.abs(jac).max(axis=1).toarray().ravel())
+                assert d.tobytes() == ref_d.tobytes()
+                ours, ref = _RowScaling(d, layout)(values), sp.diags(d) @ jac
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(ours, part), getattr(ref, part)
                     assert a.dtype == b.dtype and np.array_equal(a, b), part
@@ -341,18 +379,18 @@ class TestDenseAssembly:
     def test_dense_w_matches_scipy(self, points):
         prob, xs = points
         n, m = prob.nvar, prob.n_eq
-        # laid out once from the flat start, used at every point
-        layout = _KktLayout(prob, prob.evaluate(xs[0]).jac_ineq)
+        # laid out once per problem, used at every point
+        layout = _KktLayout(prob)
         rng = np.random.default_rng(6)
         for x in xs:
             e = prob.evaluate(x)
-            d_eq, d_in = _row_scales(e.jac_eq), _row_scales(e.jac_ineq)
+            d_eq, d_in = row_scales(prob, e)
             y = rng.standard_normal(prob.n_eq)
             z = np.abs(rng.standard_normal(prob.n_ineq))
             z[rng.random(prob.n_ineq) < 0.3] = 0.0
             sigma = np.exp(rng.uniform(-20.0, 20.0, prob.n_ineq))
             hess = prob.hess_lagrangian(x, d_eq * y, d_in * z)
-            layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
+            refill(layout, prob, x, e, d_eq, d_in, y, z, sigma)
             w = scipy_dense_w(hess, sp.diags(d_in) @ e.jac_ineq, sigma)
             je = (sp.diags(d_eq) @ e.jac_eq).toarray()
             for delta in (0.0, 1e-4):
@@ -368,14 +406,13 @@ class TestDenseAssembly:
         prob = build_problem(simple5, UnbalanceConfig("hard", 1.0))
         x = prob.x0(simple5_pf)
         e = prob.evaluate(x)
-        d_eq, d_in = _row_scales(e.jac_eq), _row_scales(e.jac_ineq)
+        d_eq, d_in = row_scales(prob, e)
         rng = np.random.default_rng(10)
         y = rng.standard_normal(prob.n_eq)
         z = np.abs(rng.standard_normal(prob.n_ineq))
         sigma = np.exp(rng.uniform(-20.0, 20.0, prob.n_ineq))
-        hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess)
-        layout = _KktLayout(prob, e.jac_ineq)
-        layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
+        layout = _KktLayout(prob)
+        refill(layout, prob, x, e, d_eq, d_in, y, z, sigma)
         for delta in (0.0, 1e-4):
             target, _, perm = layout.matrices(delta)    # P K P'
             assert np.array_equal(layout.dense(delta, 0.0), target.toarray()[np.ix_(perm, perm)])
@@ -440,7 +477,7 @@ class TestSparseAssembly:
 
     def iterate(self, prob, x, rng):
         e = prob.evaluate(x)
-        d_eq, d_in = _row_scales(e.jac_eq), _row_scales(e.jac_ineq)
+        d_eq, d_in = row_scales(prob, e)
         y = rng.standard_normal(prob.n_eq)
         z = np.abs(rng.standard_normal(prob.n_ineq))
         y[rng.random(prob.n_eq) < 0.3] = 0.0
@@ -451,15 +488,15 @@ class TestSparseAssembly:
 
     def test_kkt_matrices_match_scipy(self, points):
         prob, xs = points
-        # laid out once from the flat start, used at every point
-        layout = _KktLayout(prob, prob.evaluate(xs["flat"]).jac_ineq)
+        # laid out once per problem, used at every point
+        layout = _KktLayout(prob)
         rng = np.random.default_rng(8)
         full = prob.evaluate(xs["warm"]).jac_eq.nnz
         perms = []
         for where, x in xs.items():
             e, d_eq, d_in, y, z, sigma, hess = self.iterate(prob, x, rng)
             assert (e.jac_eq.nnz < full) == (where == "dead")
-            layout.refill(hess, e.jac_ineq, d_in, sigma, _ScaledRows(d_eq, e.jac_eq))
+            refill(layout, prob, x, e, d_eq, d_in, y, z, sigma)
             for delta in (0.0, 1e-4):   # the plain system and a regularized retry
                 ref = scipy_kkt(hess, sp.diags(d_in) @ e.jac_ineq, sigma,
                                 sp.diags(d_eq) @ e.jac_eq, delta)
@@ -477,7 +514,8 @@ class TestSparseAssembly:
         rng = np.random.default_rng(9)
         for x in xs.values():
             e, d_eq, d_in, y, z, _, _ = self.iterate(prob, x, rng)
-            je, ji = _ScaledRows(d_eq, e.jac_eq), _ScaledRows(d_in, e.jac_ineq)
+            je = _RowScaling(d_eq, prob.jac_eq_layout)(e.jac_eq_values)
+            ji = _RowScaling(d_in, prob.jac_ineq_layout)(e.jac_ineq_values)
             ref_je, ref_ji = sp.diags(d_eq) @ e.jac_eq, sp.diags(d_in) @ e.jac_ineq
             dx = rng.standard_normal(prob.nvar)
             assert je.tdot(y).tobytes() == (ref_je.T @ y).tobytes()
@@ -508,6 +546,50 @@ class TestSparseAssembly:
         assert calls[0] == "MMD_AT_PLUS_A"
         assert set(calls[1:]) == {"NATURAL"}
         assert len(calls) <= sol.iterations + 1
+
+
+class TestSparseConstructions:
+    """Within an interior-point iteration the solver builds no scipy.sparse
+    matrix except the two SuperLU inputs of a sparse factorization.  SuperLU
+    itself builds its L and U factors, as ``csc_array`` objects, when the
+    inertia reads ``lu.U``; the solver builds no ``csc_array``."""
+
+    def count(self, monkeypatch, prob, warm, max_iter):
+        """(solution, the solver's constructions, KKT factorizations by splu);
+        each problem probes its Hessian summation order once, so pass a new one."""
+        built, orderings = [], []
+        init = sp._base._spbase.__init__
+        monkeypatch.setattr(sp._base._spbase, "__init__",
+                            lambda self, *a, **k: built.append(type(self)) or init(self, *a, **k))
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: orderings.append(k["permc_spec"]) or splu(*a, **k))
+        sol = solve(prob, warm=warm, settings=SolverSettings(max_iter=max_iter))
+        monkeypatch.undo()
+        factors = orderings.count("NATURAL")
+        assert built.count(sp.csc_array) <= 2 * factors     # SuperLU's L and U
+        return sol, len(built) - built.count(sp.csc_array), factors
+
+    def test_dense_path_count_is_fixed(self, simple5, simple5_pf, monkeypatch):
+        cfg = UnbalanceConfig("hard", 1.0)
+        full, n_full, factors = self.count(monkeypatch, build_problem(simple5, cfg),
+                                           simple5_pf, 300)
+        short, n_short, _ = self.count(monkeypatch, build_problem(simple5, cfg), simple5_pf, 3)
+        assert full.success and full.iterations > 20
+        assert not short.success and short.iterations == 3
+        assert factors == 0
+        assert n_full == n_short <= 20
+
+    def test_sparse_path_builds_two_per_factorization(self, eulv117, monkeypatch):
+        cfg = UnbalanceConfig("hard", 0.5)
+        warm = solve_pf(eulv117)
+        full, n_full, factors = self.count(monkeypatch, build_problem(eulv117, cfg), warm, 300)
+        short, n_short, short_factors = self.count(monkeypatch, build_problem(eulv117, cfg),
+                                                   warm, 3)
+        assert full.success and factors >= full.iterations - 1
+        assert short.iterations == 3
+        # two per factorization, and the same fixed rest whatever the length
+        assert n_full - 2 * factors == n_short - 2 * short_factors <= 25
 
 
 def random_kkt(rng, n, m, zero_diag=0):
@@ -601,7 +683,7 @@ class TestKktSolveFailure:
         monkeypatch.setattr(ipsolver._KktSystem, "solve", breaks_late)
         sol = solve(build_problem(simple5), warm=simple5_pf)
         assert sol.status == "failed"
-        assert sol.message == "KKT solve failed: dsytrs failed"
+        assert sol.message == "KKT solve failed: dsytrs failed" + worst_row(sol)
         assert sol.iterations == 21
         # unscaled residuals of the last evaluation, at the returned x
         for name, value in zip(("stationarity", "feasibility", "complementarity"),
@@ -615,7 +697,7 @@ class TestFailureMessages:
         monkeypatch.setattr(prob, "objective_value", lambda x: np.nan)
         sol = solve(prob, warm=simple5_pf)
         assert not sol.success
-        assert sol.message == "line search failed repeatedly"
+        assert sol.message == "line search failed repeatedly" + worst_row(sol)
         assert sol.iterations == 5
 
     @pytest.mark.parametrize("inertia", ["read", "unknown"])
@@ -638,4 +720,4 @@ class TestFailureMessages:
         assert sol.iterations == 1
         found = f"({n}, {m}, 0)" if inertia == "read" else "unknown"
         assert sol.message == (f"KKT matrix could not be regularized: inertia {found} "
-                               f"at delta 1.0e+12, wanted ({n}, {m}, 0)")
+                               f"at delta 1.0e+12, wanted ({n}, {m}, 0)" + worst_row(sol))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vudlmp import opf
 from vudlmp.netmodel import UnbalanceConfig, ValidationError
@@ -252,6 +253,74 @@ class TestFeederDerivatives:
         prob = build_problem(eulv117, UnbalanceConfig("none"))
         x = random_x(prob, np.random.default_rng(22))
         assert prob.hess_lagrangian(x, np.zeros(prob.n_eq), np.zeros(prob.n_ineq)).nnz == 0
+
+
+def scipy_hessian(prob, x, y_eq, z_ineq):
+    """The Lagrangian Hessian as ``csr_matrix`` sums its triplet stream
+    (objective, flow, voltage bounds, thermal, VUF; a term only where its
+    multiplier is not exactly zero): the reference, bit for bit."""
+    hard = prob.cfg.mode == "hard"
+    vuf_hess = vuf_metric_grad_hess(x[prob._vuf_vars])[2] if hard else prob.eval_objective(x)[2]
+    rows, cols, vals = [], [], []
+    if prob._penalised:
+        rows.append(prob._hobj_rows)
+        cols.append(prob._hobj_cols)
+        vals.append(vuf_hess.ravel()[prob._hobj_order])
+    yp, yq = y_eq[0:prob._balance_row0:2], y_eq[1:prob._balance_row0:2]
+    w = np.empty(yp.shape, dtype=complex)
+    w.real = -(yp - (0.0 * yq - 0.0))
+    w.imag = -(0.0 - (0.0 + yq))
+    block = (w.reshape(prob._near.shape + (3,))[..., None, None] * prob._hflow_g).real.ravel()
+    keep = (w != 0)[prob._hflow_block]
+    rows.append(prob._hflow_rows[keep])
+    cols.append(prob._hflow_cols[keep])
+    vals.append(block[prob._hflow_entry[keep]])
+    for var, w in ((prob._hv_vars, 2.0 * (z_ineq[1:prob._box_row0:2]
+                                           - z_ineq[0:prob._box_row0:2])),
+                   (prob._hth_vars, 2.0 * z_ineq[prob._thermal_row0:prob._vuf_row0])):
+        w = np.repeat(w, 2)
+        rows.append(var[w != 0])
+        cols.append(var[w != 0])
+        vals.append(w[w != 0])
+    if hard:
+        w = z_ineq[prob._vuf_row0:]
+        rows.append(prob._vuf_hrows[w != 0].ravel())
+        cols.append(prob._vuf_hcols[w != 0].ravel())
+        vals.append((w[w != 0, None, None] * vuf_hess[w != 0]).ravel())
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(prob.nvar, prob.nvar))
+
+
+class TestHessianSummation:
+    """The Hessian's duplicate terms are added in the order scipy's unstable
+    row sort leaves them (eulv117 rows hold up to 79 triplets), whatever the
+    exactly-zero multipliers drop, on the public matrix and on the values
+    the solver reads."""
+
+    @pytest.mark.parametrize("mode_cfg,penalty_on", [
+        (UnbalanceConfig("none"), "f"),
+        (UnbalanceConfig("soft", 0.0, 3.0), "f"),
+        (UnbalanceConfig("soft", 0.0, 3.0), "vuf"),
+        (UnbalanceConfig("hard", 0.5), "f"),
+    ], ids=["none", "soft-f", "soft-vuf", "hard"])
+    def test_matches_scipy_bit_for_bit(self, eulv117, mode_cfg, penalty_on):
+        prob = build_problem(eulv117, mode_cfg, penalty_on=penalty_on)
+        rng = np.random.default_rng(23)
+        out = np.empty(prob.hess_layout.nnz)
+        for zeros in (0.0, 0.3, 0.0, 1.0):  # back to a pattern seen before, then all zero
+            x = random_x(prob, rng, scale=0.01)
+            y = rng.standard_normal(prob.n_eq)
+            z = np.abs(rng.standard_normal(prob.n_ineq))
+            y[rng.random(prob.n_eq) < zeros] = 0.0
+            z[rng.random(prob.n_ineq) < zeros] = 0.0
+            ref = scipy_hessian(prob, x, y, z)
+            ours = prob.hess_lagrangian(x, y, z)
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(ours, part), getattr(ref, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+            prob.hess_lagrangian(x, y, z, out=out)
+            full = prob.hess_layout.matrix(out)
+            assert full.toarray().tobytes() == ref.toarray().tobytes()
 
 
 class TestObjectiveGates:
