@@ -1,9 +1,15 @@
 """Print digests of the OPF evaluation, the power flow and whole solves.
 
-For simple5 (none, soft on f, soft on VUF, hard) and eulv117 (none, soft,
-hard) this evaluates ``eval_eq``, ``eval_ineq`` and ``hess_lagrangian`` at
-the flat start, the power-flow warm start and a seeded perturbed point, with
-seeded multipliers of which about a third are exactly zero.  It then digests
+Each problem built for the evaluations and the whole solves below first
+gets one ``layout`` line: digests of its ``idx_*`` variable indices, its
+generator boxes, the ``describe()`` strings of its equality and inequality
+tags in row order, and the ``indices`` and ``indptr`` of its three
+derivative layouts (the ``kkt`` line's problems repeat solved ones and get
+none).  For simple5 (none, soft on f, soft on VUF, hard) and eulv117 (none,
+soft, hard) the script evaluates ``eval_eq``, ``eval_ineq`` and
+``hess_lagrangian`` at the flat start, the power-flow warm start and a
+seeded perturbed point, with seeded multipliers of which about a third are
+exactly zero.  It then digests
 the ``solve_pf`` voltages of both feeders, four simple5
 ``perturb_and_resolve`` re-solves (1, 3, 3 and 4 Newton steps) and the
 closed-form and finite-difference columns of the eulv117 sensitivity report
@@ -107,10 +113,25 @@ def multipliers(rng, n, positive=False):
     return m
 
 
+def print_layout_digest(name, label, prob):
+    """One ``layout`` line: the variable indices, the generator boxes, the
+    constraint tags in row order and the three derivative layouts."""
+    def text(tags):
+        return np.frombuffer("\n".join(t.describe() for t in tags).encode(), np.uint8)
+    idx = (prob.idx_e, prob.idx_f, prob.idx_pg, prob.idx_qg, prob.idx_p, prob.idx_q)
+    layouts = (prob.jac_eq_layout, prob.jac_ineq_layout, prob.hess_layout)
+    print(f"{name} {label} layout nvar={prob.nvar} n_eq={prob.n_eq} n_ineq={prob.n_ineq}"
+          f" idx={digest(*idx)}"
+          f" gen_boxes={digest(prob.gen_pmin, prob.gen_pmax, prob.gen_qmin, prob.gen_qmax)}"
+          f" eq_tags={digest(text(prob.eq_tags))} ineq_tags={digest(text(prob.ineq_tags))}"
+          f" csr={digest(*(a for lay in layouts for a in (lay.indices, lay.indptr)))}")
+
+
 def print_opf_digests():
     for name, label, cfg, penalty_on in CASES:
         net = load_network(bundled_network(name))
         prob = build_problem(net, cfg, penalty_on=penalty_on)
+        print_layout_digest(name, label, prob)
         rng = np.random.default_rng(2024)
         warm = prob.x0(solve_pf(net))
         points = (("flat", prob.x0()), ("warm", warm),
@@ -190,10 +211,14 @@ def print_solve_digests():
     for name, label, cfg, penalty_on in SOLVES:
         net = load_network(bundled_network(name))
         prob = build_problem(net, cfg, penalty_on=penalty_on)
+        print_layout_digest(name, label, prob)
         print_solve_digest(name, label, solve(prob, warm=solve_pf(net)))
     net = two_bus()
-    print_solve_digest("two-bus", "cold", solve(build_problem(net)))
+    cold = build_problem(net)
+    print_layout_digest("two-bus", "cold", cold)
+    print_solve_digest("two-bus", "cold", solve(cold))
     infeasible = build_problem(net, UnbalanceConfig("hard", 1e-4, buses=("load",)))
+    print_layout_digest("two-bus", "hard-1e-4", infeasible)
     print_solve_digest("two-bus", "hard-1e-4",
                        solve(infeasible, settings=SolverSettings(max_iter=80)))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import numbers
 import os
 import sys
 import time
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .dlmp import COMPONENTS, decompose, sensitivity_report
-from .ipsolver import SolverSettings, solve
+from .ipsolver import SolverSettings, is_number, solve
 from .netmodel import (
     NetworkError,
     UnbalanceConfig,
@@ -88,14 +87,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.penalty_on not in ("f", "vuf"):
             raise ConfigError(f"penalty_on must be 'f' or 'vuf', got {self.penalty_on!r}")
-        # values from a JSON sweep config arrive untyped: "2" or "ab"
-        if self.jobs is not None and not (isinstance(self.jobs, numbers.Integral)
+        if self.jobs is not None and not (is_number(self.jobs, integral=True)
                                           and self.jobs >= 1):
             raise ConfigError(f"jobs must be an integer of at least 1, got {self.jobs!r}")
+        for name in ("limit_pct", "penalty"):
+            if not is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("sweep_weights", "sweep_limits"):
             values = getattr(self, name)
-            if not (isinstance(values, (list, tuple))
-                    and all(isinstance(v, numbers.Real) for v in values)):
+            if not (isinstance(values, (list, tuple)) and all(map(is_number, values))):
                 raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
             object.__setattr__(self, name, tuple(values))
 

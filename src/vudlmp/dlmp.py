@@ -200,10 +200,8 @@ def decompose(sol):
     base_kw = net.base_kw
     v = sol.voltages()
     slack = net.bus_index(net.substation_bus)
-    # multipliers read by row: balance (p, q per bus and phase), voltage box
-    # (lo, hi per non-slack bus and phase) and thermal (per line and phase)
-    phi_p, phi_q = sol.y_eq[prob._balance_row0:].reshape(-1, NPHASE, 2).transpose(2, 0, 1)
-    z_box = sol.z_ineq[:prob._box_row0].reshape(-1, NPHASE, 2)
+    mult = prob.by_family(sol.y_eq, sol.z_ineq)
+    phi_p, phi_q = mult["p_balance"], mult["q_balance"]
 
     # multipliers below tolerance are barrier dust on inactive rows; they
     # would contribute far less than the decomposition tolerance, so they are
@@ -217,7 +215,7 @@ def decompose(sol):
     g_cong, g_vlim, g_unb = np.zeros((3, len(net.buses), NPHASE), dtype=complex)
     # congestion: sum of eta |s_from|^2, which changes by Re(c ds) with
     # c = 2 eta conj(s_from) and ds = dv_i conj(i) + v_i conj(Y (dv_i - dv_j))
-    eta = binding(sol.z_ineq[prob._thermal_row0:prob._vuf_row0].reshape(-1, NPHASE))
+    eta = binding(mult["thermal"])
     i_from, s_from, _ = line_flows(net, v)
     c = 2.0 * eta * np.conj(s_from)
     vi = v[net.line_from]
@@ -226,7 +224,7 @@ def decompose(sol):
     np.add.at(g_cong, net.line_to, -via_y)
     # voltage limits: sum of (sigma_hi - sigma_lo) * |v|^2
     ns = np.arange(len(net.buses)) != slack
-    g_vlim[ns] = 2.0 * binding(z_box[..., 1] - z_box[..., 0]) * v[ns]
+    g_vlim[ns] = 2.0 * binding(mult["v_mag_hi"] - mult["v_mag_lo"]) * v[ns]
     # unbalance: sum over the VUF buses of (the problem's weight) * f
     weights = binding(prob.unbalance_weights(sol.x, sol.z_ineq))
     for bid, w in zip(prob.vuf_buses, weights):

@@ -79,16 +79,23 @@ BOUND_RELAX = 1e-8      # tiny inequality relaxation (handles pinned boxes)
 DELTA_C = 1e-8          # dual regularization of the KKT matrix
 
 
+def is_number(value, integral=False):
+    """Whether a value from an untyped JSON config (``"1e-6"``, ``1.5``,
+    ``true``) is a real number, or with ``integral`` an integer; a bool is
+    neither."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     kkt_tol: float = 1e-6
     max_iter: int = 300
 
     def __post_init__(self):
-        # values from a JSON sweep config arrive untyped: "1e-6" or 1.5
-        if not isinstance(self.kkt_tol, numbers.Real) or not 0 < self.kkt_tol < 1:
+        if not is_number(self.kkt_tol) or not 0 < self.kkt_tol < 1:
             raise ValueError(f"kkt_tol must be a number in (0, 1), got {self.kkt_tol!r}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not is_number(self.max_iter, integral=True) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
@@ -691,8 +698,8 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         if feas > 1e2 * st.kkt_tol:
             status = STATUS_INFEASIBLE
             if prob.cfg.mode == "hard":
-                viol = e.c_ineq[prob._vuf_row0:]
-                if viol.size and np.max(viol, initial=0.0) > st.kkt_tol:
+                viol = prob.by_family(ineq=e.c_ineq)["vuf_limit"]
+                if np.max(viol, initial=0.0) > st.kkt_tol:
                     message = (message + "; " if message else "") + \
                         "hard voltage-unbalance limits violated at the final iterate"
         worst = _worst_row(prob, e, z_un, st.kkt_tol)

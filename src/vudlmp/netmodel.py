@@ -9,6 +9,7 @@ apparent-power base and ``base_volt_ln`` the line-to-neutral voltage base.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -149,6 +150,8 @@ class GenSpec:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (NPHASE,):
                 raise ParseError(f"generator at {self.bus}: {name} must have 3 entries")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"generator at {self.bus}: non-finite {name}")
             object.__setattr__(self, name, _readonly(arr))
         bad = [p for p in self.phases if p not in PHASES]
         if bad:
@@ -156,6 +159,8 @@ class GenSpec:
         object.__setattr__(self, "phases", tuple(self.phases))
         if np.any(self.pmin > self.pmax) or np.any(self.qmin > self.qmax):
             raise ValidationError(f"generator at {self.bus}: empty output box (min > max)")
+        if not math.isfinite(self.marginal_cost):
+            raise ValidationError(f"generator at {self.bus}: non-finite marginal cost")
         if self.marginal_cost < 0:
             raise ValidationError(f"generator at {self.bus}: negative marginal cost")
 
@@ -173,6 +178,9 @@ class UnbalanceConfig:
     def __post_init__(self):
         if self.mode not in UNBALANCE_MODES:
             raise ValidationError(f"unknown unbalance mode {self.mode!r}")
+        for name in ("vuf_limit_pct", "penalty_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode == "hard" and not self.vuf_limit_pct > 0:
             raise ValidationError("hard mode requires vuf_limit_pct > 0")
         if self.mode == "soft" and self.penalty_weight < 0:

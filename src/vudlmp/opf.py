@@ -4,7 +4,12 @@ Variables (all per-unit): rectangular voltage parts of every non-slack
 bus/phase, per-generator-phase active and reactive output, and directed
 per-line-phase power flows.  The substation voltage is held at a balanced
 1 pu source.  Constraints come in tagged families so that every multiplier
-can be recovered by name after the solve.
+can be recovered by name after the solve.  Only :class:`OpfProblem` knows
+where a family's rows start and how its (p, q) or (lo, hi) rows interleave:
+its constructors lay the rows out and its evaluators fill them, and
+:meth:`OpfProblem.by_family` hands any per-row vector, multipliers or
+residuals, to other code as views shaped by each family's axes (bus or
+line, phase).
 
 The objective is cost minimization in EUR/h: generator energy cost plus,
 in soft mode, the voltage-unbalance penalty over the configured bus
@@ -126,6 +131,13 @@ _pow = np.vectorize(math.pow, otypes=[float])
 
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
+
+
+def _pairs(start, shape):
+    """Index arrays of ``shape`` numbering consecutive pairs from ``start``:
+    the first of each pair, and the second."""
+    first = start + 2 * np.arange(math.prod(shape)).reshape(shape)
+    return first, first + 1
 
 
 def _sum_in_order(val, terms):
@@ -264,52 +276,26 @@ class OpfProblem:
     def _build_layout(self):
         net = self.net
         self.slack = net.bus_index(net.substation_bus)
-        nbus = len(net.buses)
-        ngen = len(net.gens)
-        nline = len(net.lines)
+        nbus, ngen, nline = len(net.buses), len(net.gens), len(net.lines)
 
-        nv = 0
-        self.idx_e = -np.ones((nbus, NPHASE), dtype=int)
-        self.idx_f = -np.ones((nbus, NPHASE), dtype=int)
-        for b in range(nbus):
-            if b == self.slack:
-                continue
-            for ph in range(NPHASE):
-                self.idx_e[b, ph] = nv
-                self.idx_f[b, ph] = nv + 1
-                nv += 2
-        self.idx_pg = np.zeros((ngen, NPHASE), dtype=int)
-        self.idx_qg = np.zeros((ngen, NPHASE), dtype=int)
-        for g in range(ngen):
-            for ph in range(NPHASE):
-                self.idx_pg[g, ph] = nv
-                self.idx_qg[g, ph] = nv + 1
-                nv += 2
-        self.idx_p = np.zeros((nline, 2, NPHASE), dtype=int)
-        self.idx_q = np.zeros((nline, 2, NPHASE), dtype=int)
-        for l in range(nline):
-            for d in range(2):
-                for ph in range(NPHASE):
-                    self.idx_p[l, d, ph] = nv
-                    self.idx_q[l, d, ph] = nv + 1
-                    nv += 2
-        self.nvar = nv
+        # variables in pairs, (e, f) per non-slack bus and phase (-1 at the
+        # slack), then (pg, qg) per generator and phase, then (p, q) per line,
+        # end and phase
+        self._nonslack = np.arange(nbus) != self.slack
+        self.idx_e, self.idx_f = np.full((2, nbus, NPHASE), -1)
+        self.idx_e[self._nonslack], self.idx_f[self._nonslack] = _pairs(0, (nbus - 1, NPHASE))
+        nv = 2 * NPHASE * (nbus - 1)
+        self.idx_pg, self.idx_qg = _pairs(nv, (ngen, NPHASE))
+        nv += 2 * NPHASE * ngen
+        self.idx_p, self.idx_q = _pairs(nv, (nline, 2, NPHASE))
+        self.nvar = nv + 4 * NPHASE * nline
         self.slack_voltage = np.array([1.0, ALPHA**2, ALPHA], dtype=complex)
 
         # effective generator boxes: phases the unit does not own are pinned to 0
-        self.gen_pmin = np.zeros((ngen, NPHASE))
-        self.gen_pmax = np.zeros((ngen, NPHASE))
-        self.gen_qmin = np.zeros((ngen, NPHASE))
-        self.gen_qmax = np.zeros((ngen, NPHASE))
-        for g, gen in enumerate(net.gens):
-            for ph in range(NPHASE):
-                if PHASES[ph] in gen.phases:
-                    self.gen_pmin[g, ph] = gen.pmin[ph]
-                    self.gen_pmax[g, ph] = gen.pmax[ph]
-                    self.gen_qmin[g, ph] = gen.qmin[ph]
-                    self.gen_qmax[g, ph] = gen.qmax[ph]
-        if np.any(self.gen_pmin > self.gen_pmax) or np.any(self.gen_qmin > self.gen_qmax):
-            raise ValidationError("infeasible generator box (min > max)")
+        owned = np.array([[ph in gen.phases for ph in PHASES] for gen in net.gens])
+        self.gen_pmin, self.gen_pmax, self.gen_qmin, self.gen_qmax = np.where(
+            owned, [[getattr(gen, name) for gen in net.gens]
+                    for name in ("pmin", "pmax", "qmin", "qmax")], 0.0)
 
         self.vuf_buses = []
         if self.cfg.mode in ("hard", "soft"):
@@ -335,100 +321,98 @@ class OpfProblem:
         v[self.slack] = self.slack_voltage
         return v
 
+    def by_family(self, eq=None, ineq=None):
+        """Views of per-row vectors (multipliers or residuals), one per
+        constraint family, keyed by its kind and shaped by its axes.
+
+        From ``eq`` (``n_eq`` rows): ``flow_definition`` (line, end, phase,
+        part p/q), ``p_balance`` and ``q_balance`` (bus, phase).  From
+        ``ineq`` (``n_ineq`` rows): ``v_mag_lo`` and ``v_mag_hi`` (non-slack
+        bus, phase), ``thermal`` (line, phase) and ``vuf_limit`` (VUF bus,
+        hard mode; empty otherwise).  A contiguous vector is not copied, so a
+        write to a view writes its rows.
+        """
+        rows = {}
+        if eq is not None:
+            rows["flow_definition"] = eq[:self._balance_row0].reshape(-1, 2, NPHASE, 2)
+            balance = eq[self._balance_row0:].reshape(-1, NPHASE, 2)
+            rows["p_balance"], rows["q_balance"] = balance[..., 0], balance[..., 1]
+        if ineq is not None:
+            box = ineq[:self._box_row0].reshape(-1, NPHASE, 2)
+            rows["v_mag_lo"], rows["v_mag_hi"] = box[..., 0], box[..., 1]
+            rows["thermal"] = ineq[self._thermal_row0:self._vuf_row0].reshape(-1, NPHASE)
+            rows["vuf_limit"] = ineq[self._vuf_row0:]
+        return rows
+
     def x0(self, point=None):
         """Initial vector: flat start or a warm power-flow operating point."""
         x = np.zeros(self.nvar)
         net = self.net
+        # generator outputs, clipped to their boxes: 0, but for the
+        # substation unit at a warm start, which picks up whatever it exports
+        gen = np.zeros((len(net.gens), NPHASE), dtype=complex)
         if point is None:
             v = np.tile(self.slack_voltage, (len(net.buses), 1))
-            s_from = np.zeros((len(net.lines), NPHASE), dtype=complex)
-            s_to = np.zeros((len(net.lines), NPHASE), dtype=complex)
+            s_from = s_to = np.zeros((len(net.lines), NPHASE), dtype=complex)
         else:
-            v = point.voltages
-            s_from = point.s_from
-            s_to = point.s_to
-        ns = np.arange(len(net.buses)) != self.slack
+            v, s_from, s_to = point.voltages, point.s_from, point.s_to
+            b = self.slack
+            gen[[g.is_substation for g in net.gens]] = (
+                np.sum(s_from[net.line_from == b], axis=0)
+                + np.sum(s_to[net.line_to == b], axis=0) + net.demand_pu()[b])
+        ns = self._nonslack
         x[self.idx_e[ns]] = np.real(v[ns])
         x[self.idx_f[ns]] = np.imag(v[ns])
         x[self.idx_p] = np.real(np.stack((s_from, s_to), axis=1))
         x[self.idx_q] = np.imag(np.stack((s_from, s_to), axis=1))
-        demand = net.demand_pu()
-        for g, gen in enumerate(net.gens):
-            if gen.is_substation and point is not None:
-                # slack picks up whatever the warm-start point exports
-                b = net.bus_index(gen.bus)
-                inj = (np.sum(s_from[net.line_from == b], axis=0)
-                       + np.sum(s_to[net.line_to == b], axis=0) + demand[b])
-                x[self.idx_pg[g]] = np.clip(np.real(inj), self.gen_pmin[g], self.gen_pmax[g])
-                x[self.idx_qg[g]] = np.clip(np.imag(inj), self.gen_qmin[g], self.gen_qmax[g])
-            else:
-                x[self.idx_pg[g]] = np.clip(0.0, self.gen_pmin[g], self.gen_pmax[g])
-                x[self.idx_qg[g]] = np.clip(0.0, self.gen_qmin[g], self.gen_qmax[g])
+        x[self.idx_pg] = np.clip(np.real(gen), self.gen_pmin, self.gen_pmax)
+        x[self.idx_qg] = np.clip(np.imag(gen), self.gen_qmin, self.gen_qmax)
         return x
 
     # -- constraint assembly -------------------------------------------------
 
     def _build_constraints(self):
         net = self.net
-        nbus = len(net.buses)
-        nline = len(net.lines)
+        lines = [(ln.from_bus, ln.to_bus) for ln in net.lines]
 
         # equality tags: flow definitions then nodal balances; flow block k =
-        # (line, end, phase) in C order owns the P row 2k and the Q row 2k + 1
-        self.eq_tags = []
-        for ln in net.lines:
-            for d in range(2):
-                for ph in PHASES:
-                    for part in ("p", "q"):
-                        self.eq_tags.append(ConstraintTag(
-                            "flow_definition", line=(ln.from_bus, ln.to_bus),
-                            end=d, phase=ph, part=part))
-        row = 2 * 2 * NPHASE * nline
-        self._balance_row0 = row
-        for b in net.buses:
-            for ph in PHASES:
-                self.eq_tags.append(ConstraintTag("p_balance", bus=b.id, phase=ph))
-                self.eq_tags.append(ConstraintTag("q_balance", bus=b.id, phase=ph))
-        self.n_eq = row + 2 * NPHASE * nbus
-        # nodal balances: flows leaving the bus enter with +1, generation
-        # with -1; the Q row of each (bus, phase) follows its P row
-        p_row = row + 2 * np.arange(nbus * NPHASE).reshape(nbus, NPHASE)
+        # (line, end, phase) in C order owns the P row 2k and the Q row 2k + 1,
+        # and the Q row of each (bus, phase) balance follows its P row
+        self.eq_tags = [ConstraintTag("flow_definition", line=ln, end=d, phase=ph, part=part)
+                        for ln in lines for d in range(2) for ph in PHASES for part in "pq"]
+        self._balance_row0 = len(self.eq_tags)
+        self.eq_tags += [ConstraintTag(kind, bus=b.id, phase=ph) for b in net.buses
+                         for ph in PHASES for kind in ("p_balance", "q_balance")]
+        self.n_eq = len(self.eq_tags)
+        # nodal balances: flows leaving the bus enter with +1, generation with -1
+        eq_rows = self.by_family(eq=np.arange(self.n_eq))
         gen_bus = np.array([net.bus_index(g.bus) for g in net.gens], dtype=int)
         rows, cols, vals = [], [], []
-        for r, cp, cq, sign in (
-                (p_row[net.line_from], self.idx_p[:, 0], self.idx_q[:, 0], 1.0),
-                (p_row[net.line_to], self.idx_p[:, 1], self.idx_q[:, 1], 1.0),
-                (p_row[gen_bus], self.idx_pg, self.idx_qg, -1.0)):
-            rows += [r.ravel(), r.ravel() + 1]
+        for b, cp, cq, sign in ((net.line_from, self.idx_p[:, 0], self.idx_q[:, 0], 1.0),
+                                (net.line_to, self.idx_p[:, 1], self.idx_q[:, 1], 1.0),
+                                (gen_bus, self.idx_pg, self.idx_qg, -1.0)):
+            rows += [eq_rows["p_balance"][b].ravel(), eq_rows["q_balance"][b].ravel()]
             cols += [cp.ravel(), cq.ravel()]
-            vals.append(np.full(2 * r.size, sign))
+            vals.append(np.full(2 * cp.size, sign))
         # in CSR order: ``c`` sums each row by ascending column, as a CSR matvec
         rows, cols, vals = map(np.concatenate, (rows, cols, vals))
         order = np.lexsort((cols, rows))
         self._bal = rows[order], cols[order], vals[order]
-        demand = net.demand_pu().ravel()
         self._bal_b = np.zeros(self.n_eq)
-        self._bal_b[row::2] = np.real(demand)
-        self._bal_b[row + 1::2] = np.imag(demand)
+        bal_b, demand = self.by_family(eq=self._bal_b), net.demand_pu()
+        bal_b["p_balance"][:], bal_b["q_balance"][:] = np.real(demand), np.imag(demand)
 
-        # inequality tags
-        self.ineq_tags = []
-        for b in range(nbus):
-            if b == self.slack:
-                continue
-            for ph in PHASES:
-                self.ineq_tags.append(ConstraintTag("v_mag_lo", bus=net.buses[b].id, phase=ph))
-                self.ineq_tags.append(ConstraintTag("v_mag_hi", bus=net.buses[b].id, phase=ph))
+        # inequality tags: voltage boxes (lo, hi per non-slack bus and phase),
+        # generator boxes, thermal limits, hard VUF limits
+        self.ineq_tags = [ConstraintTag(kind, bus=net.buses[b].id, phase=ph)
+                          for b in np.flatnonzero(self._nonslack) for ph in PHASES
+                          for kind in ("v_mag_lo", "v_mag_hi")]
         self._box_row0 = len(self.ineq_tags)
-        for gen in net.gens:
-            for ph in PHASES:
-                for kind in ("pg_lo", "pg_hi", "qg_lo", "qg_hi"):
-                    self.ineq_tags.append(ConstraintTag(kind, bus=gen.bus, phase=ph))
+        self.ineq_tags += [ConstraintTag(kind, bus=gen.bus, phase=ph) for gen in net.gens
+                           for ph in PHASES for kind in ("pg_lo", "pg_hi", "qg_lo", "qg_hi")]
         self._thermal_row0 = len(self.ineq_tags)
-        for ln in net.lines:
-            for ph in PHASES:
-                self.ineq_tags.append(ConstraintTag(
-                    "thermal", line=(ln.from_bus, ln.to_bus), phase=ph))
+        self.ineq_tags += [ConstraintTag("thermal", line=ln, phase=ph)
+                           for ln in lines for ph in PHASES]
         self._vuf_row0 = len(self.ineq_tags)
         if self.cfg.mode == "hard":
             self.ineq_tags += [ConstraintTag("vuf_limit", bus=bid) for bid in self.vuf_buses]
@@ -436,8 +420,8 @@ class OpfProblem:
 
         # linear objective part: generator energy cost in EUR/h
         self._cost_lin = np.zeros(self.nvar)
-        for g, gen in enumerate(self.net.gens):
-            self._cost_lin[self.idx_pg[g]] += gen.marginal_cost * self.net.base_kw
+        self._cost_lin[self.idx_pg] += np.array(
+            [[gen.marginal_cost] for gen in net.gens]) * net.base_kw
 
         self._build_flow_derivatives()
         self._build_ineq_derivatives()
@@ -450,11 +434,10 @@ class OpfProblem:
         line end; "near" is the bus at that end, "far" the bus at the other.
         """
         nline = len(self.net.lines)
-        nblk = nline * 2 * NPHASE
         near = np.stack((self.net.line_from, self.net.line_to), axis=1)
         self._near = near
         far = near[:, ::-1]
-        rp = 2 * np.arange(nblk).reshape(nline, 2, NPHASE)
+        pq_rows = self.by_family(eq=np.arange(self.n_eq))["flow_definition"]
 
         # Jacobian: the p/q variable of each row (1.0), then per (block, psi)
         # the e/f columns of phase psi at both ends, in slot order
@@ -466,9 +449,10 @@ class OpfProblem:
         shape8 = (nline, 2, NPHASE, NPHASE, 8)
         cols8 = np.broadcast_to(np.stack(np.broadcast_arrays(
             e_near, e_near, f_near, f_near, e_far, e_far, f_far, f_far), axis=-1), shape8)
-        rows8 = np.broadcast_to(rp[..., None, None] + np.arange(8) % 2, shape8)
+        rows8 = np.broadcast_to(pq_rows[..., None, np.arange(8) % 2], shape8)
         # and the constant balance rows last
-        rows = np.concatenate((rp.ravel(), rp.ravel() + 1, rows8.ravel(), self._bal[0]))
+        rows = np.concatenate((pq_rows[..., 0].ravel(), pq_rows[..., 1].ravel(), rows8.ravel(),
+                               self._bal[0]))
         cols = np.concatenate((self.idx_p.ravel(), self.idx_q.ravel(), cols8.ravel(),
                                self._bal[1]))
         take = np.flatnonzero(cols >= 0)
@@ -504,7 +488,7 @@ class OpfProblem:
         """Index arrays of the inequality Jacobian and of the voltage-bound
         and thermal Hessian entries, in row order."""
         net = self.net
-        ns = np.arange(len(net.buses)) != self.slack
+        ns = self._nonslack
         self._ve = self.idx_e[ns].ravel()
         self._vf = self.idx_f[ns].ravel()
         self._vmin_sq = np.repeat([net.buses[b].vmin**2 for b in np.flatnonzero(ns)], NPHASE)
@@ -514,19 +498,17 @@ class OpfProblem:
         self._rating_sq = np.repeat([ln.s_rating**2 for ln in net.lines], NPHASE)
         self._box_values = np.tile([-1.0, 1.0, -1.0, 1.0], self.idx_pg.size)
 
-        nv = self._ve.size
-        v_row = 2 * np.arange(nv)
-        box_row = self._box_row0 + np.arange(4 * self.idx_pg.size)
-        th_row = self._thermal_row0 + np.arange(self._tp.size)
+        ineq_rows = self.by_family(ineq=np.arange(self.n_ineq))
+        lo, hi = ineq_rows["v_mag_lo"].ravel(), ineq_rows["v_mag_hi"].ravel()
         pg, qg = self.idx_pg.ravel(), self.idx_qg.ravel()
-        rows = [np.stack((v_row, v_row, v_row + 1, v_row + 1), axis=1).ravel(),
-                box_row,
-                np.repeat(th_row, 2)]
+        rows = [np.stack((lo, lo, hi, hi), axis=1).ravel(),
+                np.arange(self._box_row0, self._thermal_row0),
+                np.repeat(ineq_rows["thermal"], 2)]
         cols = [np.stack((self._ve, self._vf, self._ve, self._vf), axis=1).ravel(),
                 np.stack((pg, pg, qg, qg), axis=1).ravel(),
                 np.stack((self._tp, self._tq), axis=1).ravel()]
         if self.cfg.mode == "hard":
-            rows.append(np.repeat(self._vuf_row0 + np.arange(len(self._vuf_vars)), 6))
+            rows.append(np.repeat(ineq_rows["vuf_limit"], 6))
             cols.append(self._vuf_vars.ravel())
         self.jac_ineq_layout, self._jin_take = _laid_out(
             np.concatenate(rows), np.concatenate(cols), (self.n_ineq, self.nvar))
@@ -625,7 +607,7 @@ class OpfProblem:
         """d(unbalance term)/d f per VUF bus: psi in hard mode, else the
         penalty's slope, w on f and w / (2 sqrt(f + s)) on VUF."""
         if self.cfg.mode == "hard":
-            return z_ineq[self._vuf_row0:]
+            return self.by_family(ineq=z_ineq)["vuf_limit"]
         w = np.full(len(self._vuf_vars), self.cfg.penalty_weight)
         if self.penalty_on == "vuf":
             w = w / (2.0 * _root(vuf_metric_local(x[self._vuf_vars])))
@@ -725,8 +707,8 @@ class OpfProblem:
                 else self.eval_objective(x)[2]
         # flow definitions: constant bilinear blocks, weight w = -(y_p - 1j y_q)
         # spelled out as the real operations the scalar expression performs
-        yp = y_eq[0:self._balance_row0:2]
-        yq = y_eq[1:self._balance_row0:2]
+        rows = self.by_family(y_eq, z_ineq)
+        yp, yq = rows["flow_definition"].reshape(-1, 2).T     # per block, C order
         jr = 0.0 * yq - 0.0       # 1j * y_q = (0 y_q - 1 * 0) + 1j (0 * 0 + 1 y_q)
         ji = 0.0 + yq
         w = np.empty(yp.shape, dtype=complex)
@@ -736,9 +718,9 @@ class OpfProblem:
                  * self._hflow_g).real.ravel()
         # voltage-magnitude bounds (+/- 2 on the two rect coordinates),
         # thermal circles and hard VUF rows
-        w_v = 2.0 * (z_ineq[1:self._box_row0:2] - z_ineq[0:self._box_row0:2])
-        w_th = 2.0 * z_ineq[self._thermal_row0:self._vuf_row0]
-        w_vuf = z_ineq[self._vuf_row0:]
+        w_v = 2.0 * (rows["v_mag_hi"] - rows["v_mag_lo"]).ravel()
+        w_th = 2.0 * rows["thermal"].ravel()
+        w_vuf = rows["vuf_limit"]
         kept = np.concatenate(([True], w != 0, w_v != 0, w_th != 0, w_vuf != 0))
         _, present, order = self._hessian_order(kept)
         terms = [block[self._hflow_entry], np.repeat(w_v, 2), np.repeat(w_th, 2)]

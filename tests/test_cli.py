@@ -200,8 +200,9 @@ class TestSweep:
         ({"kkt_tol": -1}, ["config-error"] * 3),
         ({"kkt_tol": "1e-6"}, ["config-error"] * 3),
         ({"max_iter": 1.5}, ["config-error"] * 3),
+        ({"max_iter": True}, ["config-error"] * 3),
     ], ids=["negative-weight", "zero-limit", "negative-kkt-tol", "string-kkt-tol",
-            "fractional-max-iter"])
+            "fractional-max-iter", "boolean-max-iter"])
     def test_sweep_bad_value_is_config_error(self, two_bus_file, tmp_path,
                                              capsys, extra, statuses):
         cfg = self.sweep_config(tmp_path, two_bus_file, **extra)
@@ -215,7 +216,12 @@ class TestSweep:
         {"sweep_weights": "ab"},
         {"sweep_weights": 5},
         [1, 2],
-    ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document"])
+        {"jobs": True},
+        {"sweep_weights": [1.0, True]},
+        {"penalty": True},
+        {"limit_pct": True},
+    ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document",
+            "boolean-jobs", "boolean-weight", "boolean-penalty", "boolean-limit"])
     def test_sweep_malformed_config_is_config_error(self, two_bus_file, tmp_path, capsys,
                                                     doc):
         if isinstance(doc, dict):
@@ -232,14 +238,18 @@ class TestSweep:
         (["--mode", "hard", "--limit", "0"], "vuf_limit_pct"),
         (["--kkt-tol", "2"], "kkt_tol"),
         (["--max-iter", "0"], "max_iter"),
-    ], ids=["limit-0", "kkt-tol-2", "max-iter-0"])
+        (["--mode", "soft", "--penalty", "nan"], "penalty_weight"),
+        (["--mode", "soft", "--penalty", "inf"], "penalty_weight"),
+        (["--mode", "hard", "--limit", "inf"], "vuf_limit_pct"),
+    ], ids=["limit-0", "kkt-tol-2", "max-iter-0", "penalty-nan", "penalty-inf", "limit-inf"])
     def test_opf_bad_value_is_config_error(self, two_bus_file, tmp_path, capsys,
                                            flags, named):
         out = tmp_path / "out"
         assert main(["opf", two_bus_file, *flags, "--out", str(out)]) == EXIT_CONFIG
         _, rows = read_csv(out / "summary.csv")
         assert rows[0]["status"] == "config-error"
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_parallel_matches_serial(self, two_bus_file, tmp_path, capsys):
         cfg1 = self.sweep_config(tmp_path / "a", two_bus_file, jobs=1)

@@ -98,9 +98,8 @@ class TestKktInvariants:
     def test_complementarity_at_binding_vuf_row(self, simple5, simple5_solve):
         sol = simple5_solve("hard", limit=1.0)
         e = sol.problem.evaluate(sol.x)
-        row0 = sol.problem._vuf_row0
-        viol = e.c_ineq[row0:]
-        z = sol.z_ineq[row0:]
+        viol = sol.problem.by_family(ineq=e.c_ineq)["vuf_limit"]
+        z = sol.problem.by_family(ineq=sol.z_ineq)["vuf_limit"]
         assert np.max(np.abs(z * viol)) < 1e-6
 
     def test_free_generation_is_dispatched_first(self, simple5, simple5_solve):

@@ -133,6 +133,15 @@ class TestValidation:
             GenSpec("b", ("a",), pmin=np.ones(3), pmax=np.zeros(3),
                     qmin=np.zeros(3), qmax=np.zeros(3), marginal_cost=1.0)
 
+    @pytest.mark.parametrize("field, value", [("cost", float("nan")),
+                                              ("pmax", [float("nan"), 1.0, 1.0])],
+                             ids=["nan-cost", "nan-pmax"])
+    def test_gen_non_finite_value_rejected(self, field, value):
+        doc = network_to_dict(make_two_bus())
+        doc["gens"][0][field] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            network_from_dict(doc)
+
     def test_gen_unknown_phase_rejected(self):
         with pytest.raises(ValidationError):
             GenSpec("b", ("d",), pmin=np.zeros(3), pmax=np.ones(3),

@@ -1,11 +1,14 @@
 """NLP assembly tests: derivatives against finite differences, mode gating."""
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from vudlmp import opf
-from vudlmp.netmodel import UnbalanceConfig, ValidationError
+from vudlmp.netmodel import PHASES, UnbalanceConfig, ValidationError
 from vudlmp.opf import (
     _VUF_A,
     _VUF_B,
@@ -14,6 +17,7 @@ from vudlmp.opf import (
     vuf_metric_grad_hess,
     vuf_metric_local,
 )
+from vudlmp.powerflow import solve_pf
 from vudlmp.sequence import PhasorSet, f_metric
 
 
@@ -83,6 +87,46 @@ class TestLocalMetric:
                 + 2.0 * u * np.outer(gd, gd) / d**3))
 
 
+class TestFamilyViews:
+    """Every entry of a family view indexes the row tagged with that family
+    at its bus or line and phase; the views share the vector's memory."""
+
+    @pytest.mark.parametrize("name, limit", [("simple5", 1.0), ("eulv117", 0.5)])
+    def test_view_entries_index_their_tagged_rows(self, request, name, limit):
+        net = request.getfixturevalue(name)
+        prob = build_problem(net, UnbalanceConfig("hard", limit))
+        lines = [(ln.from_bus, ln.to_bus) for ln in net.lines]
+        buses = [b.id for b in net.buses]
+        nonslack = [b for b in buses if b != net.substation_bus]
+        expected = {    # kind -> (view shape, tags in the view's C order)
+            "flow_definition": ((len(lines), 2, 3, 2), [
+                ConstraintTag("flow_definition", line=ln, end=d, phase=ph, part=part)
+                for ln, d, ph, part in product(lines, range(2), PHASES, "pq")]),
+            "thermal": ((len(lines), 3), [ConstraintTag("thermal", line=ln, phase=ph)
+                                          for ln, ph in product(lines, PHASES)]),
+            "vuf_limit": ((len(prob.vuf_buses),),
+                          [ConstraintTag("vuf_limit", bus=b) for b in prob.vuf_buses]),
+        }
+        for kind, on in (("p_balance", buses), ("q_balance", buses),
+                         ("v_mag_lo", nonslack), ("v_mag_hi", nonslack)):
+            expected[kind] = ((len(on), 3), [ConstraintTag(kind, bus=b, phase=ph)
+                                             for b, ph in product(on, PHASES)])
+        eq, ineq = np.arange(prob.n_eq), np.arange(prob.n_ineq)
+        views = prob.by_family(eq, ineq)
+        assert set(views) == set(expected)
+        assert len(prob.vuf_buses) > 0
+        for kind, view in views.items():
+            vec, tags = (eq, prob.eq_tags) if kind in ("flow_definition", "p_balance",
+                                                       "q_balance") else (ineq, prob.ineq_tags)
+            shape, want = expected[kind]
+            assert view.shape == shape, kind
+            assert np.shares_memory(view, vec), kind
+            assert [tags[r] for r in view.ravel()] == want, kind
+            assert sorted(view.ravel()) == [r for r, t in enumerate(tags) if t.kind == kind]
+        assert set(prob.by_family(eq=eq)) == {"flow_definition", "p_balance", "q_balance"}
+        assert prob.by_family() == {}
+
+
 class TestLayout:
     def test_variable_count(self, simple5):
         prob = build_problem(simple5)
@@ -117,6 +161,69 @@ class TestLayout:
         x = prob.x0(simple5_pf)
         c, _ = prob.eval_eq(x, want_jac=False)
         assert np.max(np.abs(c)) < 1e-8
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["bundled", "one-phase-unit"])
+    def test_arrays_match_per_entry_loops(self, simple5, simple5_pf, partial):
+        net, point = simple5, simple5_pf
+        if partial:     # b3's unit on phase b only, with a lower bound above 0
+            gens = list(net.gens)
+            gens[1] = replace(gens[1], phases=("b",), pmin=gens[1].pmax / 2)
+            net = replace(net, gens=tuple(gens))
+            point = solve_pf(net)
+        prob = build_problem(net)
+        ref = per_entry_layout(prob, point)
+        for name, want in ref.items():
+            got = prob.x0(point) if name == "x0 warm" else prob.x0() if name == "x0 flat" \
+                else getattr(prob, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert prob.nvar == ref["x0 flat"].size
+
+
+def per_entry_layout(prob, point):
+    """Variable indices, generator boxes, linear cost and start points as
+    per-entry loops build them: the reference for the array layout."""
+    net = prob.net
+    nbus, ngen, nline = len(net.buses), len(net.gens), len(net.lines)
+    ref = {name: np.full(shape, -1) for name, shape in (
+        ("idx_e", (nbus, 3)), ("idx_f", (nbus, 3)), ("idx_pg", (ngen, 3)),
+        ("idx_qg", (ngen, 3)), ("idx_p", (nline, 2, 3)), ("idx_q", (nline, 2, 3)))}
+    nv = 0
+    for first, second, shape in (("idx_e", "idx_f", (nbus, 3)), ("idx_pg", "idx_qg", (ngen, 3)),
+                                 ("idx_p", "idx_q", (nline, 2, 3))):
+        for at in np.ndindex(*shape):
+            if first == "idx_e" and at[0] == prob.slack:
+                continue
+            ref[first][at], ref[second][at] = nv, nv + 1
+            nv += 2
+    for name in ("pmin", "pmax", "qmin", "qmax"):
+        ref["gen_" + name] = np.zeros((ngen, 3))
+        for g, gen in enumerate(net.gens):
+            for ph in range(3):
+                if PHASES[ph] in gen.phases:
+                    ref["gen_" + name][g, ph] = getattr(gen, name)[ph]
+    ref["_cost_lin"] = np.zeros(nv)
+    for g, gen in enumerate(net.gens):
+        ref["_cost_lin"][ref["idx_pg"][g]] += gen.marginal_cost * net.base_kw
+    for label, at in (("x0 flat", None), ("x0 warm", point)):
+        x = np.zeros(nv)
+        v = np.tile(prob.slack_voltage, (nbus, 1)) if at is None else at.voltages
+        s = np.zeros((nline, 2, 3), dtype=complex) if at is None else np.stack(
+            (at.s_from, at.s_to), axis=1)
+        for b in range(nbus):
+            if b != prob.slack:
+                x[ref["idx_e"][b]], x[ref["idx_f"][b]] = v[b].real, v[b].imag
+        x[ref["idx_p"]], x[ref["idx_q"]] = s.real, s.imag
+        for g, gen in enumerate(net.gens):
+            inj = np.zeros(3, dtype=complex)
+            if gen.is_substation and at is not None:
+                b = net.bus_index(gen.bus)
+                inj = (np.sum(at.s_from[net.line_from == b], axis=0)
+                       + np.sum(at.s_to[net.line_to == b], axis=0) + net.demand_pu()[b])
+            x[ref["idx_pg"][g]] = np.clip(inj.real, ref["gen_pmin"][g], ref["gen_pmax"][g])
+            x[ref["idx_qg"][g]] = np.clip(inj.imag, ref["gen_qmin"][g], ref["gen_qmax"][g])
+        ref[label] = x
+    return ref
 
 
 class TestDerivatives:
@@ -200,7 +307,7 @@ class TestKernelReuse:
         y = rng.standard_normal(prob.n_eq)
         z = np.abs(rng.standard_normal(prob.n_ineq))
         z[rng.random(prob.n_ineq) < 0.3] = 0.0
-        z[prob._vuf_row0:prob._vuf_row0 + 1] = 0.0    # a hard VUF row drops out
+        prob.by_family(ineq=z)["vuf_limit"][:1] = 0.0    # a hard VUF row drops out
         ref = prob.hess_lagrangian(x, y, z)
         calls = []
         kernel = opf.vuf_metric_grad_hess
@@ -266,24 +373,24 @@ def scipy_hessian(prob, x, y_eq, z_ineq):
         rows.append(prob._hobj_rows)
         cols.append(prob._hobj_cols)
         vals.append(vuf_hess.ravel()[prob._hobj_order])
-    yp, yq = y_eq[0:prob._balance_row0:2], y_eq[1:prob._balance_row0:2]
+    mult = prob.by_family(y_eq, z_ineq)
+    yp, yq = mult["flow_definition"][..., 0], mult["flow_definition"][..., 1]
     w = np.empty(yp.shape, dtype=complex)
     w.real = -(yp - (0.0 * yq - 0.0))
     w.imag = -(0.0 - (0.0 + yq))
-    block = (w.reshape(prob._near.shape + (3,))[..., None, None] * prob._hflow_g).real.ravel()
-    keep = (w != 0)[prob._hflow_block]
+    block = (w[..., None, None] * prob._hflow_g).real.ravel()
+    keep = (w != 0).ravel()[prob._hflow_block]
     rows.append(prob._hflow_rows[keep])
     cols.append(prob._hflow_cols[keep])
     vals.append(block[prob._hflow_entry[keep]])
-    for var, w in ((prob._hv_vars, 2.0 * (z_ineq[1:prob._box_row0:2]
-                                           - z_ineq[0:prob._box_row0:2])),
-                   (prob._hth_vars, 2.0 * z_ineq[prob._thermal_row0:prob._vuf_row0])):
+    for var, w in ((prob._hv_vars, 2.0 * (mult["v_mag_hi"] - mult["v_mag_lo"])),
+                   (prob._hth_vars, 2.0 * mult["thermal"])):
         w = np.repeat(w, 2)
         rows.append(var[w != 0])
         cols.append(var[w != 0])
         vals.append(w[w != 0])
     if hard:
-        w = z_ineq[prob._vuf_row0:]
+        w = mult["vuf_limit"]
         rows.append(prob._vuf_hrows[w != 0].ravel())
         cols.append(prob._vuf_hcols[w != 0].ravel())
         vals.append((w[w != 0, None, None] * vuf_hess[w != 0]).ravel())
