@@ -11,12 +11,10 @@ from .netmodel import (
     ParseError,
     UnbalanceConfig,
     ValidationError,
-    from_per_unit,
     load_network,
     network_from_dict,
     network_to_dict,
     save_network,
-    to_per_unit,
 )
 from .sequence import (
     DegeneratePointError,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import sys
@@ -38,7 +39,6 @@ from .netmodel import (
 )
 from .opf import build_problem
 from .powerflow import PowerFlowDiverged, PowerFlowError, solve_pf
-from .sequence import PhasorSet, vuf
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -93,10 +93,15 @@ class ScenarioConfig:
         for name in ("limit_pct", "penalty"):
             if not is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("sweep_weights", "sweep_limits"):
+        if not isinstance(self.case_id, str) or {"/", os.sep} & set(self.case_id):
+            raise ConfigError(f"case_id must be a string with no path separator, "
+                              f"got {self.case_id!r}")
+        for name, mode in (("sweep_weights", "soft"), ("sweep_limits", "hard")):
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple)) and all(map(is_number, values))):
                 raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+            if values and self.mode != mode:
+                raise ConfigError(f"{name} applies to {mode} mode only, not {self.mode!r}")
             object.__setattr__(self, name, tuple(values))
 
     @classmethod
@@ -156,9 +161,10 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _pf_failure(exc):
@@ -211,12 +217,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return result
 
 
-def _sweep_worker(cfg_kwargs):
+def _sweep_worker(cfg: ScenarioConfig):
     try:
-        return run_scenario(ScenarioConfig(**cfg_kwargs))
+        return run_scenario(cfg)
     except Exception as exc:     # per-run isolation: a bug fails this run only
         traceback.print_exc()
-        return ScenarioResult(case_id=cfg_kwargs.get("case_id", "case"), status="error",
+        return ScenarioResult(case_id=cfg.case_id, status="error",
                               message=f"{type(exc).__name__}: {exc}")
 
 
@@ -230,21 +236,16 @@ def run_sweep(cfg: ScenarioConfig) -> list:
         knob = "penalty"
     if not values:
         raise ConfigError("sweep requested with an empty weight/limit list")
-    jobs = [{
-        "network": cfg.network, "mode": cfg.mode, "penalty_on": cfg.penalty_on,
-        "kkt_tol": cfg.kkt_tol, "max_iter": cfg.max_iter,
-        "limit_pct": cfg.limit_pct, "penalty": cfg.penalty,
-        "case_id": f"{cfg.case_id}_{knob}_{_fmt(float(v))}",
-        knob: float(v),
-    } for v in values]
+    cases = [replace(cfg, case_id=f"{cfg.case_id}_{knob}_{_fmt(float(v))}",
+                     **{knob: float(v)}) for v in values]
     nworkers = cfg.jobs or os.cpu_count() or 1
-    if nworkers > 1 and len(jobs) > 1:
+    if nworkers > 1 and len(cases) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            results = list(pool.map(_sweep_worker, cases))
     else:
-        results = [_sweep_worker(kwargs) for kwargs in jobs]
-    for res, kwargs in zip(results, jobs):
-        res.weight = kwargs[knob]
+        results = [_sweep_worker(case) for case in cases]
+    for res, case in zip(results, cases):
+        res.weight = getattr(case, knob)
     return results
 
 
@@ -347,7 +348,7 @@ def _cmd_pf(args):
     rows = []
     for b in net.buses:
         v = point.voltages[net.bus_index(b.id)]
-        u = vuf(PhasorSet.from_array(v))
+        u = point.vuf(b.id)
         rows.append((b.id, abs(v[0]), abs(v[1]), abs(v[2]), u))
         print(f"{b.id:<10} {abs(v[0]):.5f}   {abs(v[1]):.5f}   {abs(v[2]):.5f}   {u:.4f}")
     bus, worst = point.max_vuf()

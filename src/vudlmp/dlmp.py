@@ -78,6 +78,20 @@ class DecompositionError(Exception):
 # -- closed-form sensitivity ------------------------------------------------
 
 
+def _closed_forms(point: OperatingPoint, bus):
+    """Incident-current magnitude per phase at ``bus`` and, from one
+    transposed solve, its closed-form responses as a (kind, phase) array
+    (active first); None when no phase carries more than EPS_I."""
+    net = point.net
+    current = [abs(point.incident_current_sum(bus, ph)) for ph in range(NPHASE)]
+    if max(current) <= EPS_I:
+        return current, None
+    b = net.bus_index(bus)
+    weight = np.zeros((1, len(net.buses), NPHASE), dtype=complex)
+    weight[0, b] = grad_f(point.phasors(bus)).as_array()
+    return current, _consumption_response(net, point.jacobian_lu, weight)[:, b, :, 0]
+
+
 def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="active"):
     """One closed-form sensitivity entry df/dP (or df/dQ) at (bus, phase).
 
@@ -91,24 +105,15 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     The response comes from the point's own Jacobian factors
     (:attr:`OperatingPoint.jacobian_lu`), factored once per point.
     """
-    net = point.net
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-    imag = abs(point.incident_current_sum(bus, phase_idx))
-    if imag <= EPS_I:
-        return SensitivityReport(
-            bus=bus, phase=PHASES[phase_idx], power_kind=power_kind,
-            closed_form=None, finite_difference=None, rel_gap=None,
-            incident_current=imag,
-        )
-    b = net.bus_index(bus)
-    weight = np.zeros((1, len(net.buses), NPHASE), dtype=complex)
-    weight[0, b] = grad_f(point.phasors(bus)).as_array()
-    d_p, d_q = _consumption_response(net, point.jacobian_lu, weight)
-    value = float((d_p if power_kind == "active" else d_q)[b, phase_idx, 0])
+    current, closed = _closed_forms(point, bus)
+    value = None
+    if current[phase_idx] > EPS_I:
+        value = float(closed[0 if power_kind == "active" else 1, phase_idx])
     return SensitivityReport(
         bus=bus, phase=PHASES[phase_idx], power_kind=power_kind,
         closed_form=value, finite_difference=None, rel_gap=None,
-        incident_current=imag,
+        incident_current=current[phase_idx],
     )
 
 
@@ -116,11 +121,9 @@ def sensitivity_fd(net: NetworkSpec, point: OperatingPoint, bus, phase,
                    power_kind="active", step=FD_STEP):
     """Central finite difference of the unbalance metric via re-solved flows."""
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-    inj = point.injections
-    kw = {"dp": step} if power_kind == "active" else {"dq": step}
-    _, df_up = perturb_and_resolve(net, inj, bus, phase_idx, base=point, **kw)
-    kw = {"dp": -step} if power_kind == "active" else {"dq": -step}
-    _, df_dn = perturb_and_resolve(net, inj, bus, phase_idx, base=point, **kw)
+    key = "dp" if power_kind == "active" else "dq"
+    df_up, df_dn = (perturb_and_resolve(net, point.injections, bus, phase_idx,
+                                        base=point, **{key: h})[1] for h in (step, -step))
     return (df_up - df_dn) / (2.0 * step)
 
 
@@ -132,25 +135,24 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
     the relative gap reports the linearization error of the closed form
     instead of hiding it.  Every re-solve starts at ``point``, so the closed
     form and the first Newton step of each re-solve share the point's one
-    Jacobian factorization.
+    Jacobian factorization; each bus's closed forms come from one solve.
     """
     if buses is None:
         buses = [b.id for b in net.buses if b.id != net.substation_bus]
     out = []
     for bus in buses:
+        current, closed = _closed_forms(point, bus)
         for phase_idx in range(NPHASE):
-            for kind in ("active", "reactive"):
-                entry = sensitivity_closed_form(point, bus, phase_idx, kind)
-                if not entry.defined:
-                    out.append(entry)
-                    continue
-                fd = sensitivity_fd(net, point, bus, phase_idx, kind, step=step)
-                denom = max(abs(fd), abs(entry.closed_form), 1e-12)
+            for k, kind in enumerate(("active", "reactive")):
+                cf = fd = gap = None
+                if current[phase_idx] > EPS_I:
+                    cf = float(closed[k, phase_idx])
+                    fd = float(sensitivity_fd(net, point, bus, phase_idx, kind, step=step))
+                    gap = float(abs(cf - fd) / max(abs(fd), abs(cf), 1e-12))
                 out.append(SensitivityReport(
                     bus=bus, phase=PHASES[phase_idx], power_kind=kind,
-                    closed_form=entry.closed_form, finite_difference=float(fd),
-                    rel_gap=float(abs(entry.closed_form - fd) / denom),
-                    incident_current=entry.incident_current,
+                    closed_form=cf, finite_difference=fd, rel_gap=gap,
+                    incident_current=current[phase_idx],
                 ))
     return out
 

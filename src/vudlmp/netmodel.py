@@ -35,20 +35,6 @@ class ValidationError(NetworkError):
     """Structurally parseable file that violates a model invariant."""
 
 
-def to_per_unit(value, base):
-    """Convert a physical quantity to per-unit on the given positive base."""
-    if base <= 0:
-        raise ValueError(f"nonpositive base: {base}")
-    return np.asarray(value) / base if np.ndim(value) else value / base
-
-
-def from_per_unit(value, base):
-    """Inverse of :func:`to_per_unit`."""
-    if base <= 0:
-        raise ValueError(f"nonpositive base: {base}")
-    return np.asarray(value) * base if np.ndim(value) else value * base
-
-
 def impedance_base(base_kva, base_volt_ln):
     """Ohm base for a per-phase kVA base and line-to-neutral voltage base."""
     if base_kva <= 0 or base_volt_ln <= 0:
@@ -259,14 +245,6 @@ class NetworkSpec:
         for ld in self.loads:
             s[self.bus_index(ld.bus)] += ld.p + 1j * ld.q
         return s
-
-    def with_unbalance(self, cfg: UnbalanceConfig) -> "NetworkSpec":
-        """Copy of this network with a different unbalance configuration."""
-        return NetworkSpec(
-            base_kva=self.base_kva, base_volt_ln=self.base_volt_ln,
-            buses=self.buses, lines=self.lines, loads=self.loads,
-            gens=self.gens, substation_bus=self.substation_bus, unbalance=cfg,
-        )
 
     def with_extra_load(self, bus, phase, dp=0.0, dq=0.0) -> "NetworkSpec":
         """Copy with one additional point load (per-unit) at (bus, phase)."""

@@ -65,23 +65,7 @@ import scipy.sparse as sp
 
 from .netmodel import NPHASE, PHASES, NetworkSpec, UnbalanceConfig, ValidationError
 from .powerflow import line_flows
-from .sequence import ALPHA
-
-# constraint kind -> multiplier symbol; flow-definition equalities carry an
-# auxiliary multiplier with no grid-code meaning
-MULTIPLIER_SYMBOL = {
-    "p_balance": "phi_p",
-    "q_balance": "phi_q",
-    "v_mag_lo": "sigma_lo",
-    "v_mag_hi": "sigma_hi",
-    "pg_lo": "delta_lo",
-    "pg_hi": "delta_hi",
-    "qg_lo": "theta_lo",
-    "qg_hi": "theta_hi",
-    "thermal": "eta",
-    "vuf_limit": "psi",
-    "flow_definition": "lambda_flow",
-}
+from .sequence import ALPHA, BALANCED_SOURCE
 
 
 @dataclass(frozen=True)
@@ -92,10 +76,6 @@ class ConstraintTag:
     line: tuple | None = None   # (from_bus, to_bus)
     end: int | None = None      # 0 = from, 1 = to
     part: str | None = None     # flow definitions: "p" or "q"
-
-    @property
-    def symbol(self):
-        return MULTIPLIER_SYMBOL[self.kind]
 
     def describe(self):
         """The kind and the fields it sets, e.g. ``thermal line sub-b1 phase a``."""
@@ -289,7 +269,6 @@ class OpfProblem:
         nv += 2 * NPHASE * ngen
         self.idx_p, self.idx_q = _pairs(nv, (nline, 2, NPHASE))
         self.nvar = nv + 4 * NPHASE * nline
-        self.slack_voltage = np.array([1.0, ALPHA**2, ALPHA], dtype=complex)
 
         # effective generator boxes: phases the unit does not own are pinned to 0
         owned = np.array([[ph in gen.phases for ph in PHASES] for gen in net.gens])
@@ -318,7 +297,7 @@ class OpfProblem:
     def voltages(self, x):
         """(nbus, 3) complex voltages implied by x, slack held fixed."""
         v = x[self.idx_e] + 1j * x[self.idx_f]
-        v[self.slack] = self.slack_voltage
+        v[self.slack] = BALANCED_SOURCE
         return v
 
     def by_family(self, eq=None, ineq=None):
@@ -352,7 +331,7 @@ class OpfProblem:
         # substation unit at a warm start, which picks up whatever it exports
         gen = np.zeros((len(net.gens), NPHASE), dtype=complex)
         if point is None:
-            v = np.tile(self.slack_voltage, (len(net.buses), 1))
+            v = np.tile(BALANCED_SOURCE, (len(net.buses), 1))
             s_from = s_to = np.zeros((len(net.lines), NPHASE), dtype=complex)
         else:
             v, s_from, s_to = point.voltages, point.s_from, point.s_to

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .netmodel import NPHASE, NetworkSpec
-from .sequence import PhasorSet, f_metric, vuf
+from .sequence import BALANCED_SOURCE, PhasorSet, f_metric, vuf
 
 TOL_PF = 1e-10
 MAX_ITER = 50
@@ -161,11 +161,6 @@ class OperatingPoint:
                        - np.sum(cur[self.net.line_to == i]))
 
 
-def _substation_voltage():
-    a = np.exp(2j * np.pi / 3)
-    return np.array([1.0, a**2, a], dtype=complex)
-
-
 def _operating_point(net, v, iterations=0):
     v.flags.writeable = False
     cur, s_from, s_to = line_flows(net, v)
@@ -210,24 +205,24 @@ def solve_pf(net: NetworkSpec, injections=None, v0=None) -> OperatingPoint:
     ybus = build_ybus(net)
     base = v0 if isinstance(v0, OperatingPoint) else None
     if v0 is None:
-        v = np.empty((n, NPHASE), dtype=complex)
-        v[:] = _substation_voltage()
+        v = np.tile(BALANCED_SOURCE, (n, 1))
     else:
         v = _checked_bus_array("v0", v0 if base is None else base.voltages, n)
-    v[slack] = _substation_voltage()
+    v[slack] = BALANCED_SOURCE
     reuse = base is not None and base.net is net and np.array_equal(v, base.voltages)
 
     idx = nonslack_index(net)
     m = len(idx)
 
-    for it in range(MAX_ITER):
+    for it in range(MAX_ITER + 1):
         vflat = v.reshape(-1)
-        i_inj = ybus @ vflat
-        s_calc = vflat * np.conj(i_inj)
+        s_calc = vflat * np.conj(ybus @ vflat)
         mismatch = injections.reshape(-1)[idx] - s_calc[idx]
         err = np.max(np.abs(mismatch)) if m else 0.0
         if err < TOL_PF:
             return _operating_point(net, v, iterations=it)
+        if it == MAX_ITER:
+            raise PowerFlowDiverged(MAX_ITER, float(err))
         lu = base.jacobian_lu if reuse and it == 0 else factor_jacobian(ybus, v, idx)
         step = lu_solve(lu, np.concatenate([np.real(mismatch), np.imag(mismatch)]))
         if not np.all(np.isfinite(step)):
@@ -236,11 +231,6 @@ def solve_pf(net: NetworkSpec, injections=None, v0=None) -> OperatingPoint:
         vflat = vflat.copy()
         vflat[idx] += dv
         v = vflat.reshape(n, NPHASE)
-    # recompute final mismatch for the error report
-    vflat = v.reshape(-1)
-    s_calc = vflat * np.conj(ybus @ vflat)
-    mismatch = injections.reshape(-1)[idx] - s_calc[idx]
-    raise PowerFlowDiverged(MAX_ITER, float(np.max(np.abs(mismatch))))
 
 
 def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,

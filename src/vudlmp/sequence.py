@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ALPHA = np.exp(2j * np.pi / 3)          # rotation operator, 120 degrees
+# the ideal balanced 1 pu source held at the substation, phases a, b, c
+BALANCED_SOURCE = np.array([1.0, ALPHA**2, ALPHA], dtype=complex)
+BALANCED_SOURCE.flags.writeable = False
 _SQRT3 = np.sqrt(3.0)
 
 # Positive-sequence magnitude below this is treated as a degenerate point:
@@ -55,15 +58,10 @@ class SequencePair:
 
 @dataclass(frozen=True)
 class UnbalanceGradient:
-    """Per-phase derivatives of f = VUF**2 and the shared denominator scalar.
-
-    ``d_pos_sq`` is the squared positive-sequence voltage magnitude (times 9,
-    i.e. the un-normalized ||va + a vb + a^2 vc||^2 that divides the metric).
-    """
+    """Per-phase derivatives of f = VUF**2."""
     dva: complex
     dvb: complex
     dvc: complex
-    d_pos_sq: float
 
     def as_array(self):
         return np.array([self.dva, self.dvb, self.dvc], dtype=complex)
@@ -77,23 +75,25 @@ def fortescue(v: PhasorSet) -> SequencePair:
     return SequencePair(v_pos=v_pos, v_neg=v_neg)
 
 
-def vuf(v: PhasorSet) -> float:
-    """Voltage unbalance factor in percent: 100 |v_neg| / |v_pos|."""
+def _checked_fortescue(v: PhasorSet) -> SequencePair:
+    """:func:`fortescue`, raising DegeneratePointError where VUF is undefined."""
     seq = fortescue(v)
     if abs(seq.v_pos) <= EPS_POS:
         raise DegeneratePointError(
             f"positive-sequence magnitude {abs(seq.v_pos):.3e} below {EPS_POS}"
         )
+    return seq
+
+
+def vuf(v: PhasorSet) -> float:
+    """Voltage unbalance factor in percent: 100 |v_neg| / |v_pos|."""
+    seq = _checked_fortescue(v)
     return 100.0 * abs(seq.v_neg) / abs(seq.v_pos)
 
 
 def f_metric(v: PhasorSet) -> float:
     """Relaxed unbalance metric f = VUF**2, in squared percent."""
-    seq = fortescue(v)
-    if abs(seq.v_pos) <= EPS_POS:
-        raise DegeneratePointError(
-            f"positive-sequence magnitude {abs(seq.v_pos):.3e} below {EPS_POS}"
-        )
+    seq = _checked_fortescue(v)
     return 1e4 * (abs(seq.v_neg) ** 2) / (abs(seq.v_pos) ** 2)
 
 
@@ -130,5 +130,4 @@ def grad_f(v: PhasorSet) -> UnbalanceGradient:
         dva=complex(scale * np.conj(vbc) * line_sq),
         dvb=complex(scale * np.conj(vca) * line_sq),
         dvc=complex(scale * np.conj(vab) * line_sq),
-        d_pos_sq=float(d),
     )

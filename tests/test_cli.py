@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, file contracts, byte determinism."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -18,7 +19,7 @@ from vudlmp.cli import (
     main,
     run_scenario,
 )
-from vudlmp.netmodel import save_network
+from vudlmp.netmodel import network_to_dict, save_network
 from vudlmp.powerflow import PowerFlowDiverged, SingularJacobian
 from conftest import make_two_bus
 
@@ -163,6 +164,31 @@ class TestOpfOutputs:
         assert "closed_form" in header
         assert rows
 
+    def test_fields_with_commas_are_quoted(self, tmp_path, capsys):
+        doc = json.dumps(network_to_dict(make_two_bus())).replace('"load"', '"load,1"')
+        path = tmp_path / "comma.json"
+        path.write_text(doc)
+        out = tmp_path / "out"
+        assert main(["opf", str(path), "--case-id", "a,b", "--out", str(out)]) == EXIT_OK
+        for fname, width in (("summary.csv", len(SUMMARY_COLUMNS)), ("dlmp_active.csv", 9)):
+            with open(out / fname, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(header) == width and rows
+            assert all(len(r) == width and r[0] == "a,b" for r in rows)
+        assert rows[-1][1] == "load,1"
+        assert (out / "summary.csv").read_bytes().startswith(
+            b"case_id,total_gen_cost_eur,total_losses_kw,highest_vuf_pct,vuf_bus,"
+            b"status,wall_ms\n\"a,b\",")
+
+    def test_case_id_with_path_separator_is_config_error(self, two_bus_file, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert main(["opf", two_bus_file, "--case-id", "a/b", "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "case_id" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, network, **extra):
@@ -196,7 +222,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("extra, statuses", [
         ({"sweep_weights": [1.0, -1.0]}, ["success", "config-error"]),
-        ({"mode": "hard", "sweep_limits": [1.0, 0.0]}, ["success", "config-error"]),
+        ({"mode": "hard", "sweep_limits": [1.0, 0.0], "sweep_weights": []},
+         ["success", "config-error"]),
         ({"kkt_tol": -1}, ["config-error"] * 3),
         ({"kkt_tol": "1e-6"}, ["config-error"] * 3),
         ({"max_iter": 1.5}, ["config-error"] * 3),
@@ -220,8 +247,14 @@ class TestSweep:
         {"sweep_weights": [1.0, True]},
         {"penalty": True},
         {"limit_pct": True},
+        {"mode": "none"},
+        {"sweep_limits": [1.0]},
+        {"mode": "hard", "sweep_limits": [1.0]},
+        {"case_id": "a/b"},
     ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document",
-            "boolean-jobs", "boolean-weight", "boolean-penalty", "boolean-limit"])
+            "boolean-jobs", "boolean-weight", "boolean-penalty", "boolean-limit",
+            "weights-in-none-mode", "limits-in-soft-mode", "weights-in-hard-mode",
+            "case-id-path"])
     def test_sweep_malformed_config_is_config_error(self, two_bus_file, tmp_path, capsys,
                                                     doc):
         if isinstance(doc, dict):
@@ -250,6 +283,13 @@ class TestSweep:
         assert rows[0]["status"] == "config-error"
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_sweep_keeps_with_sensitivity(self, two_bus_file, tmp_path, capsys):
+        cfg = self.sweep_config(tmp_path, two_bus_file, with_sensitivity=True)
+        assert main(["sweep", cfg]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "out" / "sensitivity.csv")
+        # one non-slack bus, 3 phases, 2 kinds, for each of the 3 cases
+        assert len(rows) == 18 and all(r["closed_form"] for r in rows)
 
     def test_parallel_matches_serial(self, two_bus_file, tmp_path, capsys):
         cfg1 = self.sweep_config(tmp_path / "a", two_bus_file, jobs=1)

@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from vudlmp import powerflow
+from vudlmp import dlmp, powerflow
 from vudlmp.dlmp import (
     COMPONENTS,
     DecompositionError,
@@ -108,6 +108,30 @@ class TestSensitivity:
         entries = sensitivity_report(simple5, point)
         assert sum(e.defined for e in entries) == 24
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("feeder, solves, defined", [
+        ("simple5", 4, 24), ("eulv117", 8, 28)])
+    def test_report_makes_one_closed_form_solve_per_bus(self, request, monkeypatch,
+                                                        feeder, solves, defined):
+        # each bus's closed forms share one transposed solve, and each equals
+        # the entry sensitivity_closed_form gives on its own, bit for bit
+        if feeder == "simple5":
+            net, point, buses = request.getfixturevalue("simple5"), \
+                request.getfixturevalue("simple5_pf"), None
+        else:
+            cache = request.getfixturevalue("eulv117_solve")
+            net, point, buses = cache.net, cache.warm, list(cache.net.unbalance.buses)
+        calls = []
+        lu_solve = dlmp.lu_solve
+        monkeypatch.setattr(dlmp, "lu_solve",
+                            lambda *a, **k: calls.append(a) or lu_solve(*a, **k))
+        entries = sensitivity_report(net, point, buses=buses)
+        assert len(calls) == solves
+        assert sum(e.defined for e in entries) == defined
+        for e in entries:
+            alone = sensitivity_closed_form(point, e.bus, e.phase, e.power_kind)
+            assert alone.closed_form == e.closed_form
+            assert alone.incident_current == e.incident_current
 
     def test_report_covers_all_phases_and_kinds(self, two_bus, two_bus_pf):
         entries = sensitivity_report(two_bus, two_bus_pf)

@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vudlmp.netmodel import (
     BusSpec,
@@ -16,34 +14,17 @@ from vudlmp.netmodel import (
     ParseError,
     UnbalanceConfig,
     ValidationError,
-    from_per_unit,
     impedance_base,
     load_network,
     network_from_dict,
     network_to_dict,
     save_network,
-    to_per_unit,
 )
 from conftest import make_two_bus
 
 
 class TestPerUnit:
-    @given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, value, base):
-        assert from_per_unit(to_per_unit(value, base), base) == pytest.approx(
-            value, rel=1e-12, abs=1e-12)
-
-    def test_array_round_trip(self):
-        v = np.array([1.0, -2.5, 30.0])
-        back = from_per_unit(to_per_unit(v, 50.0), 50.0)
-        assert np.allclose(back, v, rtol=1e-15)
-
     def test_nonpositive_base_rejected(self):
-        with pytest.raises(ValueError):
-            to_per_unit(1.0, 0.0)
-        with pytest.raises(ValueError):
-            from_per_unit(1.0, -2.0)
         with pytest.raises(ValueError):
             impedance_base(0.0, 230.0)
 
@@ -206,13 +187,6 @@ class TestConvenience:
 
     def test_vuf_subset_defaults_to_non_slack(self, two_bus):
         assert two_bus.vuf_bus_subset == ["load"]
-
-    def test_with_unbalance_preserves_everything_else(self, two_bus):
-        cfg = UnbalanceConfig(mode="hard", vuf_limit_pct=2.0)
-        net2 = two_bus.with_unbalance(cfg)
-        assert net2.unbalance.mode == "hard"
-        assert net2.buses == two_bus.buses
-        assert net2.lines == two_bus.lines
 
     def test_bundled_networks_load(self, simple5, eulv117):
         assert len(simple5.buses) == 6

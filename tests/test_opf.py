@@ -18,7 +18,7 @@ from vudlmp.opf import (
     vuf_metric_local,
 )
 from vudlmp.powerflow import solve_pf
-from vudlmp.sequence import PhasorSet, f_metric
+from vudlmp.sequence import BALANCED_SOURCE, PhasorSet, f_metric
 
 
 def rect_vars(v):
@@ -207,7 +207,7 @@ def per_entry_layout(prob, point):
         ref["_cost_lin"][ref["idx_pg"][g]] += gen.marginal_cost * net.base_kw
     for label, at in (("x0 flat", None), ("x0 warm", point)):
         x = np.zeros(nv)
-        v = np.tile(prob.slack_voltage, (nbus, 1)) if at is None else at.voltages
+        v = np.tile(BALANCED_SOURCE, (nbus, 1)) if at is None else at.voltages
         s = np.zeros((nline, 2, 3), dtype=complex) if at is None else np.stack(
             (at.s_from, at.s_to), axis=1)
         for b in range(nbus):
@@ -457,7 +457,3 @@ class TestObjectiveGates:
         assert sq.objective_value(x) == pytest.approx(base + w * f_sum, rel=1e-9)
         assert rt.objective_value(x) == pytest.approx(base + w * root_sum, rel=1e-9)
 
-    def test_multiplier_symbols_resolve(self):
-        tag = ConstraintTag("p_balance", bus="b2", phase="a")
-        assert tag.symbol == "phi_p"
-        assert ConstraintTag("vuf_limit", bus="b4").symbol == "psi"
