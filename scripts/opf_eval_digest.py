@@ -17,7 +17,11 @@ on its VUF buses.  Then it runs whole interior-point solves (simple5 none,
 soft on f, soft on f at weight 0 (no objective Hessian), soft on VUF, hard
 1.1 % (a slack limit), hard 1 % and hard 0.5 %; eulv117 none, soft 3.0 and
 hard 0.5 %, all on the sparse KKT path; the two-bus feeder of the tests
-cold-started, and at a 1e-4 % hard limit that ends infeasible) and prints
+cold-started, and at a 1e-4 % hard limit that ends infeasible; simple5 none
+and eulv117 none cold-started, since only a cold start puts exact zeros on
+the solver's patterns: the flat start's inequality Jacobian holds 40 on
+simple5 and 928 on eulv117, and the first eulv117 KKT matrix 902 in its W
+block) and prints
 each one's status, iteration count, message, the ``repr`` of its objective
 and residuals, and digests of its primal and dual iterates and of its
 ``decompose`` rows.  Last, one ``kkt`` line digests every matrix handed to
@@ -221,6 +225,10 @@ def print_solve_digests():
     print_layout_digest("two-bus", "hard-1e-4", infeasible)
     print_solve_digest("two-bus", "hard-1e-4",
                        solve(infeasible, settings=SolverSettings(max_iter=80)))
+    for name in ("simple5", "eulv117"):
+        cold = build_problem(load_network(bundled_network(name)), UnbalanceConfig("none"))
+        print_layout_digest(name, "none-cold", cold)
+        print_solve_digest(name, "none-cold", solve(cold))
 
 
 @contextlib.contextmanager

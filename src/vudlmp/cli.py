@@ -93,9 +93,10 @@ class ScenarioConfig:
         for name in ("limit_pct", "penalty"):
             if not is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not isinstance(self.case_id, str) or {"/", os.sep} & set(self.case_id):
-            raise ConfigError(f"case_id must be a string with no path separator, "
-                              f"got {self.case_id!r}")
+        # csv leaves a carriage return unquoted, so it would split a row
+        if not isinstance(self.case_id, str) or {"/", os.sep, "\r"} & set(self.case_id):
+            raise ConfigError(f"case_id must be a string with no path separator or "
+                              f"carriage return, got {self.case_id!r}")
         for name, mode in (("sweep_weights", "soft"), ("sweep_limits", "hard")):
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple)) and all(map(is_number, values))):
@@ -408,13 +409,15 @@ def _cmd_sweep(args):
 
 
 def _cmd_sens(args):
+    if not (np.isfinite(args.step) and args.step > 0):
+        raise ConfigError(f"--step must be a finite number > 0, got {args.step}")
     net = load_network(_resolve_network(args.network))
     try:
         point = solve_pf(net)
+        entries = sensitivity_report(net, point, step=args.step)
     except PowerFlowError as exc:
         print(_pf_failure(exc), file=sys.stderr)
         return EXIT_SOLVER
-    entries = sensitivity_report(net, point, step=args.step)
     out = _ensure_outdir(args.out or "out")
     write_sensitivity(entries, out / "sensitivity.csv")
     defined = [e for e in entries if e.defined]
@@ -471,7 +474,7 @@ def _build_parser():
     p_sens.add_argument("network")
     p_sens.add_argument("--out", default="out")
     p_sens.add_argument("--step", type=float, default=1e-5,
-                        help="finite-difference perturbation, per-unit")
+                        help="finite-difference perturbation, per-unit (finite, > 0)")
     p_sens.set_defaults(func=_cmd_sens)
     return parser
 

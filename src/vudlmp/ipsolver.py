@@ -17,17 +17,15 @@ algorithm", Math. Prog. 2006; the other constants are this solver's own.
 The KKT inputs are built with array operations on index arrays laid out
 once per solve, from the values the problem's evaluations write on its
 fixed derivative layouts (see :mod:`vudlmp.opf`): inside an iteration no
-scipy.sparse matrix is built except the two SuperLU inputs of a sparse
-factorization, and the dense path reuses one KKT buffer.  These rules keep
-every value, and every matrix handed to SuperLU or LAPACK, equal bit for
-bit to the scipy.sparse expressions they replace, which the seed-0
-benchmark outputs are pinned to:
+scipy.sparse matrix is built, and each matrix keeps its pattern: an exact
+zero is stored as a value where scipy would drop it.
+These rules keep every value, and every nonzero entry of every matrix
+handed to SuperLU or LAPACK, equal bit for bit to the scipy.sparse
+expressions they replace, which the seed-0 benchmark outputs are pinned to:
 
 - Row scaling emits what ``sp.diags(d) @ jac`` (scipy's ``csr_matmat``)
   emits: each row's entries in the reverse of their layout order, so
-  descending columns, and the products that are exactly zero dropped.  The
-  reversal is laid out once per solve; the dropping is done only at an
-  iterate that has such a product.
+  descending columns.
 - Matvecs add as scipy's do, by ``bincount`` in input order from 0: ``J x``
   sums each row in that stored order (CSR matvec), ``J' y`` each column in
   ascending row (CSC matvec of ``J.T``).
@@ -39,11 +37,10 @@ benchmark outputs are pinned to:
 - Both factorizations read the KKT matrix ``[[W + delta I, Je'], [Je, 0]]``
   off one CSC superset pattern whose values each iterate refills, from the
   Hessian's values on its superset layout (0 where no term falls) and the
-  scaled equality Jacobian without its zero products.  scipy's sparse sums
-  and products drop exact-zero results, so SuperLU's canonical CSC copies
-  (one with ``-DELTA_C`` on the lower diagonal) keep an entry only if it is
-  nonzero once ``delta`` is added; LAPACK's dense copy takes every entry
-  and ``-delta_c I`` as its lower-right block, signed zeros included.
+  scaled equality Jacobian.  SuperLU's two CSC inputs (one with
+  ``-DELTA_C`` on the lower diagonal) are built once per solve and
+  refilled; LAPACK's dense copy takes every entry and ``-delta_c I`` as
+  its lower-right block, signed zeros included.
 - SuperLU gets those matrices as ``P K P'``, with P one fill-reducing
   ordering per solve, bit for bit what scipy's products with the
   permutation matrix give, and factors them in that order
@@ -303,40 +300,29 @@ def _row_scales(layout, values):
 class _RowScaling:
     """``sp.diags(d) @ J`` for the Jacobians J on one layout, laid out once
     per solve.  scipy's ``csr_matmat`` emits each row's entries in the
-    reverse of their stored order (see the module docstring): ``rev`` gives
-    the layout entry of each emitted one."""
+    reverse of their stored order (see the module docstring): ``entries``
+    gives the layout entry of each emitted one.  The reversal keeps every
+    row's count, so ``indptr`` is the layout's."""
 
     def __init__(self, d, layout):
-        self.shape, self.rows = layout.shape, layout.rows
+        self.shape, self.rows, self.indptr = layout.shape, layout.rows, layout.indptr
         ends = layout.indptr.astype(np.int64)
-        self.rev = ends[self.rows] + ends[self.rows + 1] - 1 - np.arange(layout.nnz)
-        self.cols = layout.indices[self.rev]
+        self.entries = ends[self.rows] + ends[self.rows + 1] - 1 - np.arange(layout.nnz)
+        self.indices = layout.indices[self.entries]
         self.d = d[self.rows]
 
     def __call__(self, values):
-        return _ScaledRows(self, self.d * values[self.rev])
+        return _ScaledRows(self, self.d * values[self.entries])
 
 
 class _ScaledRows:
-    """One iterate's ``sp.diags(d) @ J``: ``data`` in scipy's order without
-    the exact-zero products scipy drops, each entry's ``rows`` and
-    ``indices``, and ``entries``, its index on the layout."""
+    """One iterate's ``sp.diags(d) @ J``: ``data`` in scipy's order on the
+    pattern of its :class:`_RowScaling`, whose ``rows``, ``indices``,
+    ``indptr`` and layout ``entries`` it shares."""
 
     def __init__(self, scaling, data):
-        self.shape = scaling.shape
-        if data.all():
-            self.data, self.rows, self.indices = data, scaling.rows, scaling.cols
-            self.entries = scaling.rev
-        else:
-            keep = np.flatnonzero(data)
-            self.data, self.rows, self.indices = data[keep], scaling.rows[keep], scaling.cols[keep]
-            self.entries = scaling.rev[keep]
-
-    @cached_property
-    def indptr(self):
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=indptr[1:])
-        return indptr
+        self.shape, self.rows, self.indices = scaling.shape, scaling.rows, scaling.indices
+        self.indptr, self.entries, self.data = scaling.indptr, scaling.entries, data
 
     def dot(self, x):
         """``J x``, each row summed in stored order as the CSR matvec sums it."""
@@ -393,6 +379,7 @@ class _KktLayout:
         # each equality-Jacobian entry's two slots: below and right of W
         self.eq_slots = np.searchsorted(self.key, np.stack((ec * size + n + er,
                                                             (n + er) * size + ec)))
+        self.vals = np.zeros(len(self.key))   # refilled in place by every iterate
         self._dense = None
 
     def refill(self, hess, jac_ineq, d_in, sigma, je):
@@ -406,8 +393,7 @@ class _KktLayout:
         j = d_in[self.j_rows] * jac_ineq
         v = h + np.bincount(self.jsj_slots, j[self.b] * (sigma[self.k] * j[self.a]), nw)
         self.w = (v + v[self.w_t]) * 0.5
-        self.vals = np.zeros(len(self.key))
-        self.vals[self.eq_slots[:, je.entries]] = je.data   # nonzero: ``je`` drops its zeros
+        self.vals[self.eq_slots[:, je.entries]] = je.data
 
     def zero_on_diagonal(self):
         """Whether the diagonal of ``W`` holds an exact zero."""
@@ -423,8 +409,8 @@ class _KktLayout:
         pattern: I on the W diagonal, -I on the lower diagonal, 1 on the
         ``Je`` entries and explicit zeros elsewhere.  Returns ``perm`` (row
         i of K is row ``perm[i]`` of ``P K P'``), the storage order that
-        sorts ``vals`` into the CSC order of ``P K P'``, and that matrix's
-        row indices and column pointers.
+        sorts ``vals`` into the CSC order of ``P K P'``, and the two SuperLU
+        inputs on that matrix's pattern, whose values ``matrices`` refills.
         """
         n, size = self.n, self.size
         r, c = self.key % size, self.key // size
@@ -436,27 +422,22 @@ class _KktLayout:
         key = perm[c] * size + perm[r]
         order = np.argsort(key)
         key = key[order]
-        return (perm, order, (key % size).astype(np.int32),
-                np.searchsorted(key, np.arange(size + 1) * size))
+        rows, indptr = (key % size).astype(np.int32), np.searchsorted(key, np.arange(size + 1) * size)
+        target, perturbed = (sp.csc_matrix((np.zeros(len(key)), rows, indptr), shape=(size, size))
+                             for _ in range(2))
+        return perm, order, target, perturbed
 
     def matrices(self, delta):
         """``P K P'`` for the KKT matrix K at primal regularization ``delta``
-        and its copy with the dual regularization, as scipy.sparse would
-        build and permute them, and the permutation (see ``_ordering``)."""
-        perm, order, rows, indptr = self._ordering
+        and its copy with the dual regularization, refilled in place, and the
+        permutation (see ``_ordering``).  Both are valid until the next call."""
+        perm, order, target, perturbed = self._ordering
         self.vals[self.w_slot] = self.w + delta * self.on_diag
         self.vals[self.d11] = 0.0
-        target = self._csc(self.vals[order], rows, indptr)
+        np.take(self.vals, order, out=target.data)
         self.vals[self.d11] = -DELTA_C
-        return target, self._csc(self.vals[order], rows, indptr), perm
-
-    def _csc(self, vals, rows, indptr):
-        """The entries that are not exactly zero, as scipy keeps them."""
-        keep = vals != 0
-        count = np.zeros(len(keep) + 1, dtype=np.int32)
-        np.cumsum(keep, out=count[1:])
-        return sp.csc_matrix((vals[keep], rows[keep], count[indptr]),
-                             shape=(self.size, self.size))
+        np.take(self.vals, order, out=perturbed.data)
+        return target, perturbed, perm
 
     def dense(self, delta, delta_c):
         """The KKT matrix at primal regularization ``delta`` as a dense array
@@ -637,16 +618,13 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         alpha = alpha_max
         accepted = False
         # if the achievable merit change is below float resolution the step is
-        # a pure dual correction; backtracking would only stall it
-        if abs(ddir) * alpha_max <= np.sqrt(np.finfo(float).eps) * max(1.0, abs(merit0)):
-            try:
-                scaled(x + alpha * dx, want_jac=False)
-                x_t = x + alpha * dx
-                s_t = s + alpha * ds
-                accepted = True
-            except (ValueError, FloatingPointError):
-                pass
-        for _ in range(40 if not accepted else 0):
+        # a pure dual correction: backtracking would only stall it, so its
+        # first trial is accepted once it evaluates
+        pure_dual = abs(ddir) * alpha_max <= np.sqrt(np.finfo(float).eps) * max(1.0, abs(merit0))
+        # noise floor: near a solved barrier subproblem the true decrease
+        # is below float resolution of the merit value; accept those steps
+        noise = 1e4 * np.finfo(float).eps * max(1.0, abs(merit0))
+        for attempt in range(40):
             x_t = x + alpha * dx
             s_t = s + alpha * ds
             try:
@@ -654,14 +632,12 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             except (ValueError, FloatingPointError):
                 alpha *= 0.5
                 continue
+            if pure_dual and attempt == 0:
+                accepted = True
+                break
             theta_t = np.sum(np.abs(ce_t)) + np.sum(np.abs(ci_t + s_t))
             merit_t = obj_t - mu * np.sum(np.log(s_t)) + nu * theta_t
-            # noise floor: near a solved barrier subproblem the true decrease
-            # is below float resolution of the merit value; accept those steps
-            noise = 1e4 * np.finfo(float).eps * max(1.0, abs(merit0))
-            if np.isfinite(merit_t) and (
-                merit_t <= merit0 + 1e-4 * alpha * min(ddir, 0.0) + noise
-            ):
+            if np.isfinite(merit_t) and merit_t <= merit0 + 1e-4 * alpha * min(ddir, 0.0) + noise:
                 accepted = True
                 break
             alpha *= 0.5

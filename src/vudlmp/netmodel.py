@@ -55,6 +55,8 @@ class BusSpec:
     vmax: float = DEFAULT_VMAX
 
     def __post_init__(self):
+        if "\r" in self.id:    # csv leaves it unquoted, so it would split a row
+            raise ValidationError(f"bus {self.id!r}: an id may not hold a carriage return")
         if not (0.0 < self.vmin < self.vmax):
             raise ValidationError(
                 f"bus {self.id}: requires 0 < vmin < vmax, got "

@@ -189,6 +189,22 @@ class TestOpfOutputs:
         assert err.startswith("error: ") and "case_id" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_case_id_with_carriage_return_is_config_error(self, two_bus_file, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert main(["opf", two_bus_file, "--case-id", "r\rs", "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "carriage return" in err
+        assert not out.exists()
+
+    def test_bus_id_with_carriage_return_is_config_error(self, tmp_path, capsys):
+        doc = json.dumps(network_to_dict(make_two_bus())).replace('"load"', '"load\\r1"')
+        path = tmp_path / "cr.json"
+        path.write_text(doc)
+        assert main(["opf", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "carriage return" in capsys.readouterr().err
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, network, **extra):
@@ -251,10 +267,11 @@ class TestSweep:
         {"sweep_limits": [1.0]},
         {"mode": "hard", "sweep_limits": [1.0]},
         {"case_id": "a/b"},
+        {"case_id": "r\rs"},
     ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document",
             "boolean-jobs", "boolean-weight", "boolean-penalty", "boolean-limit",
             "weights-in-none-mode", "limits-in-soft-mode", "weights-in-hard-mode",
-            "case-id-path"])
+            "case-id-path", "case-id-carriage-return"])
     def test_sweep_malformed_config_is_config_error(self, two_bus_file, tmp_path, capsys,
                                                     doc):
         if isinstance(doc, dict):
@@ -324,6 +341,21 @@ class TestSens:
         header, rows = read_csv(out / "sensitivity.csv")
         assert tuple(header[:3]) == ("bus", "phase", "power_kind")
         assert len(rows) == 6    # one non-slack bus, 3 phases, 2 kinds
+
+    @pytest.mark.parametrize("step", ["0", "inf", "nan", "-0.5"])
+    def test_bad_step_is_config_error(self, two_bus_file, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        assert main(["sens", two_bus_file, "--step", step, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--step" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_diverged_perturbation_is_a_solver_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sens", "simple5", "--step", "10", "--out", str(out)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("power flow diverged") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfig:

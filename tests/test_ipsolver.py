@@ -265,6 +265,33 @@ class TestEvaluationBudget:
         assert len(calls) == sol.iterations
 
 
+class TestLineSearch:
+    def test_no_trial_point_is_evaluated_twice(self, two_bus, two_bus_pf, monkeypatch):
+        # the first trial of every iteration fails to evaluate, pure-dual
+        # steps included; each later trial must be a new point
+        prob = build_problem(two_bus)
+        trials = []
+        evaluate, eval_eq = prob.evaluate, prob.eval_eq
+
+        def new_iterate(x):
+            trials.append([])
+            return evaluate(x)
+
+        def trial(x, want_jac=True, **kwargs):
+            if not want_jac:
+                trials[-1].append(x.copy())
+                if len(trials[-1]) == 1:
+                    raise ValueError("trial point outside the domain")
+            return eval_eq(x, want_jac=want_jac, **kwargs)
+        monkeypatch.setattr(prob, "evaluate", new_iterate)
+        monkeypatch.setattr(prob, "eval_eq", trial)
+        sol = solve(prob, warm=two_bus_pf)
+        assert sol.success, sol.message
+        # every iterate but the converged last one took a step
+        assert len(trials) == sol.iterations and all(len(t) >= 2 for t in trials[:-1])
+        assert not any(np.array_equal(a, b) for t in trials for a, b in zip(t, t[1:]))
+
+
 class TestInitialMultipliers:
     def test_superlu_failure_starts_from_zero_multipliers(self, two_bus, two_bus_pf,
                                                          monkeypatch):
@@ -371,9 +398,22 @@ class TestDenseAssembly:
                 ref_d = 1.0 / np.maximum(1.0, np.abs(jac).max(axis=1).toarray().ravel())
                 assert d.tobytes() == ref_d.tobytes()
                 ours, ref = _RowScaling(d, layout)(values), sp.diags(d) @ jac
-                for part in ("data", "indices", "indptr"):
-                    a, b = getattr(ours, part), getattr(ref, part)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), part
+                # the layout's pattern, each row reversed as scipy emits it
+                bounds = zip(layout.indptr[:-1], layout.indptr[1:])
+                reversed_rows = np.concatenate([layout.indices[a:b][::-1] for a, b in bounds])
+                assert ours.indices.tobytes() == reversed_rows.tobytes()
+                assert ours.indptr.tobytes() == layout.indptr.tobytes()
+                for part in ("indices", "indptr"):
+                    assert getattr(ours, part).dtype == getattr(ref, part).dtype, part
+                # scipy's entries in scipy's order; those it drops are exactly 0
+                ncol = jac.shape[1]
+                key = ours.rows * ncol + ours.indices
+                ref_rows = np.repeat(np.arange(jac.shape[0]), np.diff(ref.indptr))
+                ref_key = ref_rows * ncol + ref.indices
+                kept = np.isin(key, ref_key)
+                assert np.array_equal(key[kept], ref_key)
+                assert ours.data[kept].tobytes() == ref.data.tobytes()
+                assert not ours.data[~kept].any()
 
     def test_dense_w_matches_scipy(self, points):
         prob, xs = points
@@ -491,7 +531,7 @@ class TestSparseAssembly:
         layout = _KktLayout(prob)
         rng = np.random.default_rng(8)
         full = prob.evaluate(xs["warm"]).jac_eq.nnz
-        perms = []
+        perms, patterns = [], set()
         for where, x in xs.items():
             e, d_eq, d_in, y, z, sigma, hess = self.iterate(prob, x, rng)
             assert (e.jac_eq.nnz < full) == (where == "dead")
@@ -502,8 +542,13 @@ class TestSparseAssembly:
                 *ours, perm = layout.matrices(delta)
                 perms.append(perm)
                 for mat, theirs in zip(ours, ref):
+                    patterns.add(mat.indices.tobytes() + mat.indptr.tobytes())
+                    # the stored zeros aside, scipy's matrix
+                    mat = mat.copy()
+                    mat.eliminate_zeros()
                     assert_same_arrays(mat, permuted(theirs, perm))
-        # one ordering for the whole solve, and a permutation
+        # one ordering and one pattern for the whole solve, and a permutation
+        assert len(patterns) == 1
         assert all(p is perms[0] for p in perms)
         assert np.array_equal(np.sort(perms[0]), np.arange(layout.size))
         assert not np.array_equal(perms[0], np.arange(layout.size))
@@ -549,9 +594,9 @@ class TestSparseAssembly:
 
 class TestSparseConstructions:
     """Within an interior-point iteration the solver builds no scipy.sparse
-    matrix except the two SuperLU inputs of a sparse factorization.  SuperLU
-    itself builds its L and U factors, as ``csc_array`` objects, when the
-    inertia reads ``lu.U``; the solver builds no ``csc_array``."""
+    matrix: SuperLU's two inputs are built once per solve and refilled.
+    SuperLU itself builds its L and U factors, as ``csc_array`` objects,
+    when the inertia reads ``lu.U``; the solver builds no ``csc_array``."""
 
     def count(self, monkeypatch, prob, warm, max_iter):
         """(solution, the solver's constructions, KKT factorizations by splu);
@@ -579,16 +624,14 @@ class TestSparseConstructions:
         assert factors == 0
         assert n_full == n_short <= 20
 
-    def test_sparse_path_builds_two_per_factorization(self, eulv117, monkeypatch):
+    def test_sparse_path_count_is_fixed(self, eulv117, monkeypatch):
         cfg = UnbalanceConfig("hard", 0.5)
         warm = solve_pf(eulv117)
         full, n_full, factors = self.count(monkeypatch, build_problem(eulv117, cfg), warm, 300)
-        short, n_short, short_factors = self.count(monkeypatch, build_problem(eulv117, cfg),
-                                                   warm, 3)
+        short, n_short, _ = self.count(monkeypatch, build_problem(eulv117, cfg), warm, 3)
         assert full.success and factors >= full.iterations - 1
         assert short.iterations == 3
-        # two per factorization, and the same fixed rest whatever the length
-        assert n_full - 2 * factors == n_short - 2 * short_factors <= 25
+        assert n_full == n_short <= 25
 
 
 def random_kkt(rng, n, m, zero_diag=0):

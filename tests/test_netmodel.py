@@ -86,6 +86,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BusSpec("x", vmin=1.1, vmax=0.9)
 
+    def test_bus_id_with_carriage_return_rejected(self):
+        with pytest.raises(ValidationError, match="carriage return"):
+            BusSpec("r\rs")
+
     def test_line_impedance_shape_and_symmetry(self):
         with pytest.raises(ParseError):
             LineSpec("a", "b", np.eye(2, dtype=complex), 1.0)
