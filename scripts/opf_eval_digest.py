@@ -249,9 +249,10 @@ def recording(module, name, digest_of, log):
 def print_kkt_digest():
     """Digests of every KKT matrix the solver factors, in call order."""
     splu, soft, hard = [], [], []
+    net = load_network(bundled_network("eulv117"))
+    warm = solve_pf(net)        # outside: the power flow factors by splu too
     with recording(scipy.sparse.linalg, "splu", sparse_digest, splu):
-        net = load_network(bundled_network("eulv117"))
-        solve(build_problem(net, UnbalanceConfig("hard", 0.5)), warm=solve_pf(net))
+        solve(build_problem(net, UnbalanceConfig("hard", 0.5)), warm=warm)
     net = load_network(bundled_network("simple5"))
     for cfg, log in ((UnbalanceConfig("soft", 0.0, 2.5), soft),
                      (UnbalanceConfig("hard", 1.0), hard)):

@@ -10,7 +10,10 @@ Commands::
 Networks are JSON files (see netmodel) or the bundled names ``simple5`` and
 ``eulv117``.  All CSV output is UTF-8 with LF line endings and ``.`` decimal
 separators, and is byte-identical across repeated runs with the same config
-and BLAS thread count except for the wall-clock timing column.  Exit codes: 0 success, 1 config or
+except for the wall-clock timing column.  Networks whose power-flow
+Jacobian is factored by SuperLU (eulv117) give the same bytes at any BLAS
+thread count; on the small dense path (simple5) the LAPACK factorization
+may round by thread count.  Exit codes: 0 success, 1 config or
 parse error, 2 solver failure (or, in a sweep, a case that raised; its
 status is ``error``).
 """
@@ -414,6 +417,10 @@ def _cmd_sens(args):
     net = load_network(_resolve_network(args.network))
     try:
         point = solve_pf(net)
+        parts = point.injections.view(float)
+        if np.any(parts - args.step == parts):
+            raise ConfigError(f"--step {args.step:g} is below the float64 resolution "
+                              f"of an injection it perturbs")
         entries = sensitivity_report(net, point, step=args.step)
     except PowerFlowError as exc:
         print(_pf_failure(exc), file=sys.stderr)

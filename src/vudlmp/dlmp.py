@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .netmodel import NPHASE, PHASES, NetworkSpec
 from .powerflow import (
@@ -175,8 +174,8 @@ def _consumption_response(net: NetworkSpec, lu, weights):
     k, nbus = weights.shape[:2]
     w = weights.reshape(k, -1)[:, idx].T
     out = np.zeros((2, nbus * NPHASE, k))
-    out[:, idx] = -lu_solve(lu, np.concatenate([np.real(w), np.imag(w)]),
-                            trans=1).reshape(2, len(idx), k)
+    out[:, idx] = -lu.solve(np.concatenate([np.real(w), np.imag(w)]),
+                            trans=True).reshape(2, len(idx), k)
     return out.reshape(2, nbus, NPHASE, k)
 
 
@@ -241,7 +240,7 @@ def decompose(sol):
 
     # + 0.0 keeps components with no binding term at +0.0 rather than -0.0
     comp_p, comp_q = _consumption_response(
-        net, factor_jacobian(ybus, v, nonslack_index(net)),
+        net, factor_jacobian(net, v),
         np.stack((g_cong, g_vlim, g_unb, g_sub))) / base_kw + 0.0
 
     out = []

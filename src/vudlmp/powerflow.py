@@ -11,15 +11,27 @@ factors of the Jacobian at its own voltages once they are asked for
 them, and a re-solve that starts at that point takes its first Newton step
 with them instead of factoring the same matrix again.  The nodal admittance
 matrix is assembled once per network (:attr:`NetworkSpec.ybus`).
+
+The factors come in two kinds behind one ``solve(rhs, trans=False)``.  A
+Jacobian of fewer than ``SPARSE_JACOBIAN_ROWS`` rows is built dense
+(:func:`pf_jacobian`) and factored by LAPACK.  A larger one is filled on a
+CSC pattern laid out once per network (the non-slack Ybus block and its
+diagonal, in each of the four real blocks), as the row scaling of conj(Y)
+by the voltages plus the conj(I) diagonal, and factored by SuperLU, as in
+MATPOWER's Newton power flow (Zimmerman, Murillo-Sanchez & Thomas, IEEE
+Trans. Power Syst. 2011).  On the large path the results do not depend on
+the BLAS thread count; the dense LU rounds by it.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .netmodel import NPHASE, NetworkSpec
@@ -27,6 +39,8 @@ from .sequence import BALANCED_SOURCE, PhasorSet, f_metric, vuf
 
 TOL_PF = 1e-10
 MAX_ITER = 50
+SPARSE_JACOBIAN_ROWS = 120  # Jacobians with this many rows or more go to SuperLU;
+                            # near where the two build-and-factor times cross
 
 
 class PowerFlowError(Exception):
@@ -78,7 +92,9 @@ def pf_jacobian(ybus, v, idx):
     y_c = np.conj(ybus[np.ix_(idx, idx)])
     # products with diagonal matrices, not row scaling vflat[:, None] * y_c:
     # the two round differently in the last bit, and that moves printed
-    # digits of the seed-0 outputs that bench/reference pins byte for byte
+    # digits of the seed-0 outputs that bench/reference pins byte for byte.
+    # Only Jacobians below SPARSE_JACOBIAN_ROWS are built here, where this
+    # dense build and LAPACK beat a sparse fill and SuperLU
     ds_de = d_i + d_v @ y_c
     ds_df = 1j * d_i - (1j * d_v) @ y_c
     return np.block([
@@ -99,17 +115,98 @@ def max_vuf(net: NetworkSpec, v):
     return worst_bus, worst
 
 
-def factor_jacobian(ybus, v, idx):
-    """LU factors of :func:`pf_jacobian`; an exactly zero pivot raises
-    SingularJacobian."""
-    jac = pf_jacobian(ybus, v, idx)
-    with warnings.catch_warnings():
-        # scipy only warns about a zero pivot; the factors would be unusable
-        warnings.simplefilter("error", LinAlgWarning)
+class _DenseFactors:
+    """LAPACK LU factors of :func:`pf_jacobian`."""
+
+    def __init__(self, jac):
+        with warnings.catch_warnings():
+            # scipy only warns about a zero pivot; the factors would be unusable
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                self._lu = lu_factor(jac)
+            except LinAlgWarning as exc:
+                raise SingularJacobian(f"singular power-flow Jacobian: {exc}") from None
+
+    def solve(self, rhs, trans=False):
+        """J^-1 rhs, or J^-T rhs with ``trans``; rhs is (2m,) or (2m, k)."""
+        return lu_solve(self._lu, rhs, trans=int(trans))
+
+
+class _SparseFactors:
+    """SuperLU factors of the same Jacobian in CSC form."""
+
+    def __init__(self, jac):
         try:
-            return lu_factor(jac)
-        except LinAlgWarning as exc:
+            self._lu = sp.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:     # SuperLU's exactly zero pivot
             raise SingularJacobian(f"singular power-flow Jacobian: {exc}") from None
+
+    def solve(self, rhs, trans=False):
+        """J^-1 rhs, or J^-T rhs with ``trans``; rhs is (2m,) or (2m, k)."""
+        return self._lu.solve(rhs, "T" if trans else "N")
+
+
+class _JacobianPattern:
+    """CSC pattern of the real power-flow Jacobian of one network: the
+    non-slack Ybus block and its diagonal, in each of the four blocks of
+    :func:`pf_jacobian`."""
+
+    def __init__(self, ybus, idx):
+        m = len(idx)
+        y = ybus[np.ix_(idx, idx)]
+        mask = y != 0
+        mask[np.diag_indices(m)] = True
+        cols, rows = np.nonzero(mask.T)         # by column, then row
+        counts = np.bincount(cols, minlength=m)
+        nnz = len(rows)
+        # column c of the e (then f) half holds its upper-block entries,
+        # then their lower-block twins
+        top = (np.cumsum(counts) - counts)[cols] + np.arange(nnz)
+        bottom = top + counts[cols]
+        self.slots = np.concatenate((top, bottom, top + 2 * nnz, bottom + 2 * nnz))
+        self.indices = np.empty(4 * nnz, dtype=np.int32)
+        self.indices[self.slots] = np.concatenate((rows, rows + m, rows, rows + m))
+        self.indptr = np.concatenate(([0], np.cumsum(np.tile(2 * counts, 2)))).astype(np.int32)
+        self.idx = idx
+        self.row_v = idx[rows]                  # flat voltage index of each row
+        self.diag = np.flatnonzero(rows == cols)
+        self.y_conj = np.conj(y[rows, cols])
+
+    def jacobian(self, ybus, v):
+        """The Jacobian at (nbus, 3) voltages ``v`` as a CSC matrix."""
+        vflat = v.reshape(-1)
+        a = vflat[self.row_v] * self.y_conj     # diag(v) conj(Y)
+        d = np.conj(ybus @ vflat)[self.idx]     # diag(conj(I))
+        # dS/de = d + a and dS/df = j (d - a), split into real and imaginary
+        vals = np.stack((a.real, a.imag, a.imag, -a.real))
+        vals[:, self.diag] += np.stack((d.real, d.imag, -d.imag, d.real))
+        data = np.empty(len(self.slots))
+        data[self.slots] = vals.ravel()
+        n = 2 * len(self.idx)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+# id(net) -> _JacobianPattern; NetworkSpec is unhashable, so the entry is
+# keyed by identity and dropped when the network is
+_PATTERNS = {}
+
+
+def _jacobian_pattern(net):
+    key = id(net)
+    if key not in _PATTERNS:
+        _PATTERNS[key] = _JacobianPattern(net.ybus, nonslack_index(net))
+        weakref.finalize(net, _PATTERNS.pop, key, None)
+    return _PATTERNS[key]
+
+
+def factor_jacobian(net: NetworkSpec, v):
+    """LU factors of the power-flow Jacobian at (nbus, 3) voltages ``v``,
+    dense below SPARSE_JACOBIAN_ROWS rows and sparse from there; an exactly
+    zero pivot raises SingularJacobian."""
+    idx = nonslack_index(net)
+    if 2 * len(idx) < SPARSE_JACOBIAN_ROWS:
+        return _DenseFactors(pf_jacobian(net.ybus, v, idx))
+    return _SparseFactors(_jacobian_pattern(net).jacobian(net.ybus, v))
 
 
 @dataclass(frozen=True)
@@ -140,8 +237,7 @@ class OperatingPoint:
     def jacobian_lu(self):
         """LU factors of the power-flow Jacobian at this point, factored on
         first use; see :func:`factor_jacobian`."""
-        return factor_jacobian(build_ybus(self.net), self.voltages,
-                               nonslack_index(self.net))
+        return factor_jacobian(self.net, self.voltages)
 
     @cached_property
     def injections(self):
@@ -223,8 +319,8 @@ def solve_pf(net: NetworkSpec, injections=None, v0=None) -> OperatingPoint:
             return _operating_point(net, v, iterations=it)
         if it == MAX_ITER:
             raise PowerFlowDiverged(MAX_ITER, float(err))
-        lu = base.jacobian_lu if reuse and it == 0 else factor_jacobian(ybus, v, idx)
-        step = lu_solve(lu, np.concatenate([np.real(mismatch), np.imag(mismatch)]))
+        lu = base.jacobian_lu if reuse and it == 0 else factor_jacobian(net, v)
+        step = lu.solve(np.concatenate([np.real(mismatch), np.imag(mismatch)]))
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("non-finite Newton step")
         dv = step[:m] + 1j * step[m:]

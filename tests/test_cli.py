@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -20,7 +24,7 @@ from vudlmp.cli import (
     run_scenario,
 )
 from vudlmp.netmodel import network_to_dict, save_network
-from vudlmp.powerflow import PowerFlowDiverged, SingularJacobian
+from vudlmp.powerflow import PowerFlowDiverged, SingularJacobian, solve_pf
 from conftest import make_two_bus
 
 
@@ -350,6 +354,20 @@ class TestSens:
         assert err.startswith("error: ") and "--step" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_step_below_float_resolution_is_config_error(self, tmp_path, capsys):
+        # 1e-300 subtracted from any simple5 load injection leaves it unchanged
+        out = tmp_path / "out"
+        assert main(["sens", "simple5", "--step", "1e-300", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--step" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_default_step_agrees_in_sign(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sens", "simple5", "--step", "1e-5", "--out", str(out)]) == EXIT_OK
+        assert "24 defined, 24/24 sign agreement" in capsys.readouterr().out
+        assert (out / "sensitivity.csv").exists()
+
     def test_diverged_perturbation_is_a_solver_failure(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sens", "simple5", "--step", "10", "--out", str(out)]) == EXIT_SOLVER
@@ -406,3 +424,32 @@ class TestSensitivityWarmStart:
         monkeypatch.setattr(cli, "solve_pf", singular)
         assert main([command, two_bus_file, "--out", str(tmp_path)]) == EXIT_SOLVER
         assert "power flow failed: singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pf", "sens"])
+    def test_singular_sparse_jacobian_is_a_solver_failure(self, tmp_path, monkeypatch,
+                                                          capsys, command):
+        # a power flow from zero non-slack voltages meets a zero SuperLU pivot
+        def zero_start(net):
+            return solve_pf(net, v0=np.zeros((len(net.buses), 3)))
+        monkeypatch.setattr(cli, "solve_pf", zero_start)
+        assert main([command, "eulv117", "--out", str(tmp_path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "power flow failed: singular" in err and "Traceback" not in err
+
+
+def test_feeder_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # eulv117's power-flow Jacobian and its KKT matrices are factored by
+    # SuperLU, so one and two OpenBLAS threads write the same bytes
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "vudlmp.cli", "opf", "eulv117",
+                               "--mode", "soft", "--penalty", "3.0", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: mask_wall_ms(p) if p.name == "summary.csv" else p.read_bytes()
+                        for p in sorted(out.glob("*.csv"))})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]

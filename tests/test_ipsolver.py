@@ -571,21 +571,24 @@ class TestSparseAssembly:
         def no_bmat(*args, **kwargs):
             raise AssertionError("sp.bmat called on the sparse path")
         ref = eulv117_solve("hard", limit=0.5)
+        warm = solve_pf(eulv117)
         monkeypatch.setattr(ipsolver.sp, "bmat", no_bmat)
         cfg = UnbalanceConfig("hard", 0.5, buses=eulv117.unbalance.buses)
-        sol = solve(build_problem(eulv117, cfg), warm=solve_pf(eulv117))
+        sol = solve(build_problem(eulv117, cfg), warm=warm)
         assert sol.success, sol.message
         assert sol.iterations == ref.iterations
         assert sol.x.tobytes() == ref.x.tobytes()
 
     def test_one_factorization_per_iteration_and_one_ordering(self, eulv117,
                                                               monkeypatch):
+        # the power flow factors its own Jacobians by splu too
+        warm = solve_pf(eulv117)
         calls = []
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda *a, **k: calls.append(k["permc_spec"]) or splu(*a, **k))
         cfg = UnbalanceConfig("hard", 0.5, buses=eulv117.unbalance.buses)
-        sol = solve(build_problem(eulv117, cfg), warm=solve_pf(eulv117))
+        sol = solve(build_problem(eulv117, cfg), warm=warm)
         assert sol.success, sol.message
         assert calls[0] == "MMD_AT_PLUS_A"
         assert set(calls[1:]) == {"NATURAL"}

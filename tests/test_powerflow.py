@@ -4,13 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from vudlmp import powerflow
 from vudlmp.netmodel import network_from_dict, network_to_dict
 from vudlmp.powerflow import (
+    SPARSE_JACOBIAN_ROWS,
     PowerFlowDiverged,
     SingularJacobian,
     build_ybus,
+    factor_jacobian,
+    nonslack_index,
     perturb_and_resolve,
+    pf_jacobian,
     solve_pf,
 )
 from conftest import make_two_bus
@@ -174,3 +180,46 @@ class TestDeterminism:
         b = solve_pf(simple5)
         assert np.array_equal(a.voltages, b.voltages)
         assert a.losses == b.losses
+
+
+class TestJacobianFactors:
+    """Small Jacobians are factored dense by LAPACK, large ones by SuperLU on
+    a pattern laid out once per network; callers see one ``solve``."""
+
+    def reference(self, net, v):
+        """LAPACK factors of the dense Jacobian at ``v``."""
+        return lu_factor(pf_jacobian(build_ybus(net), v, nonslack_index(net)))
+
+    def test_path_follows_the_row_count(self, two_bus, simple5, eulv117):
+        for net, sparse in ((two_bus, False), (simple5, False), (eulv117, True)):
+            rows = 2 * len(nonslack_index(net))
+            assert (rows >= SPARSE_JACOBIAN_ROWS) == sparse
+            factors = factor_jacobian(net, solve_pf(net).voltages)
+            expected = powerflow._SparseFactors if sparse else powerflow._DenseFactors
+            assert type(factors) is expected
+
+    def test_dense_path_is_lapack_bit_for_bit(self, simple5, simple5_pf):
+        ref = self.reference(simple5, simple5_pf.voltages)
+        rhs = np.random.default_rng(3).standard_normal((len(ref[1]), 4))
+        for trans in (False, True):
+            ours = simple5_pf.jacobian_lu.solve(rhs, trans=trans)
+            assert ours.tobytes() == lu_solve(ref, rhs, trans=int(trans)).tobytes()
+
+    def test_sparse_path_matches_lapack(self, eulv117, eulv117_solve):
+        point = eulv117_solve.warm
+        ref = self.reference(eulv117, point.voltages)
+        rng = np.random.default_rng(4)
+        for rhs in (rng.standard_normal(len(ref[1])), rng.standard_normal((len(ref[1]), 3))):
+            for trans in (False, True):
+                ours = point.jacobian_lu.solve(rhs, trans=trans)
+                theirs = lu_solve(ref, rhs, trans=int(trans))
+                assert ours.shape == theirs.shape
+                assert np.max(np.abs(ours - theirs)) <= 1e-10 * np.max(np.abs(theirs))
+
+    def test_sparse_pattern_is_laid_out_once_per_network(self, eulv117):
+        pattern = powerflow._jacobian_pattern(eulv117)
+        assert powerflow._jacobian_pattern(eulv117) is pattern
+
+    def test_sparse_zero_start_is_singular(self, eulv117):
+        with pytest.raises(SingularJacobian, match="singular power-flow Jacobian"):
+            solve_pf(eulv117, v0=np.zeros((len(eulv117.buses), 3)))
