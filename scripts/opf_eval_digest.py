@@ -12,8 +12,10 @@ seeded perturbed point, with seeded multipliers of which about a third are
 exactly zero.  It then digests
 the ``solve_pf`` voltages of both feeders, four simple5
 ``perturb_and_resolve`` re-solves (1, 3, 3 and 4 Newton steps) and the
-closed-form and finite-difference columns of the eulv117 sensitivity report
-on its VUF buses.  Then it runs whole interior-point solves (simple5 none,
+closed-form and finite-difference columns of the sensitivity reports of
+both feeders on their VUF buses (every non-slack bus of simple5, whose
+Jacobian LAPACK factors, and 15 eulv117 buses, whose Jacobian SuperLU
+factors).  Then it runs whole interior-point solves (simple5 none,
 soft on f, soft on f at weight 0 (no objective Hessian), soft on VUF, hard
 1.1 % (a slack limit), hard 1 % and hard 0.5 %; eulv117 none, soft 3.0 and
 hard 0.5 %, all on the sparse KKT path; the two-bus feeder of the tests
@@ -171,12 +173,13 @@ def print_pf_digests():
         point, df = perturb_and_resolve(base.net, None, "b4", 0, dp=dp, base=base)
         print(f"simple5 perturb_and_resolve b4 a dp={dp} iterations={point.iterations}"
               f" voltages={digest(point.voltages)} delta_f={float(df)!r}")
-    base = points["eulv117"]
-    entries = sensitivity_report(base.net, base, buses=list(base.net.unbalance.buses))
-    print(f"eulv117 sensitivity_report entries={len(entries)}"
-          f" closed_form={digest(column(entries, 'closed_form'))}"
-          f" finite_difference={digest(column(entries, 'finite_difference'))}"
-          f" rel_gap={digest(column(entries, 'rel_gap'))}")
+    for name in ("simple5", "eulv117"):
+        base = points[name]
+        entries = sensitivity_report(base.net, base, buses=list(base.net.unbalance.buses))
+        print(f"{name} sensitivity_report entries={len(entries)}"
+              f" closed_form={digest(column(entries, 'closed_form'))}"
+              f" finite_difference={digest(column(entries, 'finite_difference'))}"
+              f" rel_gap={digest(column(entries, 'rel_gap'))}")
 
 
 def two_bus():

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dlmp import COMPONENTS, decompose, sensitivity_report
+from .dlmp import COMPONENTS, StepTooSmall, decompose, sensitivity_report
 from .ipsolver import SolverSettings, is_number, solve
 from .netmodel import (
     NetworkError,
@@ -416,15 +416,12 @@ def _cmd_sens(args):
         raise ConfigError(f"--step must be a finite number > 0, got {args.step}")
     net = load_network(_resolve_network(args.network))
     try:
-        point = solve_pf(net)
-        parts = point.injections.view(float)
-        if np.any(parts - args.step == parts):
-            raise ConfigError(f"--step {args.step:g} is below the float64 resolution "
-                              f"of an injection it perturbs")
-        entries = sensitivity_report(net, point, step=args.step)
+        entries = sensitivity_report(net, solve_pf(net), step=args.step)
     except PowerFlowError as exc:
         print(_pf_failure(exc), file=sys.stderr)
         return EXIT_SOLVER
+    except StepTooSmall as exc:
+        raise ConfigError(f"--step: {exc}") from None
     out = _ensure_outdir(args.out or "out")
     write_sensitivity(entries, out / "sensitivity.csv")
     defined = [e for e in entries if e.defined]

@@ -24,20 +24,22 @@ import numpy as np
 
 from .netmodel import NPHASE, PHASES, NetworkSpec
 from .powerflow import (
+    TOL_PF,
     OperatingPoint,
     build_ybus,
     factor_jacobian,
     line_flows,
     nonslack_index,
-    perturb_and_resolve,
+    resolve_from,
 )
-from .sequence import PhasorSet, grad_f
+from .sequence import PhasorSet, f_metric, grad_f
 
 EPS_I = 1e-8            # incident-current magnitude below which the
                         # closed-form sensitivity is reported as undefined
 FD_STEP = 1e-5          # central-difference perturbation, per-unit
 
 COMPONENTS = ("energy", "loss", "congestion", "voltage_limit", "unbalance")
+_POWER_KINDS = ("active", "reactive")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,10 @@ class SensitivityReport:
 
 class DecompositionError(Exception):
     pass
+
+
+class StepTooSmall(ValueError):
+    """A finite-difference step that leaves a re-solved power flow where it was."""
 
 
 # -- closed-form sensitivity ------------------------------------------------
@@ -116,14 +122,37 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     )
 
 
+def _fd_sensitivities(net, point, bus, entries, step):
+    """Central finite differences of f at ``bus`` for each (phase index,
+    power kind) of ``entries``, from one batch of re-solves from ``point``
+    (+step, then -step, per entry; see :func:`~vudlmp.powerflow.resolve_from`).
+    StepTooSmall if a re-solve takes no Newton step."""
+    if point.net is not net:
+        raise ValueError("point must be an operating point of net")
+    b = net.bus_index(bus)
+    pert = np.repeat(point.injections[None], 2 * len(entries), axis=0)
+    for j, (phase_idx, kind) in enumerate(entries):
+        for s, h in enumerate((step, -step)):
+            dp, dq = (h, 0.0) if kind == "active" else (0.0, h)
+            pert[2 * j + s, b, phase_idx] -= dp + 1j * dq
+    v, iterations = resolve_from(point, pert)
+    if not np.all(iterations):
+        phase_idx, kind = entries[np.flatnonzero(iterations == 0)[0] // 2]
+        raise StepTooSmall(
+            f"finite-difference step {step:g} leaves the power flow unchanged at "
+            f"bus {bus} phase {PHASES[phase_idx]} ({kind}): the perturbed mismatch "
+            f"is below the power-flow tolerance {TOL_PF:g} pu")
+    df = np.array([f_metric(PhasorSet.from_array(row)) for row in v[:, b]]) \
+        - point.f_metric(bus)
+    return (df[0::2] - df[1::2]) / (2.0 * step)
+
+
 def sensitivity_fd(net: NetworkSpec, point: OperatingPoint, bus, phase,
                    power_kind="active", step=FD_STEP):
-    """Central finite difference of the unbalance metric via re-solved flows."""
+    """Central finite difference of the unbalance metric via re-solved flows
+    from ``point``, a solved point of ``net``."""
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-    key = "dp" if power_kind == "active" else "dq"
-    df_up, df_dn = (perturb_and_resolve(net, point.injections, bus, phase_idx,
-                                        base=point, **{key: h})[1] for h in (step, -step))
-    return (df_up - df_dn) / (2.0 * step)
+    return _fd_sensitivities(net, point, bus, [(phase_idx, power_kind)], step)[0]
 
 
 def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
@@ -132,21 +161,28 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
 
     The FD column perturbs the consumption and re-solves the network, so
     the relative gap reports the linearization error of the closed form
-    instead of hiding it.  Every re-solve starts at ``point``, so the closed
-    form and the first Newton step of each re-solve share the point's one
-    Jacobian factorization; each bus's closed forms come from one solve.
+    instead of hiding it.  Each bus's closed forms come from one transposed
+    solve with ``point``'s Jacobian factors, and its re-solves (+-step for
+    each defined entry, at most 12) form one batch whose first Newton steps
+    come from one untransposed solve with the same factors.  A re-solve
+    that takes no Newton step, because the step moves the mismatch less
+    than the power-flow tolerance, raises StepTooSmall.
     """
     if buses is None:
         buses = [b.id for b in net.buses if b.id != net.substation_bus]
     out = []
     for bus in buses:
         current, closed = _closed_forms(point, bus)
+        defined = [(phase_idx, kind) for phase_idx in range(NPHASE)
+                   for kind in _POWER_KINDS if current[phase_idx] > EPS_I]
+        fds = dict(zip(defined, _fd_sensitivities(net, point, bus, defined, step))
+                   if defined else ())
         for phase_idx in range(NPHASE):
-            for k, kind in enumerate(("active", "reactive")):
+            for k, kind in enumerate(_POWER_KINDS):
                 cf = fd = gap = None
-                if current[phase_idx] > EPS_I:
+                if (phase_idx, kind) in fds:
                     cf = float(closed[k, phase_idx])
-                    fd = float(sensitivity_fd(net, point, bus, phase_idx, kind, step=step))
+                    fd = float(fds[phase_idx, kind])
                     gap = float(abs(cf - fd) / max(abs(fd), abs(cf), 1e-12))
                 out.append(SensitivityReport(
                     bus=bus, phase=PHASES[phase_idx], power_kind=kind,

@@ -57,6 +57,10 @@ class BusSpec:
     def __post_init__(self):
         if "\r" in self.id:    # csv leaves it unquoted, so it would split a row
             raise ValidationError(f"bus {self.id!r}: an id may not hold a carriage return")
+        for name in ("vmin", "vmax"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"bus {self.id}: {name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.vmin < self.vmax):
             raise ValidationError(
                 f"bus {self.id}: requires 0 < vmin < vmax, got "
@@ -77,7 +81,13 @@ class LineSpec:
             raise ParseError(
                 f"line {self.from_bus}-{self.to_bus}: impedance must be 3x3"
             )
-        if not np.allclose(z, z.T, rtol=1e-9, atol=1e-12):
+        if not np.all(np.isfinite(z)):
+            raise ValidationError(
+                f"line {self.from_bus}-{self.to_bus}: non-finite impedance"
+            )
+        # what np.allclose(z, z.T, rtol=1e-9, atol=1e-12) computes for a
+        # finite z, at half its cost
+        if not np.all(np.abs(z - z.T) <= 1e-12 + 1e-9 * np.abs(z.T)):
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: impedance matrix not symmetric"
             )
@@ -85,9 +95,9 @@ class LineSpec:
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: diagonal resistance must be positive"
             )
-        if not self.s_rating > 0:
+        if not (math.isfinite(self.s_rating) and self.s_rating > 0):
             raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: s_rating must be positive, "
+                f"line {self.from_bus}-{self.to_bus}: s_rating must be finite and positive, "
                 f"got {self.s_rating}"
             )
         try:
@@ -264,9 +274,14 @@ class NetworkSpec:
         )
 
 
+def _check_bases(base_kva, base_volt_ln):
+    for name, value in (("base_kva", base_kva), ("base_volt_ln", base_volt_ln)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
+
+
 def _validate(net: NetworkSpec):
-    if net.base_kva <= 0 or net.base_volt_ln <= 0:
-        raise ValidationError("bases must be positive")
+    _check_bases(net.base_kva, net.base_volt_ln)
     ids = [b.id for b in net.buses]
     dup = {i for i in ids if ids.count(i) > 1}
     if dup:
@@ -344,8 +359,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         base_volt = float(doc["base_volt_ln"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed base fields: {exc}") from exc
-    if base_kva <= 0 or base_volt <= 0:
-        raise ValidationError("bases must be positive")
+    _check_bases(base_kva, base_volt)
     zbase = impedance_base(base_kva, base_volt)
 
     def _req(entry, key, where):
@@ -364,12 +378,13 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     lines = []
     for e in doc.get("lines", []):
         where = f"line entry {e.get('from')}-{e.get('to')}"
-        z = (np.asarray(_req(e, "z_real", where), dtype=float)
-             + 1j * np.asarray(_req(e, "z_imag", where), dtype=float))
+        with np.errstate(invalid="ignore"):     # LineSpec names a non-finite z
+            z = (np.asarray(_req(e, "z_real", where), dtype=float)
+                 + 1j * np.asarray(_req(e, "z_imag", where), dtype=float)) / zbase
         lines.append(LineSpec(
             from_bus=str(_req(e, "from", where)),
             to_bus=str(_req(e, "to", where)),
-            z=z / zbase,
+            z=z,
             s_rating=float(_req(e, "s_rating", where)) / base_kva,
         ))
     loads = []

@@ -8,9 +8,10 @@ Every Newton step solves with the LU factors of the power-flow Jacobian
 (:func:`factor_jacobian`).  A solved :class:`OperatingPoint` keeps the
 factors of the Jacobian at its own voltages once they are asked for
 (:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
-them, and a re-solve that starts at that point takes its first Newton step
-with them instead of factoring the same matrix again.  The nodal admittance
-matrix is assembled once per network (:attr:`NetworkSpec.ybus`).
+them, and :func:`resolve_from` re-solves a stack of perturbed injections
+from that point, all first Newton steps in one multi-column solve with
+them.  The nodal admittance matrix is assembled once per network
+(:attr:`NetworkSpec.ybus`).
 
 The factors come in two kinds behind one ``solve(rhs, trans=False)``.  A
 Jacobian of fewer than ``SPARSE_JACOBIAN_ROWS`` rows is built dense
@@ -267,15 +268,57 @@ def _operating_point(net, v, iterations=0):
     )
 
 
-def _checked_bus_array(name, a, n):
-    """Copy of ``a`` as an (n, 3) complex array; ValueError naming ``name``
-    if it has another shape or a non-finite entry."""
-    a = np.array(a, dtype=complex)
-    if a.shape != (n, NPHASE):
-        raise ValueError(f"{name} must have shape ({n}, 3), got {a.shape}")
+def _checked_bus_array(name, a, n, stacked=False):
+    """Copy of ``a`` as an (n, 3) complex array, or a (k, n, 3) stack of them
+    with ``stacked``; ValueError naming ``name`` if it is not one or has a
+    non-finite entry."""
+    try:
+        a = np.array(a, dtype=complex)
+    except TypeError:
+        raise ValueError(f"{name} must be a complex array") from None
+    if a.ndim != 2 + stacked or a.shape[-2:] != (n, NPHASE):
+        want = f"(k, {n}, 3)" if stacked else f"({n}, 3)"
+        raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has a non-finite entry")
     return a
+
+
+def _mismatch(ybus, injections, v, idx):
+    """Injections less the power drawn at (nbus, 3) voltages ``v``, at the
+    flat indices ``idx``, for (nbus, 3) or (k, nbus, 3) injections; and the
+    largest magnitude of each."""
+    vflat = v.reshape(-1)
+    s_calc = vflat * np.conj(ybus @ vflat)
+    mismatch = injections.reshape(*injections.shape[:-2], -1)[..., idx] - s_calc[idx]
+    return mismatch, np.max(np.abs(mismatch), axis=-1, initial=0.0)
+
+
+def _newton_step(lu, mismatch):
+    """Voltage updates for (m,) or (k, m) mismatches from the Jacobian
+    factors ``lu``, all k in one solve."""
+    m = mismatch.shape[-1]
+    step = lu.solve(np.concatenate([np.real(mismatch), np.imag(mismatch)], axis=-1).T)
+    if not np.all(np.isfinite(step)):
+        raise SingularJacobian("non-finite Newton step")
+    return (step[:m] + 1j * step[m:]).T
+
+
+def _newton(net, injections, v, taken=0):
+    """Newton iterates from (nbus, 3) voltages ``v``, reached after ``taken``
+    steps, to a mismatch below TOL_PF; returns the voltages and the total
+    step count."""
+    ybus = build_ybus(net)
+    idx = nonslack_index(net)
+    for it in range(taken, MAX_ITER + 1):
+        mismatch, err = _mismatch(ybus, injections, v, idx)
+        if err < TOL_PF:
+            return v, it
+        if it == MAX_ITER:
+            raise PowerFlowDiverged(MAX_ITER, float(err))
+        vflat = v.reshape(-1).copy()
+        vflat[idx] += _newton_step(factor_jacobian(net, v), mismatch)
+        v = vflat.reshape(v.shape)
 
 
 def solve_pf(net: NetworkSpec, injections=None, v0=None) -> OperatingPoint:
@@ -286,47 +329,55 @@ def solve_pf(net: NetworkSpec, injections=None, v0=None) -> OperatingPoint:
     ignored.  Defaults to minus the network's load demand.  The substation
     is an ideal balanced 1 pu source.
 
-    ``v0`` is the starting point: an (nbus, 3) complex voltage array, or a
-    solved :class:`OperatingPoint`.  A point of this same network makes the
-    first Newton step reuse its :attr:`~OperatingPoint.jacobian_lu`, the
-    factors of exactly the matrix that step needs; later steps factor a
-    fresh Jacobian.  The iterates are the same either way.
+    ``v0`` is the starting point, an (nbus, 3) complex voltage array; by
+    default the balanced source at every bus.  Every Newton step factors
+    the Jacobian at its own iterate; :func:`resolve_from` re-solves from a
+    solved point with that point's factors.
     """
     n = len(net.buses)
-    slack = net.bus_index(net.substation_bus)
     if injections is None:
         injections = -net.demand_pu()
     injections = _checked_bus_array("injections", injections, n)
-
-    ybus = build_ybus(net)
-    base = v0 if isinstance(v0, OperatingPoint) else None
     if v0 is None:
         v = np.tile(BALANCED_SOURCE, (n, 1))
     else:
-        v = _checked_bus_array("v0", v0 if base is None else base.voltages, n)
-    v[slack] = BALANCED_SOURCE
-    reuse = base is not None and base.net is net and np.array_equal(v, base.voltages)
+        v = _checked_bus_array("v0", v0, n)
+    v[net.bus_index(net.substation_bus)] = BALANCED_SOURCE
+    v, iterations = _newton(net, injections, v)
+    return _operating_point(net, v, iterations)
 
+
+def resolve_from(base: OperatingPoint, injections):
+    """Re-solve the power flow of ``base.net`` from ``base`` for each of a
+    (k, nbus, 3) stack of injections.
+
+    Returns the (k, nbus, 3) voltages and the k Newton step counts.  All k
+    first Newton steps come from one solve with the base point's factors
+    (:attr:`OperatingPoint.jacobian_lu`) on a (2m, k) right-hand side, and
+    a column that has converged after it gets no line flows.  A column that
+    needs more steps takes them alone, factoring as :func:`solve_pf` does;
+    one whose mismatch at ``base`` is already below TOL_PF stays there with
+    0 steps.  LAPACK and SuperLU solve each column of an untransposed
+    multi-column right-hand side as they solve it alone, so column j is bit
+    for bit ``solve_pf(base.net, injections[j], v0=base.voltages)`` for a
+    ``base`` that :func:`solve_pf` returned.
+    """
+    net = base.net
+    injections = _checked_bus_array("injections", injections, len(net.buses), stacked=True)
+    ybus = build_ybus(net)
     idx = nonslack_index(net)
-    m = len(idx)
-
-    for it in range(MAX_ITER + 1):
-        vflat = v.reshape(-1)
-        s_calc = vflat * np.conj(ybus @ vflat)
-        mismatch = injections.reshape(-1)[idx] - s_calc[idx]
-        err = np.max(np.abs(mismatch)) if m else 0.0
-        if err < TOL_PF:
-            return _operating_point(net, v, iterations=it)
-        if it == MAX_ITER:
-            raise PowerFlowDiverged(MAX_ITER, float(err))
-        lu = base.jacobian_lu if reuse and it == 0 else factor_jacobian(net, v)
-        step = lu.solve(np.concatenate([np.real(mismatch), np.imag(mismatch)]))
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-        dv = step[:m] + 1j * step[m:]
-        vflat = vflat.copy()
-        vflat[idx] += dv
-        v = vflat.reshape(n, NPHASE)
+    mismatch, err = _mismatch(ybus, injections, base.voltages, idx)
+    v = np.repeat(base.voltages[None], len(injections), axis=0)
+    iterations = np.zeros(len(injections), dtype=int)
+    todo = np.flatnonzero(err >= TOL_PF)
+    if len(todo):
+        vflat = v.reshape(len(v), -1)
+        vflat[np.ix_(todo, idx)] += _newton_step(base.jacobian_lu, mismatch[todo])
+        iterations[todo] = 1
+        for j in todo:
+            if _mismatch(ybus, injections[j], v[j], idx)[1] >= TOL_PF:
+                v[j], iterations[j] = _newton(net, injections[j], v[j], 1)
+    return v, iterations
 
 
 def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
@@ -335,19 +386,20 @@ def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
 
     ``dp``/``dq`` are per-unit increases in consumption at (bus, phase), i.e.
     decreases of the net injection.  ``base`` may carry the unperturbed
-    operating point to avoid re-solving it.  The re-solve starts at the
-    base point's voltages, and when the base point belongs to ``net`` its
-    first Newton step reuses the base point's Jacobian factors, so a
-    report of many small perturbations around one point factors that
-    Jacobian once.
+    operating point of ``net`` to avoid re-solving it.  The re-solve is a
+    one-column :func:`resolve_from`: it starts at the base point and takes
+    its first Newton step with the base point's Jacobian factors.
     """
     if injections is None:
         injections = -net.demand_pu()
     injections = np.asarray(injections, dtype=complex)
     if base is None:
         base = solve_pf(net, injections)
+    elif base.net is not net:
+        raise ValueError("base must be an operating point of net")
     pert = injections.copy()
     pert[net.bus_index(bus), phase_idx] -= dp + 1j * dq
-    point = solve_pf(net, pert, v0=base)
+    v, iterations = resolve_from(base, pert[None])
+    point = _operating_point(net, v[0], int(iterations[0]))
     delta_f = point.f_metric(bus) - base.f_metric(bus)
     return point, delta_f

@@ -305,6 +305,35 @@ class TestSweep:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("where, value, named", [
+        (("lines", 0, "z_real", 1, 1), float("inf"), "non-finite impedance"),
+        (("lines", 0, "z_imag", 0, 2), float("nan"), "non-finite impedance"),
+        (("lines", 2, "z_imag", 2, 2), float("-inf"), "non-finite impedance"),
+        (("lines", 0, "s_rating"), float("inf"), "s_rating"),
+        (("buses", 1, "vmin"), float("-inf"), "vmin must be finite"),
+        (("buses", 1, "vmax"), float("inf"), "vmax"),
+        (("base_kva",), float("inf"), "base_kva"),
+        (("base_volt_ln",), float("inf"), "base_volt_ln"),
+        (("base_kva",), float("nan"), "base_kva"),
+    ], ids=["z-inf", "z-nan", "z-imag-inf", "s-rating-inf", "vmin-inf", "vmax-inf",
+            "base-kva-inf", "base-volt-inf", "base-kva-nan"])
+    def test_opf_non_finite_network_value_is_config_error(self, simple5, tmp_path, capsys,
+                                                          where, value, named):
+        doc = network_to_dict(simple5)
+        *outer, key = where
+        entry = doc
+        for k in outer:
+            entry = entry[k]
+        entry[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["opf", str(path), "--out", str(out)]) == EXIT_CONFIG
+        _, rows = read_csv(out / "summary.csv")
+        assert rows[0]["status"] == "config-error"
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     def test_sweep_keeps_with_sensitivity(self, two_bus_file, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path, two_bus_file, with_sensitivity=True)
         assert main(["sweep", cfg]) == EXIT_OK
@@ -360,6 +389,16 @@ class TestSens:
         assert main(["sens", "simple5", "--step", "1e-300", "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--step" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_step_inside_power_flow_tolerance_is_config_error(self, tmp_path, capsys):
+        # 1e-12 does move the injections, but each perturbed re-solve starts
+        # with a mismatch below the power flow's tolerance and takes no step
+        out = tmp_path / "out"
+        assert main(["sens", "simple5", "--step", "1e-12", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--step" in err and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_default_step_agrees_in_sign(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Price decomposition and unbalance-sensitivity tests."""
 
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 
@@ -9,7 +10,9 @@ import pytest
 from vudlmp import powerflow
 from vudlmp.dlmp import (
     COMPONENTS,
+    FD_STEP,
     DecompositionError,
+    StepTooSmall,
     decompose,
     sensitivity_closed_form,
     sensitivity_fd,
@@ -121,21 +124,67 @@ class TestSensitivity:
         else:
             cache = request.getfixturevalue("eulv117_solve")
             net, point, buses = cache.net, cache.warm, list(cache.net.unbalance.buses)
-        # and each finite-difference re-solve takes its first Newton step with
-        # the same factors, untransposed
+        # and each bus's finite-difference re-solves take their first Newton
+        # steps with the same factors, in one untransposed solve whose
+        # right-hand side holds +-step for each of the bus's defined entries
         calls = []
         lu = point.jacobian_lu
         solve = lu.solve
-        monkeypatch.setattr(lu, "solve",
-                            lambda rhs, trans=False: calls.append(trans) or solve(rhs, trans))
+        monkeypatch.setattr(lu, "solve", lambda rhs, trans=False:
+                            calls.append((trans, rhs.shape)) or solve(rhs, trans))
         entries = sensitivity_report(net, point, buses=buses)
-        assert calls.count(True) == solves
-        assert calls.count(False) == 2 * defined
+        assert [trans for trans, _ in calls].count(True) == solves
+        per_bus = Counter(e.bus for e in entries if e.defined)
+        columns = [shape[1] for trans, shape in calls if not trans]
+        assert columns == [2 * count for count in per_bus.values()]
+        assert sum(columns) == 2 * defined
         assert sum(e.defined for e in entries) == defined
         for e in entries:
             alone = sensitivity_closed_form(point, e.bus, e.phase, e.power_kind)
             assert alone.closed_form == e.closed_form
             assert alone.incident_current == e.incident_current
+
+    @pytest.mark.parametrize("feeder, step", [
+        ("simple5", FD_STEP), ("simple5", 2e-5), ("eulv117", FD_STEP)])
+    def test_report_equals_one_solve_per_perturbation(self, request, feeder, step):
+        # the batched re-solves give every bit that one power flow per
+        # perturbation from the point's voltages gives: dense LAPACK factors
+        # on simple5, SuperLU on eulv117
+        if feeder == "simple5":
+            net, point, buses = request.getfixturevalue("simple5"), \
+                request.getfixturevalue("simple5_pf"), None
+        else:
+            cache = request.getfixturevalue("eulv117_solve")
+            net, point, buses = cache.net, cache.warm, list(cache.net.unbalance.buses)
+        entries = sensitivity_report(net, point, buses=buses, step=step)
+        assert any(e.defined for e in entries)
+        for e in entries:
+            if not e.defined:
+                assert e.finite_difference is None and e.rel_gap is None
+                continue
+            df = []
+            for h in (step, -step):
+                dp, dq = (h, 0.0) if e.power_kind == "active" else (0.0, h)
+                pert = np.array(point.injections)
+                pert[net.bus_index(e.bus), PHASES.index(e.phase)] -= dp + 1j * dq
+                alone = solve_pf(net, pert, v0=point.voltages)
+                df.append(alone.f_metric(e.bus) - point.f_metric(e.bus))
+            fd = (df[0] - df[1]) / (2.0 * step)
+            gap = abs(e.closed_form - fd) / max(abs(fd), abs(e.closed_form), 1e-12)
+            assert e.finite_difference == fd, (e.bus, e.phase, e.power_kind)
+            assert e.rel_gap == gap
+
+    def test_step_inside_the_power_flow_tolerance_is_rejected(self, simple5, simple5_pf):
+        # a 1e-12 pu perturbation leaves every mismatch below TOL_PF, so each
+        # re-solve would return the point itself and every difference read 0
+        with pytest.raises(StepTooSmall, match="step 1e-12 leaves the power flow unchanged"):
+            sensitivity_report(simple5, simple5_pf, step=1e-12)
+        with pytest.raises(StepTooSmall):
+            sensitivity_fd(simple5, simple5_pf, "b4", "a", step=1e-12)
+
+    def test_point_of_another_network_is_rejected(self, two_bus, simple5_pf):
+        with pytest.raises(ValueError, match="point"):
+            sensitivity_fd(two_bus, simple5_pf, "load", "a")
 
     def test_report_covers_all_phases_and_kinds(self, two_bus, two_bus_pf):
         entries = sensitivity_report(two_bus, two_bus_pf)

@@ -17,6 +17,7 @@ from vudlmp.powerflow import (
     nonslack_index,
     perturb_and_resolve,
     pf_jacobian,
+    resolve_from,
     solve_pf,
 )
 from conftest import make_two_bus
@@ -172,6 +173,44 @@ class TestPerturbAndResolve:
         fresh = solve_pf(simple5, pert, v0=simple5_pf.voltages)
         assert point.iterations == fresh.iterations == steps
         assert np.array_equal(point.voltages, fresh.voltages)
+
+
+class TestResolveFrom:
+    def test_batch_equals_separate_solves(self, simple5, simple5_pf, monkeypatch):
+        # one batch holding a 1-step, a 3-step and an unperturbed column gives
+        # the voltages and step counts of a separate solve per column; the two
+        # first steps come from one two-column solve with the point's factors
+        inj = -simple5.demand_pu()
+        stack = np.repeat(inj[None], 3, axis=0)
+        b4 = simple5.bus_index("b4")
+        stack[0, b4, 0] -= 1e-5
+        stack[1, b4, 0] -= 0.05
+        lu = simple5_pf.jacobian_lu
+        shapes = []
+        solve = lu.solve
+        monkeypatch.setattr(lu, "solve", lambda rhs, trans=False:
+                            shapes.append(rhs.shape) or solve(rhs, trans))
+        v, iterations = resolve_from(simple5_pf, stack)
+        assert shapes == [(2 * len(nonslack_index(simple5)), 2)]
+        assert list(iterations) == [1, 3, 0]
+        for j in range(3):
+            alone = solve_pf(simple5, stack[j], v0=simple5_pf.voltages)
+            assert iterations[j] == alone.iterations
+            assert np.array_equal(v[j], alone.voltages)
+        assert np.array_equal(v[2], simple5_pf.voltages)
+
+    def test_injections_must_be_a_stack(self, simple5, simple5_pf):
+        n = len(simple5.buses)
+        with pytest.raises(ValueError, match="injections must have shape"):
+            resolve_from(simple5_pf, np.zeros((n, 3)))
+        bad = np.zeros((2, n, 3), dtype=complex)
+        bad[1, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            resolve_from(simple5_pf, bad)
+
+    def test_perturbing_another_networks_point_is_rejected(self, two_bus, simple5_pf):
+        with pytest.raises(ValueError, match="base"):
+            perturb_and_resolve(two_bus, None, "load", 0, dp=1e-5, base=simple5_pf)
 
 
 class TestDeterminism:
