@@ -272,7 +272,7 @@ def decompose(sol):
     ybus = build_ybus(net)
     c_sub = np.zeros((len(net.buses), NPHASE), dtype=complex)
     c_sub[slack] = v[slack] * (phi_p[slack] - 1j * phi_q[slack])
-    g_sub = (np.conj(ybus).T @ c_sub.ravel()).reshape(c_sub.shape)
+    g_sub = (ybus.conj().T @ c_sub.ravel()).reshape(c_sub.shape)
 
     # + 0.0 keeps components with no binding term at +0.0 rather than -0.0
     comp_p, comp_q = _consumption_response(

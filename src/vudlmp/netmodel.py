@@ -4,10 +4,17 @@ All electrical quantities are stored in per-unit internally.  The JSON
 network files carry SI units (kW, kvar, kVA, ohm, volt); conversion happens
 once at load time.  Bases are per-phase: ``base_kva`` is the per-phase
 apparent-power base and ``base_volt_ln`` the line-to-neutral voltage base.
+
+A :class:`NetworkSpec` compiles its lines into arrays, and on first use
+assembles the nodal admittance matrix from their 3x3 blocks in CSR form
+(:attr:`NetworkSpec.ybus_csr`).  Its dense form (:attr:`NetworkSpec.ybus`)
+is made from the CSR matrix only when asked for; the power flow asks for
+it on small networks only.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,6 +22,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 PHASES = ("a", "b", "c")
 NPHASE = 3
@@ -81,17 +89,20 @@ class LineSpec:
             raise ParseError(
                 f"line {self.from_bus}-{self.to_bus}: impedance must be 3x3"
             )
-        if not np.all(np.isfinite(z)):
+        # the checks run on Python scalars, which is cheaper than numpy on
+        # a 3x3; the symmetry test is what np.allclose(z, z.T, rtol=1e-9,
+        # atol=1e-12) computes for a finite z
+        rows = z.tolist()
+        if not all(cmath.isfinite(x) for row in rows for x in row):
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: non-finite impedance"
             )
-        # what np.allclose(z, z.T, rtol=1e-9, atol=1e-12) computes for a
-        # finite z, at half its cost
-        if not np.all(np.abs(z - z.T) <= 1e-12 + 1e-9 * np.abs(z.T)):
+        if not all(abs(rows[r][c] - rows[c][r]) <= 1e-12 + 1e-9 * abs(rows[c][r])
+                   for r in range(NPHASE) for c in range(NPHASE)):
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: impedance matrix not symmetric"
             )
-        if np.any(np.real(np.diag(z)) <= 0):
+        if not all(rows[k][k].real > 0 for k in range(NPHASE)):
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: diagonal resistance must be positive"
             )
@@ -193,8 +204,9 @@ class NetworkSpec:
     """Validated network; also holds a compiled array view of its lines.
 
     ``line_from``/``line_to`` are the bus indices of each line's ends and
-    ``line_y`` stacks the (nline, 3, 3) series admittances; ``ybus`` is the
-    nodal admittance matrix, assembled on first use.  All are read-only.
+    ``line_y`` stacks the (nline, 3, 3) series admittances; ``ybus_csr`` is
+    the nodal admittance matrix, assembled on first use, and ``ybus`` its
+    dense form.  All are read-only.
     """
     base_kva: float
     base_volt_ln: float
@@ -221,16 +233,31 @@ class NetworkSpec:
             np.array([ln.y for ln in self.lines], dtype=complex).reshape(-1, NPHASE, NPHASE)))
 
     @cached_property
-    def ybus(self):
-        """Dense (3n, 3n) complex nodal admittance matrix, series elements only."""
+    def ybus_csr(self):
+        """(3n, 3n) complex nodal admittance matrix in CSR form, series
+        elements only, with no stored zeros; its arrays are read-only."""
         n = len(self.buses)
-        y = np.zeros((n, NPHASE, n, NPHASE), dtype=complex)
-        for i, j, yl in zip(self.line_from, self.line_to, self.line_y):
-            y[i, :, i] += yl
-            y[j, :, j] += yl
-            y[i, :, j] -= yl
-            y[j, :, i] -= yl
-        return _readonly(y.reshape(n * NPHASE, n * NPHASE))
+        i, j = self.line_from, self.line_to
+        # a line adds its y to blocks (i, i) and (j, j) and -y to (i, j) and
+        # (j, i); each block sums its terms in line order, parallel lines in
+        # one slot
+        blocks, which = np.unique(np.stack((i * n + i, j * n + j, i * n + j, j * n + i),
+                                           axis=1).ravel(), return_inverse=True)
+        y = self.line_y
+        data = np.zeros((len(blocks), NPHASE, NPHASE), dtype=complex)
+        np.add.at(data, which, np.stack((y, y, -y, -y), axis=1).reshape(-1, NPHASE, NPHASE))
+        indptr = np.searchsorted(blocks // n, np.arange(n + 1))
+        ybus = sp.bsr_matrix((data, blocks % n, indptr),
+                             shape=(n * NPHASE, n * NPHASE)).tocsr()
+        ybus.eliminate_zeros()
+        for a in (ybus.data, ybus.indices, ybus.indptr):
+            a.flags.writeable = False
+        return ybus
+
+    @cached_property
+    def ybus(self):
+        """Dense (3n, 3n) form of :attr:`ybus_csr`, read-only."""
+        return _readonly(self.ybus_csr.toarray())
 
     # -- convenience lookups -------------------------------------------------
 

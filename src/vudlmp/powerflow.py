@@ -10,18 +10,23 @@ factors of the Jacobian at its own voltages once they are asked for
 (:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
 them, and :func:`resolve_from` re-solves a stack of perturbed injections
 from that point, all first Newton steps in one multi-column solve with
-them.  The nodal admittance matrix is assembled once per network
-(:attr:`NetworkSpec.ybus`).
+them.
 
-The factors come in two kinds behind one ``solve(rhs, trans=False)``.  A
-Jacobian of fewer than ``SPARSE_JACOBIAN_ROWS`` rows is built dense
-(:func:`pf_jacobian`) and factored by LAPACK.  A larger one is filled on a
-CSC pattern laid out once per network (the non-slack Ybus block and its
-diagonal, in each of the four real blocks), as the row scaling of conj(Y)
-by the voltages plus the conj(I) diagonal, and factored by SuperLU, as in
-MATPOWER's Newton power flow (Zimmerman, Murillo-Sanchez & Thomas, IEEE
-Trans. Power Syst. 2011).  On the large path the results do not depend on
-the BLAS thread count; the dense LU rounds by it.
+A network whose Jacobian has fewer than ``SPARSE_JACOBIAN_ROWS`` rows is
+small, and a larger one large; that one test picks both the admittance
+matrix and the factors.  The nodal admittance matrix is assembled once per
+network from its line blocks (:attr:`NetworkSpec.ybus_csr`), and every
+product with it goes through :func:`build_ybus`: dense
+(:attr:`NetworkSpec.ybus`) on a small network, CSR on a large one, where
+the dense matrix is never built.  The factors come in two kinds behind one
+``solve(rhs, trans=False)``.  A small network's Jacobian is built dense
+(:func:`pf_jacobian`) and factored by LAPACK.  A large one's is filled on a
+CSC pattern laid out once per network from the CSR non-slack Ybus block and
+its diagonal, in each of the four real blocks, as the row scaling of
+conj(Y) by the voltages plus the conj(I) diagonal, and factored by
+SuperLU, as in MATPOWER's Newton power flow (Zimmerman, Murillo-Sanchez &
+Thomas, IEEE Trans. Power Syst. 2011).  On the large path the results do
+not depend on the BLAS thread count; the dense LU rounds by it.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from .sequence import BALANCED_SOURCE, PhasorSet, f_metric, vuf
 
 TOL_PF = 1e-10
 MAX_ITER = 50
-SPARSE_JACOBIAN_ROWS = 120  # Jacobians with this many rows or more go to SuperLU;
-                            # near where the two build-and-factor times cross
+SPARSE_JACOBIAN_ROWS = 120  # networks whose Jacobian has this many rows or more
+                            # take the CSR Ybus and SuperLU; near where the two
+                            # build-and-factor times cross
 
 
 class PowerFlowError(Exception):
@@ -62,10 +68,17 @@ class SingularJacobian(PowerFlowError):
     pass
 
 
+def _is_large(net: NetworkSpec):
+    """Whether the power-flow Jacobian of ``net`` has SPARSE_JACOBIAN_ROWS
+    rows or more, so that its Ybus is CSR and its Jacobian goes to SuperLU."""
+    return 2 * NPHASE * (len(net.buses) - 1) >= SPARSE_JACOBIAN_ROWS
+
+
 def build_ybus(net: NetworkSpec):
-    """Full 3n x 3n complex nodal admittance matrix (series elements only),
-    assembled once per network and read-only."""
-    return net.ybus
+    """The 3n x 3n complex nodal admittance matrix (series elements only)
+    that every product with Ybus goes through: dense on a small network and
+    CSR on a large one; assembled once per network and read-only."""
+    return net.ybus_csr if _is_large(net) else net.ybus
 
 
 def line_flows(net: NetworkSpec, v):
@@ -86,7 +99,8 @@ def nonslack_index(net: NetworkSpec):
 
 def pf_jacobian(ybus, v, idx):
     """Real 2m x 2m Jacobian d[P; Q] / d[e; f] of the injections S = V conj(Y V)
-    at the m flat indices ``idx``, in rectangular voltage coordinates."""
+    at the m flat indices ``idx``, in rectangular voltage coordinates, from
+    the dense ``ybus``."""
     vflat = v.reshape(-1)
     d_i = np.diag(np.conj(ybus @ vflat)[idx])
     d_v = np.diag(vflat[idx])
@@ -149,15 +163,17 @@ class _SparseFactors:
 
 class _JacobianPattern:
     """CSC pattern of the real power-flow Jacobian of one network: the
-    non-slack Ybus block and its diagonal, in each of the four blocks of
-    :func:`pf_jacobian`."""
+    non-slack block of the CSR ``ybus`` and its diagonal, in each of the four
+    blocks of :func:`pf_jacobian`."""
 
     def __init__(self, ybus, idx):
         m = len(idx)
-        y = ybus[np.ix_(idx, idx)]
-        mask = y != 0
-        mask[np.diag_indices(m)] = True
-        cols, rows = np.nonzero(mask.T)         # by column, then row
+        y = ybus[idx][:, idx].tocoo()
+        bare = np.setdiff1d(np.arange(m), y.row[y.row == y.col])   # diagonal Y lacks
+        rows = np.concatenate((y.row, bare))
+        cols = np.concatenate((y.col, bare))
+        order = np.lexsort((rows, cols))        # by column, then row
+        rows, cols = rows[order], cols[order]
         counts = np.bincount(cols, minlength=m)
         nnz = len(rows)
         # column c of the e (then f) half holds its upper-block entries,
@@ -171,10 +187,11 @@ class _JacobianPattern:
         self.idx = idx
         self.row_v = idx[rows]                  # flat voltage index of each row
         self.diag = np.flatnonzero(rows == cols)
-        self.y_conj = np.conj(y[rows, cols])
+        self.y_conj = np.conj(np.concatenate((y.data, np.zeros(len(bare))))[order])
 
     def jacobian(self, ybus, v):
-        """The Jacobian at (nbus, 3) voltages ``v`` as a CSC matrix."""
+        """The Jacobian at (nbus, 3) voltages ``v``, from the CSR ``ybus``, as
+        a CSC matrix."""
         vflat = v.reshape(-1)
         a = vflat[self.row_v] * self.y_conj     # diag(v) conj(Y)
         d = np.conj(ybus @ vflat)[self.idx]     # diag(conj(I))
@@ -195,19 +212,18 @@ _PATTERNS = {}
 def _jacobian_pattern(net):
     key = id(net)
     if key not in _PATTERNS:
-        _PATTERNS[key] = _JacobianPattern(net.ybus, nonslack_index(net))
+        _PATTERNS[key] = _JacobianPattern(net.ybus_csr, nonslack_index(net))
         weakref.finalize(net, _PATTERNS.pop, key, None)
     return _PATTERNS[key]
 
 
 def factor_jacobian(net: NetworkSpec, v):
     """LU factors of the power-flow Jacobian at (nbus, 3) voltages ``v``,
-    dense below SPARSE_JACOBIAN_ROWS rows and sparse from there; an exactly
-    zero pivot raises SingularJacobian."""
-    idx = nonslack_index(net)
-    if 2 * len(idx) < SPARSE_JACOBIAN_ROWS:
-        return _DenseFactors(pf_jacobian(net.ybus, v, idx))
-    return _SparseFactors(_jacobian_pattern(net).jacobian(net.ybus, v))
+    dense on a small network and sparse on a large one; an exactly zero
+    pivot raises SingularJacobian."""
+    if _is_large(net):
+        return _SparseFactors(_jacobian_pattern(net).jacobian(net.ybus_csr, v))
+    return _DenseFactors(pf_jacobian(net.ybus, v, nonslack_index(net)))
 
 
 @dataclass(frozen=True)
@@ -285,12 +301,16 @@ def _checked_bus_array(name, a, n, stacked=False):
 
 
 def _mismatch(ybus, injections, v, idx):
-    """Injections less the power drawn at (nbus, 3) voltages ``v``, at the
-    flat indices ``idx``, for (nbus, 3) or (k, nbus, 3) injections; and the
-    largest magnitude of each."""
-    vflat = v.reshape(-1)
-    s_calc = vflat * np.conj(ybus @ vflat)
-    mismatch = injections.reshape(*injections.shape[:-2], -1)[..., idx] - s_calc[idx]
+    """Injections less the power drawn at voltages ``v``, at the flat indices
+    ``idx``, and the largest magnitude of each; ``injections`` and ``v`` are
+    (nbus, 3) or (k, nbus, 3) and broadcast.  Each (nbus, 3) voltage slice
+    takes its own product with ``ybus``, so a stacked one rounds as it
+    would alone."""
+    vflat = v.reshape(*v.shape[:-2], -1)
+    i_calc = np.array([ybus @ x for x in vflat.reshape(-1, vflat.shape[-1])])
+    s_calc = vflat * np.conj(i_calc.reshape(vflat.shape))
+    mismatch = (injections.reshape(*injections.shape[:-2], -1)[..., idx]
+                - s_calc[..., idx])
     return mismatch, np.max(np.abs(mismatch), axis=-1, initial=0.0)
 
 
@@ -374,9 +394,9 @@ def resolve_from(base: OperatingPoint, injections):
         vflat = v.reshape(len(v), -1)
         vflat[np.ix_(todo, idx)] += _newton_step(base.jacobian_lu, mismatch[todo])
         iterations[todo] = 1
-        for j in todo:
-            if _mismatch(ybus, injections[j], v[j], idx)[1] >= TOL_PF:
-                v[j], iterations[j] = _newton(net, injections[j], v[j], 1)
+        err = _mismatch(ybus, injections[todo], v[todo], idx)[1]
+        for j in todo[err >= TOL_PF]:
+            v[j], iterations[j] = _newton(net, injections[j], v[j], 1)
     return v, iterations
 
 

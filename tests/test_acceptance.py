@@ -170,6 +170,28 @@ def test_criterion_06_hard_limit_binds_at_one_percent(timed_simple5):
     assert hard_sol.total_gen_cost() > none_sol.total_gen_cost()
 
 
+def test_criterion_06_hard_limit_binds_on_the_large_feeder(eulv117_solve):
+    """Hard 0.5 % on eulv117: binds in [0.499, 0.500] %, psi > 0, comp < 1e-6,
+    cost above none.
+
+    Criterion 08 (a slack limit reproduces mode none with a zero unbalance
+    component) is not run on eulv117 hard 1.0 %: ``decompose`` keeps barrier
+    multipliers above its fixed ``active_tol`` of 1e-7, and on that slack
+    limit psi reaches about 1.4e-6, so ``== 0.0`` would fail until it filters
+    by complementarity instead.
+    """
+    none_sol = eulv117_solve()
+    hard_sol = eulv117_solve("hard", limit=0.5)
+    assert none_sol.max_vuf()[1] > 0.5
+    assert hard_sol.success
+    bus, worst = hard_sol.max_vuf()
+    assert 0.5 - 1e-3 <= worst <= 0.5 + 1e-9
+    assert hard_sol.psi(bus) > 0
+    _, _, comp = recomputed_residuals(hard_sol)
+    assert comp < 1e-6
+    assert hard_sol.total_gen_cost() > none_sol.total_gen_cost()
+
+
 def test_criterion_07_soft_penalty_monotonicity(simple5, simple5_pf,
                                                 timed_simple5):
     """Weights {0,1,1.5,3}x: VUF non-increasing, cost non-decreasing."""

@@ -83,6 +83,16 @@ class TestExitCodes:
         _, rows = read_csv(tmp_path / "out" / "summary.csv")
         assert rows[0]["status"] == "infeasible-or-nonconverged"
 
+    def test_infeasible_hard_limit_on_the_large_feeder(self, tmp_path, capsys):
+        code = main(["opf", "eulv117", "--mode", "hard", "--limit", "1e-4",
+                     "--max-iter", "60", "--out", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "hard voltage-unbalance limits violated at the final iterate" in err, err
+        assert "worst feasibility residual" in err, err
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert rows[0]["status"] == "infeasible-or-nonconverged"
+
     def test_kkt_solve_failure_exit_code(self, two_bus_file, tmp_path, monkeypatch,
                                          capsys):
         def broken(self, rhs):

@@ -1,10 +1,12 @@
 """Network model tests: per-unit conversion, serialization, validation."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from vudlmp import bundled_network
 from vudlmp.netmodel import (
     BusSpec,
     GenSpec,
@@ -106,6 +108,44 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LineSpec("a", "b", z, 0.0)
 
+    def test_line_checks_agree_with_numpy(self):
+        # the Python-scalar checks accept and reject exactly as the numpy
+        # predicates do, with the same message
+        def numpy_verdict(z):
+            if not np.all(np.isfinite(z)):
+                return "non-finite impedance"
+            if not np.allclose(z, z.T, rtol=1e-9, atol=1e-12):
+                return "impedance matrix not symmetric"
+            if np.any(np.real(np.diag(z)) <= 0):
+                return "diagonal resistance must be positive"
+            return None
+
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for k in range(3000):
+            scale = 10.0 ** rng.uniform(-13, 1)
+            z = scale * (rng.uniform(0.1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3)))
+            z = z + z.T
+            r, c = rng.choice(3, 2, replace=False)
+            # move one entry off its twin by about the tolerance
+            z[r, c] += (rng.choice((-1, 1)) * abs(z[c, r]) * 10.0 ** rng.uniform(-11, -8)
+                        + rng.choice((-1, 1, 1j)) * 10.0 ** rng.uniform(-13, -11))
+            if k % 5 == 1:
+                z[rng.integers(3), rng.integers(3)] = rng.choice(
+                    (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)))
+            if k % 7 == 2:
+                d = rng.integers(3)
+                z[d, d] = complex(rng.choice((0.0, -0.0, -scale)), z[d, d].imag)
+            want = numpy_verdict(z)
+            verdicts.append(want)
+            try:
+                LineSpec("a", "b", z, 1.0)
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == (want and f"line a-b: {want}"), (z, got, want)
+        assert len(set(verdicts)) == 4
+
     def test_singular_impedance_rejected_at_load(self):
         doc = network_to_dict(make_two_bus())
         doc["lines"][0]["z_real"] = np.full((3, 3), 0.2).tolist()
@@ -191,6 +231,41 @@ class TestConvenience:
 
     def test_vuf_subset_defaults_to_non_slack(self, two_bus):
         assert two_bus.vuf_bus_subset == ["load"]
+
+    @staticmethod
+    def loop_ybus(net):
+        """The nodal admittance matrix as a dense loop over the lines adds it up."""
+        n = len(net.buses)
+        y = np.zeros((n, 3, n, 3), dtype=complex)
+        for i, j, yl in zip(net.line_from, net.line_to, net.line_y):
+            y[i, :, i] += yl
+            y[j, :, j] += yl
+            y[i, :, j] -= yl
+            y[j, :, i] -= yl
+        return y.reshape(3 * n, 3 * n)
+
+    @pytest.mark.parametrize("case", ["simple5", "eulv117", "parallel", "diagonal"])
+    def test_csr_ybus_equals_the_line_loop(self, case):
+        two_bus = make_two_bus()
+        z = two_bus.lines[0].z
+        if case == "parallel":      # two lines between one bus pair, one reversed
+            net = dataclasses.replace(two_bus, lines=(
+                two_bus.lines[0], LineSpec("load", "sub", 1.7 * z + 0.003, 2.0)))
+        elif case == "diagonal":    # its admittance has exact zeros
+            net = dataclasses.replace(two_bus, lines=(
+                LineSpec("sub", "load", np.diag(np.diag(z)), 2.0),))
+        else:
+            net = load_network(bundled_network(case))
+        ref = self.loop_ybus(net)
+        ybus = net.ybus_csr
+        assert ybus.format == "csr"
+        assert ybus.toarray().tobytes() == ref.tobytes()
+        assert np.all(ybus.data != 0)
+        coo = ybus.tocoo()
+        assert len(set(zip(coo.row, coo.col))) == ybus.nnz
+        assert not any(a.flags.writeable for a in (ybus.data, ybus.indices, ybus.indptr))
+        assert net.ybus.tobytes() == ref.tobytes()
+        assert not net.ybus.flags.writeable
 
     def test_bundled_networks_load(self, simple5, eulv117):
         assert len(simple5.buses) == 6

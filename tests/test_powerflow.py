@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
 
-from vudlmp import powerflow
-from vudlmp.netmodel import network_from_dict, network_to_dict
+from vudlmp import bundled_network, powerflow
+from vudlmp.dlmp import decompose, sensitivity_report
+from vudlmp.ipsolver import solve
+from vudlmp.netmodel import UnbalanceConfig, load_network, network_from_dict, network_to_dict
+from vudlmp.opf import build_problem
 from vudlmp.powerflow import (
     SPARSE_JACOBIAN_ROWS,
     PowerFlowDiverged,
@@ -254,6 +258,58 @@ class TestJacobianFactors:
                 theirs = lu_solve(ref, rhs, trans=int(trans))
                 assert ours.shape == theirs.shape
                 assert np.max(np.abs(ours - theirs)) <= 1e-10 * np.max(np.abs(theirs))
+
+    @staticmethod
+    def scanned_pattern(ybus, idx):
+        """(slots, indices, indptr, row_v, diag, y_conj) of the Jacobian
+        pattern, laid out by scanning the dense non-slack block of ``ybus``."""
+        m = len(idx)
+        y = ybus[np.ix_(idx, idx)]
+        mask = y != 0
+        mask[np.diag_indices(m)] = True
+        cols, rows = np.nonzero(mask.T)
+        counts = np.bincount(cols, minlength=m)
+        nnz = len(rows)
+        top = (np.cumsum(counts) - counts)[cols] + np.arange(nnz)
+        bottom = top + counts[cols]
+        slots = np.concatenate((top, bottom, top + 2 * nnz, bottom + 2 * nnz))
+        indices = np.empty(4 * nnz, dtype=np.int32)
+        indices[slots] = np.concatenate((rows, rows + m, rows, rows + m))
+        indptr = np.concatenate(([0], np.cumsum(np.tile(2 * counts, 2)))).astype(np.int32)
+        return (slots, indices, indptr, idx[rows], np.flatnonzero(rows == cols),
+                np.conj(y[rows, cols]))
+
+    def test_sparse_pattern_equals_the_dense_scan(self, simple5):
+        eulv117 = load_network(bundled_network("eulv117"))
+        # a block that lacks some diagonal entries, which the pattern keeps
+        rng = np.random.default_rng(5)
+        odd = sp.random(30, 30, density=0.2, random_state=rng, dtype=float)
+        odd = (odd + 1j * odd).tolil()
+        odd.setdiag(np.where(np.arange(30) % 4 == 0, 0.0, 1.0 + 2j))
+        odd = odd.tocsr()
+        odd.eliminate_zeros()
+        cases = [(net.ybus, net.ybus_csr, nonslack_index(net)) for net in (simple5, eulv117)]
+        cases.append((odd.toarray(), odd, np.delete(np.arange(30), [3, 7])))
+        for dense, csr, idx in cases:
+            pattern = powerflow._JacobianPattern(csr, idx)
+            ours = (pattern.slots, pattern.indices, pattern.indptr, pattern.row_v,
+                    pattern.diag, pattern.y_conj)
+            for a, b in zip(ours, self.scanned_pattern(dense, idx)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_large_network_never_builds_the_dense_ybus(self):
+        net = load_network(bundled_network("eulv117"))
+        assert isinstance(build_ybus(net), sp.csr_matrix)
+        warm = solve_pf(net)
+        sensitivity_report(net, warm, buses=list(net.unbalance.buses)[:2])
+        assert warm.injections.shape == (len(net.buses), 3)
+        sol = solve(build_problem(net, UnbalanceConfig("hard", 0.5, buses=net.unbalance.buses)),
+                    warm=warm)
+        assert sol.success
+        decompose(sol)
+        assert "ybus" not in net.__dict__
+        assert "ybus_csr" in net.__dict__
 
     def test_sparse_pattern_is_laid_out_once_per_network(self, eulv117):
         pattern = powerflow._jacobian_pattern(eulv117)
