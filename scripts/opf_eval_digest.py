@@ -1,7 +1,10 @@
-"""Print digests of the OPF evaluation, the power flow and whole solves.
+"""Print digests of the line admittances, the OPF evaluation, the power
+flow and whole solves.
 
-Each problem built for the evaluations and the whole solves below first
-gets one ``layout`` line: digests of its ``idx_*`` variable indices, its
+First, one ``line_y`` line each for simple5, eulv117 and the two-bus feeder
+digests the stacked series admittances of the network's lines.  Each
+problem built for the evaluations and the whole solves below first gets
+one ``layout`` line: digests of its ``idx_*`` variable indices, its
 generator boxes, the ``describe()`` strings of its equality and inequality
 tags in row order, and the ``indices`` and ``indptr`` of its three
 derivative layouts (the ``kkt`` line's problems repeat solved ones and get
@@ -131,6 +134,13 @@ def print_layout_digest(name, label, prob):
           f" gen_boxes={digest(prob.gen_pmin, prob.gen_pmax, prob.gen_qmin, prob.gen_qmax)}"
           f" eq_tags={digest(text(prob.eq_tags))} ineq_tags={digest(text(prob.ineq_tags))}"
           f" csr={digest(*(a for lay in layouts for a in (lay.indices, lay.indptr)))}")
+
+
+def print_line_digests():
+    for name, net in (("simple5", load_network(bundled_network("simple5"))),
+                      ("eulv117", load_network(bundled_network("eulv117"))),
+                      ("two-bus", two_bus())):
+        print(f"{name} line_y lines={len(net.lines)} digest={digest(net.line_y)}")
 
 
 def print_opf_digests():
@@ -269,6 +279,7 @@ def print_kkt_digest():
 
 
 def main():
+    print_line_digests()
     print_opf_digests()
     print_pf_digests()
     print_solve_digests()

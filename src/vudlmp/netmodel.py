@@ -5,16 +5,15 @@ network files carry SI units (kW, kvar, kVA, ohm, volt); conversion happens
 once at load time.  Bases are per-phase: ``base_kva`` is the per-phase
 apparent-power base and ``base_volt_ln`` the line-to-neutral voltage base.
 
-A :class:`NetworkSpec` compiles its lines into arrays, and on first use
-assembles the nodal admittance matrix from their 3x3 blocks in CSR form
-(:attr:`NetworkSpec.ybus_csr`).  Its dense form (:attr:`NetworkSpec.ybus`)
-is made from the CSR matrix only when asked for; the power flow asks for
-it on small networks only.
+A :class:`NetworkSpec` checks and inverts its line impedances as one stack,
+and on first use assembles the nodal admittance matrix from their 3x3
+blocks in CSR form (:attr:`NetworkSpec.ybus_csr`).  Its dense form
+(:attr:`NetworkSpec.ybus`) is made from the CSR matrix only when asked for;
+the power flow asks for it on small networks only.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,6 +77,7 @@ class BusSpec:
 
 @dataclass(frozen=True)
 class LineSpec:
+    """One three-phase series line; its network checks and inverts ``z``."""
     from_bus: str
     to_bus: str
     z: np.ndarray          # 3x3 complex series impedance, per-unit
@@ -86,44 +86,13 @@ class LineSpec:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=complex)
         if z.shape != (NPHASE, NPHASE):
-            raise ParseError(
-                f"line {self.from_bus}-{self.to_bus}: impedance must be 3x3"
-            )
-        # the checks run on Python scalars, which is cheaper than numpy on
-        # a 3x3; the symmetry test is what np.allclose(z, z.T, rtol=1e-9,
-        # atol=1e-12) computes for a finite z
-        rows = z.tolist()
-        if not all(cmath.isfinite(x) for row in rows for x in row):
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: non-finite impedance"
-            )
-        if not all(abs(rows[r][c] - rows[c][r]) <= 1e-12 + 1e-9 * abs(rows[c][r])
-                   for r in range(NPHASE) for c in range(NPHASE)):
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: impedance matrix not symmetric"
-            )
-        if not all(rows[k][k].real > 0 for k in range(NPHASE)):
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: diagonal resistance must be positive"
-            )
-        if not (math.isfinite(self.s_rating) and self.s_rating > 0):
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: s_rating must be finite and positive, "
-                f"got {self.s_rating}"
-            )
-        try:
-            y = np.linalg.inv(z)
-        except np.linalg.LinAlgError:
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: impedance matrix is singular"
-            ) from None
+            raise ParseError(f"line {self.from_bus}-{self.to_bus}: impedance must be 3x3")
         object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "_y", _readonly(y))
 
     @property
     def y(self):
         """3x3 series admittance (inverse of the phase impedance matrix)."""
-        return self._y
+        return np.linalg.inv(self.z)
 
 
 @dataclass(frozen=True)
@@ -204,9 +173,9 @@ class NetworkSpec:
     """Validated network; also holds a compiled array view of its lines.
 
     ``line_from``/``line_to`` are the bus indices of each line's ends and
-    ``line_y`` stacks the (nline, 3, 3) series admittances; ``ybus_csr`` is
-    the nodal admittance matrix, assembled on first use, and ``ybus`` its
-    dense form.  All are read-only.
+    ``line_y`` the (nline, 3, 3) series admittances from one stacked inverse;
+    ``ybus_csr`` is the nodal admittance matrix, assembled on first use, and
+    ``ybus`` its dense form.  All are read-only.
     """
     base_kva: float
     base_volt_ln: float
@@ -222,6 +191,7 @@ class NetworkSpec:
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "gens", tuple(self.gens))
+        object.__setattr__(self, "line_y", _line_admittances(self.lines))
         _validate(self)
         pos = {b.id: i for i, b in enumerate(self.buses)}
         object.__setattr__(self, "_bus_pos", pos)
@@ -229,8 +199,6 @@ class NetworkSpec:
             np.array([pos[ln.from_bus] for ln in self.lines], dtype=int)))
         object.__setattr__(self, "line_to", _readonly(
             np.array([pos[ln.to_bus] for ln in self.lines], dtype=int)))
-        object.__setattr__(self, "line_y", _readonly(
-            np.array([ln.y for ln in self.lines], dtype=complex).reshape(-1, NPHASE, NPHASE)))
 
     @cached_property
     def ybus_csr(self):
@@ -305,6 +273,37 @@ def _check_bases(base_kva, base_volt_ln):
     for name, value in (("base_kva", base_kva), ("base_volt_ln", base_volt_ln)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be finite and positive, got {value}")
+
+
+def _line_admittances(lines):
+    """Check the lines' impedances and ratings over their (nline, 3, 3) stack
+    and return its read-only inverse.  A ValidationError names the first line
+    at fault with its first fault, and a singular line only if none has one."""
+    z = np.array([ln.z for ln in lines], dtype=complex).reshape(-1, NPHASE, NPHASE)
+    rating = np.array([ln.s_rating for ln in lines], dtype=float)
+    faults = np.stack((
+        ~np.isfinite(z).all(axis=(1, 2)),
+        ~np.isclose(z, z.transpose(0, 2, 1), rtol=1e-9, atol=1e-12).all(axis=(1, 2)),
+        ~(np.diagonal(z, axis1=1, axis2=2).real > 0).all(axis=1),
+        ~(np.isfinite(rating) & (rating > 0)),
+    ), axis=1)
+    if faults.any():
+        k, fault = np.argwhere(faults)[0]
+        ln = lines[k]
+        reason = ("non-finite impedance", "impedance matrix not symmetric",
+                  "diagonal resistance must be positive",
+                  f"s_rating must be finite and positive, got {ln.s_rating}")[fault]
+        raise ValidationError(f"line {ln.from_bus}-{ln.to_bus}: {reason}")
+    try:
+        return _readonly(np.linalg.inv(z))
+    except np.linalg.LinAlgError:
+        for ln in lines:            # only to name the singular line
+            try:
+                np.linalg.inv(ln.z)
+            except np.linalg.LinAlgError:
+                raise ValidationError(f"line {ln.from_bus}-{ln.to_bus}: "
+                                      "impedance matrix is singular") from None
+        raise
 
 
 def _validate(net: NetworkSpec):
@@ -405,7 +404,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     lines = []
     for e in doc.get("lines", []):
         where = f"line entry {e.get('from')}-{e.get('to')}"
-        with np.errstate(invalid="ignore"):     # LineSpec names a non-finite z
+        with np.errstate(invalid="ignore"):     # the network names a non-finite z
             z = (np.asarray(_req(e, "z_real", where), dtype=float)
                  + 1j * np.asarray(_req(e, "z_imag", where), dtype=float)) / zbase
         lines.append(LineSpec(

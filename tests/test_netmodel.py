@@ -92,25 +92,30 @@ class TestValidation:
         with pytest.raises(ValidationError, match="carriage return"):
             BusSpec("r\rs")
 
+    @staticmethod
+    def with_line(z, s_rating=1.0, base=None):
+        """The two-bus feeder with its one line's impedance and rating replaced."""
+        return dataclasses.replace(base or make_two_bus(),
+                                   lines=(LineSpec("sub", "load", z, s_rating),))
+
     def test_line_impedance_shape_and_symmetry(self):
         with pytest.raises(ParseError):
             LineSpec("a", "b", np.eye(2, dtype=complex), 1.0)
         z = np.eye(3, dtype=complex) * (0.1 + 0.1j)
         z[0, 1] = 0.05
-        with pytest.raises(ValidationError):
-            LineSpec("a", "b", z, 1.0)
+        with pytest.raises(ValidationError, match="line sub-load: .* not symmetric"):
+            self.with_line(z)
 
     def test_line_needs_positive_resistance_and_rating(self):
-        z = np.eye(3, dtype=complex) * 1j
-        with pytest.raises(ValidationError):
-            LineSpec("a", "b", z, 1.0)
-        z = np.eye(3, dtype=complex) * (0.1 + 0.1j)
-        with pytest.raises(ValidationError):
-            LineSpec("a", "b", z, 0.0)
+        with pytest.raises(ValidationError, match="line sub-load: diagonal resistance"):
+            self.with_line(np.eye(3, dtype=complex) * 1j)
+        with pytest.raises(ValidationError, match="line sub-load: s_rating .* got 0.0"):
+            self.with_line(np.eye(3, dtype=complex) * (0.1 + 0.1j), 0.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_line_checks_agree_with_numpy(self):
-        # the Python-scalar checks accept and reject exactly as the numpy
-        # predicates do, with the same message
+        # the network's stacked checks accept and reject exactly as the numpy
+        # predicates on the one line do, with the same message
         def numpy_verdict(z):
             if not np.all(np.isfinite(z)):
                 return "non-finite impedance"
@@ -120,6 +125,7 @@ class TestValidation:
                 return "diagonal resistance must be positive"
             return None
 
+        base = make_two_bus()
         rng = np.random.default_rng(11)
         verdicts = []
         for k in range(3000):
@@ -139,12 +145,44 @@ class TestValidation:
             want = numpy_verdict(z)
             verdicts.append(want)
             try:
-                LineSpec("a", "b", z, 1.0)
+                self.with_line(z, base=base)
                 got = None
             except ValidationError as exc:
                 got = str(exc)
-            assert got == (want and f"line a-b: {want}"), (z, got, want)
+            assert got == (want and f"line sub-load: {want}"), (z, got, want)
         assert len(set(verdicts)) == 4
+
+    @pytest.mark.parametrize("faults, named", [
+        ({1: "asymmetric-and-resistance", 3: "non-finite"}, 1),
+        ({0: "rating", 2: "non-finite", 4: "singular"}, 0),
+        ({2: "singular", 4: "asymmetric-and-resistance"}, 4),
+    ], ids=["two-faults-on-the-first", "rating-before-non-finite", "singular-named-last"])
+    def test_first_faulty_line_is_named_with_its_first_fault(self, simple5, faults, named):
+        z0 = simple5.lines[0].z
+        bad = {"non-finite": (z0 + np.diag([0, np.nan, 0]), 1.0),
+               "asymmetric-and-resistance": (z0 + np.triu(z0, 1) - 2 * np.diag(z0.real), 1.0),
+               "rating": (z0, float("inf")),
+               "singular": (np.full((3, 3), 0.2 + 0.1j), 1.0)}
+        first = {"non-finite": "non-finite impedance",
+                 "asymmetric-and-resistance": "impedance matrix not symmetric",
+                 "rating": "s_rating must be finite and positive, got inf",
+                 "singular": "impedance matrix is singular"}
+        lines = list(simple5.lines)
+        for k, kind in faults.items():
+            lines[k] = dataclasses.replace(lines[k], z=bad[kind][0], s_rating=bad[kind][1])
+        ln = lines[named]
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(simple5, lines=lines)
+        assert str(info.value) == f"line {ln.from_bus}-{ln.to_bus}: {first[faults[named]]}"
+
+    def test_lone_singular_line_is_named(self, eulv117):
+        lines = list(eulv117.lines)
+        k = len(lines) // 3
+        lines[k] = dataclasses.replace(lines[k], z=np.full((3, 3), 0.2 + 0.1j))
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(eulv117, lines=lines)
+        ln = lines[k]
+        assert str(info.value) == f"line {ln.from_bus}-{ln.to_bus}: impedance matrix is singular"
 
     def test_singular_impedance_rejected_at_load(self):
         doc = network_to_dict(make_two_bus())
@@ -266,6 +304,11 @@ class TestConvenience:
         assert not any(a.flags.writeable for a in (ybus.data, ybus.indices, ybus.indptr))
         assert net.ybus.tobytes() == ref.tobytes()
         assert not net.ybus.flags.writeable
+        # the one stacked inverse equals each line's own, bit for bit
+        assert len(net.line_y) == len(net.lines)
+        for yl, ln in zip(net.line_y, net.lines):
+            assert yl.tobytes() == np.linalg.inv(ln.z).tobytes()
+        assert not net.line_y.flags.writeable
 
     def test_bundled_networks_load(self, simple5, eulv117):
         assert len(simple5.buses) == 6
