@@ -86,6 +86,13 @@ class ScenarioConfig:
     with_sensitivity: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.network, str):
+            raise ConfigError(f"network must be a string, got {self.network!r}")
+        if not isinstance(self.outdir, (str, type(None))):
+            raise ConfigError(f"outdir must be a string or null, got {self.outdir!r}")
+        if not isinstance(self.with_sensitivity, bool):
+            raise ConfigError(
+                f"with_sensitivity must be true or false, got {self.with_sensitivity!r}")
         if self.mode not in ("none", "hard", "soft"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.penalty_on not in ("f", "vuf"):

@@ -127,8 +127,6 @@ def _fd_sensitivities(net, point, bus, entries, step):
     power kind) of ``entries``, from one batch of re-solves from ``point``
     (+step, then -step, per entry; see :func:`~vudlmp.powerflow.resolve_from`).
     StepTooSmall if a re-solve takes no Newton step."""
-    if point.net is not net:
-        raise ValueError("point must be an operating point of net")
     b = net.bus_index(bus)
     pert = np.repeat(point.injections[None], 2 * len(entries), axis=0)
     for j, (phase_idx, kind) in enumerate(entries):
@@ -147,14 +145,6 @@ def _fd_sensitivities(net, point, bus, entries, step):
     return (df[0::2] - df[1::2]) / (2.0 * step)
 
 
-def sensitivity_fd(net: NetworkSpec, point: OperatingPoint, bus, phase,
-                   power_kind="active", step=FD_STEP):
-    """Central finite difference of the unbalance metric via re-solved flows
-    from ``point``, a solved point of ``net``."""
-    phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-    return _fd_sensitivities(net, point, bus, [(phase_idx, power_kind)], step)[0]
-
-
 def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
                        step=FD_STEP):
     """Closed-form and FD sensitivities for every (bus, phase, power kind).
@@ -166,8 +156,11 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
     each defined entry, at most 12) form one batch whose first Newton steps
     come from one untransposed solve with the same factors.  A re-solve
     that takes no Newton step, because the step moves the mismatch less
-    than the power-flow tolerance, raises StepTooSmall.
+    than the power-flow tolerance, raises StepTooSmall.  ``point`` must be
+    an operating point of ``net``.
     """
+    if point.net is not net:
+        raise ValueError("point must be an operating point of net")
     if buses is None:
         buses = [b.id for b in net.buses if b.id != net.substation_bus]
     out = []

@@ -379,7 +379,11 @@ def load_network(path) -> NetworkSpec:
 
 
 def network_from_dict(doc: dict) -> NetworkSpec:
-    """Build a :class:`NetworkSpec` from a parsed schema document (SI units)."""
+    """Build a :class:`NetworkSpec` from a parsed schema document (SI units).
+
+    An entry or field of the wrong type or shape raises ParseError naming
+    the entry, e.g. ``line entry 0: ...``.
+    """
     try:
         base_kva = float(doc["base_kva"])
         base_volt = float(doc["base_volt_ln"])
@@ -391,56 +395,74 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     def _req(entry, key, where):
         try:
             return entry[key]
-        except (KeyError, TypeError):
+        except KeyError:
             raise ParseError(f"{where}: missing field {key!r}") from None
 
-    buses = []
-    for e in doc.get("buses", []):
-        buses.append(BusSpec(
-            id=str(_req(e, "id", "bus entry")),
-            vmin=float(e.get("vmin", DEFAULT_VMIN)),
-            vmax=float(e.get("vmax", DEFAULT_VMAX)),
-        ))
-    lines = []
-    for e in doc.get("lines", []):
-        where = f"line entry {e.get('from')}-{e.get('to')}"
+    def _list(value, what):
+        if not isinstance(value, (list, tuple)):
+            raise ParseError(f"{what} must be a list, got {value!r}")
+        return value
+
+    def _entries(key, kind):
+        """(where, entry) for each object in the document's ``key`` list."""
+        for k, e in enumerate(_list(doc.get(key, []), key)):
+            if not isinstance(e, dict):
+                raise ParseError(f"{kind} entry {k}: must be an object, got {e!r}")
+            yield f"{kind} entry {k}", e
+
+    # a value float() or np.asarray() cannot take raises TypeError or
+    # ValueError, which is reported against the entry being read
+    where = "network"
+    try:
+        buses = []
+        for where, e in _entries("buses", "bus"):
+            buses.append(BusSpec(
+                id=str(_req(e, "id", where)),
+                vmin=float(e.get("vmin", DEFAULT_VMIN)),
+                vmax=float(e.get("vmax", DEFAULT_VMAX)),
+            ))
+        lines = []
         with np.errstate(invalid="ignore"):     # the network names a non-finite z
-            z = (np.asarray(_req(e, "z_real", where), dtype=float)
-                 + 1j * np.asarray(_req(e, "z_imag", where), dtype=float)) / zbase
-        lines.append(LineSpec(
-            from_bus=str(_req(e, "from", where)),
-            to_bus=str(_req(e, "to", where)),
-            z=z,
-            s_rating=float(_req(e, "s_rating", where)) / base_kva,
-        ))
-    loads = []
-    for e in doc.get("loads", []):
-        where = f"load entry at {e.get('bus')}"
-        loads.append(LoadSpec(
-            bus=str(_req(e, "bus", where)),
-            p=np.asarray(_req(e, "p", where), dtype=float) / base_kva,
-            q=np.asarray(_req(e, "q", where), dtype=float) / base_kva,
-        ))
-    gens = []
-    for e in doc.get("gens", []):
-        where = f"generator entry at {e.get('bus')}"
-        gens.append(GenSpec(
-            bus=str(_req(e, "bus", where)),
-            phases=tuple(_req(e, "phases", where)),
-            pmin=np.asarray(_req(e, "pmin", where), dtype=float) / base_kva,
-            pmax=np.asarray(_req(e, "pmax", where), dtype=float) / base_kva,
-            qmin=np.asarray(_req(e, "qmin", where), dtype=float) / base_kva,
-            qmax=np.asarray(_req(e, "qmax", where), dtype=float) / base_kva,
-            marginal_cost=float(_req(e, "cost", where)),
-            is_substation=bool(e.get("is_substation", False)),
-        ))
-    ub = doc.get("unbalance", {})
-    cfg = UnbalanceConfig(
-        mode=ub.get("mode", "none"),
-        vuf_limit_pct=float(ub.get("limit_pct", 0.0)),
-        penalty_weight=float(ub.get("penalty", 0.0)),
-        buses=tuple(str(b) for b in ub.get("buses", [])),
-    )
+            for where, e in _entries("lines", "line"):
+                z = (np.asarray(_req(e, "z_real", where), dtype=float)
+                     + 1j * np.asarray(_req(e, "z_imag", where), dtype=float)) / zbase
+                lines.append(LineSpec(
+                    from_bus=str(_req(e, "from", where)),
+                    to_bus=str(_req(e, "to", where)),
+                    z=z,
+                    s_rating=float(_req(e, "s_rating", where)) / base_kva,
+                ))
+        loads = []
+        for where, e in _entries("loads", "load"):
+            loads.append(LoadSpec(
+                bus=str(_req(e, "bus", where)),
+                p=np.asarray(_req(e, "p", where), dtype=float) / base_kva,
+                q=np.asarray(_req(e, "q", where), dtype=float) / base_kva,
+            ))
+        gens = []
+        for where, e in _entries("gens", "generator"):
+            gens.append(GenSpec(
+                bus=str(_req(e, "bus", where)),
+                phases=tuple(_list(_req(e, "phases", where), f"{where}: phases")),
+                pmin=np.asarray(_req(e, "pmin", where), dtype=float) / base_kva,
+                pmax=np.asarray(_req(e, "pmax", where), dtype=float) / base_kva,
+                qmin=np.asarray(_req(e, "qmin", where), dtype=float) / base_kva,
+                qmax=np.asarray(_req(e, "qmax", where), dtype=float) / base_kva,
+                marginal_cost=float(_req(e, "cost", where)),
+                is_substation=bool(e.get("is_substation", False)),
+            ))
+        where = "unbalance"
+        ub = doc.get("unbalance", {})
+        if not isinstance(ub, dict):
+            raise ParseError(f"unbalance must be an object, got {ub!r}")
+        cfg = UnbalanceConfig(
+            mode=ub.get("mode", "none"),
+            vuf_limit_pct=float(ub.get("limit_pct", 0.0)),
+            penalty_weight=float(ub.get("penalty", 0.0)),
+            buses=tuple(str(b) for b in _list(ub.get("buses", []), "unbalance: buses")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
     sub = doc.get("substation_bus")
     if sub is None:
         subs = [g.bus for g in gens if g.is_substation]

@@ -221,9 +221,9 @@ class TestOpfOutputs:
 
 
 class TestSweep:
-    def sweep_config(self, tmp_path, network, **extra):
+    def sweep_config(self, tmp_path, network_file, **extra):
         tmp_path.mkdir(parents=True, exist_ok=True)
-        doc = {"network": network, "mode": "soft",
+        doc = {"network": network_file, "mode": "soft",
                "sweep_weights": [0.0, 1.0, 2.0],
                "outdir": str(tmp_path / "out"), "case_id": "sw", "jobs": 1}
         doc.update(extra)
@@ -282,10 +282,14 @@ class TestSweep:
         {"mode": "hard", "sweep_limits": [1.0]},
         {"case_id": "a/b"},
         {"case_id": "r\rs"},
+        {"network": 5},
+        {"outdir": 7},
+        {"with_sensitivity": "no"},
     ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document",
             "boolean-jobs", "boolean-weight", "boolean-penalty", "boolean-limit",
             "weights-in-none-mode", "limits-in-soft-mode", "weights-in-hard-mode",
-            "case-id-path", "case-id-carriage-return"])
+            "case-id-path", "case-id-carriage-return", "numeric-network", "numeric-outdir",
+            "string-with-sensitivity"])
     def test_sweep_malformed_config_is_config_error(self, two_bus_file, tmp_path, capsys,
                                                     doc):
         if isinstance(doc, dict):
@@ -325,8 +329,23 @@ class TestSweep:
         (("base_kva",), float("inf"), "base_kva"),
         (("base_volt_ln",), float("inf"), "base_volt_ln"),
         (("base_kva",), float("nan"), "base_kva"),
+        (("lines", 0), 5, "line entry 0: must be an object"),
+        (("loads", 0), "x", "load entry 0: must be an object"),
+        (("gens", 0), None, "generator entry 0: must be an object"),
+        (("unbalance",), [1], "unbalance must be an object"),
+        (("lines",), 5, "lines must be a list"),
+        (("gens", 0, "phases"), 5, "generator entry 0: phases must be a list"),
+        (("unbalance", "buses"), 5, "unbalance: buses must be a list"),
+        (("lines", 0, "z_real"), [[0.1, 0, 0], [0, 0.1]], "line entry 0: "),
+        (("lines", 0, "z_real"), [["x"] * 3] * 3, "line entry 0: "),
+        (("loads", 0, "p"), ["a", "b", "c"], "load entry 0: "),
+        (("buses", 1, "vmin"), "low", "bus entry 1: "),
+        (("lines", 0, "s_rating"), None, "line entry 0: "),
     ], ids=["z-inf", "z-nan", "z-imag-inf", "s-rating-inf", "vmin-inf", "vmax-inf",
-            "base-kva-inf", "base-volt-inf", "base-kva-nan"])
+            "base-kva-inf", "base-volt-inf", "base-kva-nan", "line-not-object",
+            "load-not-object", "gen-not-object", "unbalance-not-object", "lines-not-list",
+            "phases-not-list", "unbalance-buses-not-list", "z-ragged", "z-not-numeric",
+            "load-p-not-numeric", "vmin-not-numeric", "s-rating-null"])
     def test_opf_non_finite_network_value_is_config_error(self, simple5, tmp_path, capsys,
                                                           where, value, named):
         doc = network_to_dict(simple5)

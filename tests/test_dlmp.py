@@ -15,7 +15,6 @@ from vudlmp.dlmp import (
     StepTooSmall,
     decompose,
     sensitivity_closed_form,
-    sensitivity_fd,
     sensitivity_report,
 )
 from vudlmp.ipsolver import SolverSettings, solve
@@ -84,9 +83,11 @@ class TestSensitivity:
         assert entry.closed_form is None
 
     def test_fd_oracle_is_symmetric_in_step(self, simple5, simple5_pf):
-        coarse = sensitivity_fd(simple5, simple5_pf, "b4", 0, step=2e-5)
-        fine = sensitivity_fd(simple5, simple5_pf, "b4", 0, step=5e-6)
-        assert coarse == pytest.approx(fine, rel=1e-3)
+        def b4_a_active(step):
+            entries = sensitivity_report(simple5, simple5_pf, buses=["b4"], step=step)
+            return next(e.finite_difference for e in entries
+                        if (e.phase, e.power_kind) == ("a", "active"))
+        assert b4_a_active(2e-5) == pytest.approx(b4_a_active(5e-6), rel=1e-3)
 
     def test_report_factors_one_jacobian(self, simple5, monkeypatch):
         # the closed form and the first Newton step of every finite-difference
@@ -179,12 +180,13 @@ class TestSensitivity:
         # re-solve would return the point itself and every difference read 0
         with pytest.raises(StepTooSmall, match="step 1e-12 leaves the power flow unchanged"):
             sensitivity_report(simple5, simple5_pf, step=1e-12)
-        with pytest.raises(StepTooSmall):
-            sensitivity_fd(simple5, simple5_pf, "b4", "a", step=1e-12)
+        with pytest.raises(StepTooSmall, match="bus b4 phase a"):
+            sensitivity_report(simple5, simple5_pf, buses=["b4"], step=1e-12)
 
     def test_point_of_another_network_is_rejected(self, two_bus, simple5_pf):
-        with pytest.raises(ValueError, match="point"):
-            sensitivity_fd(two_bus, simple5_pf, "load", "a")
+        # checked before the report reads the point at two_bus's own buses
+        with pytest.raises(ValueError, match="point must be an operating point of net"):
+            sensitivity_report(two_bus, simple5_pf)
 
     def test_report_covers_all_phases_and_kinds(self, two_bus, two_bus_pf):
         entries = sensitivity_report(two_bus, two_bus_pf)
