@@ -1,8 +1,11 @@
 """Print digests of the line admittances, the OPF evaluation, the power
 flow and whole solves.
 
-First, one ``line_y`` line each for simple5, eulv117 and the two-bus feeder
-digests the stacked series admittances of the network's lines.  Each
+First, one ``network`` line each for simple5, eulv117 and the two-bus
+feeder digests the network's compiled arrays (its bus ids and the
+``bus_*``, ``line_*``, ``demand`` and ``gen_*`` arrays), and then one
+``line_y`` line each digests the stacked series admittances of its lines
+alone.  Each
 problem built for the evaluations and the whole solves below first gets
 one ``layout`` line: digests of its ``idx_*`` variable indices, its
 generator boxes, the ``describe()`` strings of its equality and inequality
@@ -97,6 +100,10 @@ SOLVES = (
     ("eulv117", "hard-0.5", UnbalanceConfig("hard", 0.5), "f"),
 )
 
+# the compiled arrays of a network
+COMPILED = ("bus_vmin", "bus_vmax", "line_from", "line_to", "line_y", "line_rating", "demand",
+            "gen_bus", "gen_box", "gen_cost")
+
 # simple5 consumption steps at b4 phase a: 1, 3, 3 and 4 Newton steps
 PERTURBATIONS = (1e-5, 0.02, 0.05, 0.3)
 
@@ -136,10 +143,16 @@ def print_layout_digest(name, label, prob):
           f" csr={digest(*(a for lay in layouts for a in (lay.indices, lay.indptr)))}")
 
 
-def print_line_digests():
-    for name, net in (("simple5", load_network(bundled_network("simple5"))),
-                      ("eulv117", load_network(bundled_network("eulv117"))),
-                      ("two-bus", two_bus())):
+def print_network_digests():
+    nets = (("simple5", load_network(bundled_network("simple5"))),
+            ("eulv117", load_network(bundled_network("eulv117"))),
+            ("two-bus", two_bus()))
+    for name, net in nets:
+        ids = np.frombuffer("\n".join(net.bus_ids).encode(), np.uint8)
+        print(f"{name} network buses={len(net.buses)} loads={len(net.loads)}"
+              f" gens={len(net.gens)} substation_gen={net.substation_gen}"
+              f" digest={digest(ids, *(getattr(net, name) for name in COMPILED))}")
+    for name, net in nets:
         print(f"{name} line_y lines={len(net.lines)} digest={digest(net.line_y)}")
 
 
@@ -279,7 +292,7 @@ def print_kkt_digest():
 
 
 def main():
-    print_line_digests()
+    print_network_digests()
     print_opf_digests()
     print_pf_digests()
     print_solve_digests()

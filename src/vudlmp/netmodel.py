@@ -5,18 +5,22 @@ network files carry SI units (kW, kvar, kVA, ohm, volt); conversion happens
 once at load time.  Bases are per-phase: ``base_kva`` is the per-phase
 apparent-power base and ``base_volt_ln`` the line-to-neutral voltage base.
 
-A :class:`NetworkSpec` checks and inverts its line impedances as one stack,
-and on first use assembles the nodal admittance matrix from their 3x3
-blocks in CSR form (:attr:`NetworkSpec.ybus_csr`).  Its dense form
-(:attr:`NetworkSpec.ybus`) is made from the CSR matrix only when asked for;
-the power flow asks for it on small networks only.
+The records (:class:`BusSpec`, :class:`LineSpec`, :class:`LoadSpec`,
+:class:`GenSpec`) coerce their fields and check their shapes only.  A
+:class:`NetworkSpec` checks every record in one pass, over one stack per
+record kind, and compiles the read-only arrays the power flow and the OPF
+read; the line impedances are inverted as one stack.  On first use it
+assembles the nodal admittance matrix from their 3x3 blocks in CSR form
+(:attr:`NetworkSpec.ybus_csr`).  Its dense form (:attr:`NetworkSpec.ybus`)
+is made from the CSR matrix only when asked for; the power flow asks for it
+on small networks only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -25,6 +29,7 @@ import scipy.sparse as sp
 
 PHASES = ("a", "b", "c")
 NPHASE = 3
+_GEN_BOX = ("pmin", "pmax", "qmin", "qmax")
 
 DEFAULT_VMIN = 0.9
 DEFAULT_VMAX = 1.1
@@ -57,22 +62,10 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class BusSpec:
+    """One bus; its network checks the id and the voltage bounds."""
     id: str
     vmin: float = DEFAULT_VMIN
     vmax: float = DEFAULT_VMAX
-
-    def __post_init__(self):
-        if "\r" in self.id:    # csv leaves it unquoted, so it would split a row
-            raise ValidationError(f"bus {self.id!r}: an id may not hold a carriage return")
-        for name in ("vmin", "vmax"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(
-                    f"bus {self.id}: {name} must be finite, got {getattr(self, name)}")
-        if not (0.0 < self.vmin < self.vmax):
-            raise ValidationError(
-                f"bus {self.id}: requires 0 < vmin < vmax, got "
-                f"vmin={self.vmin}, vmax={self.vmax}"
-            )
 
 
 @dataclass(frozen=True)
@@ -97,6 +90,7 @@ class LineSpec:
 
 @dataclass(frozen=True)
 class LoadSpec:
+    """One three-phase load; its network checks the bus and the demand."""
     bus: str
     p: np.ndarray          # per-phase active demand, per-unit
     q: np.ndarray          # per-phase reactive demand, per-unit
@@ -106,17 +100,18 @@ class LoadSpec:
         q = np.asarray(self.q, dtype=float)
         if p.shape != (NPHASE,) or q.shape != (NPHASE,):
             raise ParseError(f"load at {self.bus}: p and q must have 3 entries")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise ValidationError(f"load at {self.bus}: non-finite demand")
         object.__setattr__(self, "p", _readonly(p))
         object.__setattr__(self, "q", _readonly(q))
 
 
 @dataclass(frozen=True)
 class GenSpec:
+    """One generator; its network checks the bus, the box and the cost, and
+    pins the box to 0 on the phases the unit does not own
+    (:attr:`NetworkSpec.gen_box`)."""
     bus: str
     phases: tuple          # subset of PHASES the unit can inject on
-    pmin: np.ndarray       # per-phase bounds, per-unit; absent phases pinned to 0
+    pmin: np.ndarray       # per-phase bounds, per-unit, as given on all three phases
     pmax: np.ndarray
     qmin: np.ndarray
     qmax: np.ndarray
@@ -124,23 +119,15 @@ class GenSpec:
     is_substation: bool = False
 
     def __post_init__(self):
-        for name in ("pmin", "pmax", "qmin", "qmax"):
+        for name in _GEN_BOX:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (NPHASE,):
                 raise ParseError(f"generator at {self.bus}: {name} must have 3 entries")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"generator at {self.bus}: non-finite {name}")
             object.__setattr__(self, name, _readonly(arr))
         bad = [p for p in self.phases if p not in PHASES]
         if bad:
             raise ValidationError(f"generator at {self.bus}: unknown phase {bad[0]}")
         object.__setattr__(self, "phases", tuple(self.phases))
-        if np.any(self.pmin > self.pmax) or np.any(self.qmin > self.qmax):
-            raise ValidationError(f"generator at {self.bus}: empty output box (min > max)")
-        if not math.isfinite(self.marginal_cost):
-            raise ValidationError(f"generator at {self.bus}: non-finite marginal cost")
-        if self.marginal_cost < 0:
-            raise ValidationError(f"generator at {self.bus}: negative marginal cost")
 
 
 UNBALANCE_MODES = ("none", "hard", "soft")
@@ -170,12 +157,17 @@ class UnbalanceConfig:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Validated network; also holds a compiled array view of its lines.
+    """Validated network and its compiled, read-only array view.
 
-    ``line_from``/``line_to`` are the bus indices of each line's ends and
-    ``line_y`` the (nline, 3, 3) series admittances from one stacked inverse;
-    ``ybus_csr`` is the nodal admittance matrix, assembled on first use, and
-    ``ybus`` its dense form.  All are read-only.
+    One pass checks the records, buses, then lines, loads and generators,
+    one stack per kind, and compiles ``bus_ids``, ``bus_vmin``,
+    ``bus_vmax``; ``line_from``/``line_to`` (bus indices), ``line_y`` (the
+    (nline, 3, 3) series admittances from one stacked inverse),
+    ``line_rating``; ``demand`` ((nbus, 3) P + jQ, summed in load order);
+    ``gen_bus``, ``gen_box`` ((4, ngen, 3) pmin, pmax, qmin, qmax, 0 on the
+    phases a unit does not own), ``gen_cost`` and ``substation_gen`` (the
+    substation unit's index).  ``ybus_csr`` is the nodal admittance matrix,
+    assembled on first use, and ``ybus`` its dense form.
     """
     base_kva: float
     base_volt_ln: float
@@ -187,18 +179,103 @@ class NetworkSpec:
     unbalance: UnbalanceConfig = field(default_factory=UnbalanceConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "lines", tuple(self.lines))
-        object.__setattr__(self, "loads", tuple(self.loads))
-        object.__setattr__(self, "gens", tuple(self.gens))
-        object.__setattr__(self, "line_y", _line_admittances(self.lines))
-        _validate(self)
-        pos = {b.id: i for i, b in enumerate(self.buses)}
-        object.__setattr__(self, "_bus_pos", pos)
-        object.__setattr__(self, "line_from", _readonly(
-            np.array([pos[ln.from_bus] for ln in self.lines], dtype=int)))
-        object.__setattr__(self, "line_to", _readonly(
-            np.array([pos[ln.to_bus] for ln in self.lines], dtype=int)))
+        for name in ("buses", "lines", "loads", "gens"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        buses, lines, loads, gens = self.buses, self.lines, self.loads, self.gens
+        _check_bases(self.base_kva, self.base_volt_ln)
+        ids = tuple(b.id for b in buses)
+        pos = {i: k for k, i in reversed(list(enumerate(ids)))}     # an id's first bus
+
+        def index(names):       # bus index of each name, -1 if it names no bus
+            return _readonly(np.array([pos.get(name, -1) for name in names], dtype=int))
+
+        def stack(records, name, *shape, dtype=float):
+            return _readonly(np.array([getattr(r, name) for r in records],
+                                      dtype=dtype).reshape(-1, *shape))
+
+        vmin, vmax = stack(buses, "vmin"), stack(buses, "vmax")
+        _raise_first_fault(
+            buses,
+            # csv leaves a carriage return unquoted, so it would split a row
+            (["\r" in i for i in ids], "bus {r.id!r}: an id may not hold a carriage return"),
+            (~np.isfinite(vmin), "bus {r.id}: vmin must be finite, got {r.vmin}"),
+            (~np.isfinite(vmax), "bus {r.id}: vmax must be finite, got {r.vmax}"),
+            (~((0.0 < vmin) & (vmin < vmax)),
+             "bus {r.id}: requires 0 < vmin < vmax, got vmin={r.vmin}, vmax={r.vmax}"),
+            (index(ids) != np.arange(len(ids)), "duplicate bus id {r.id!r}"))
+        if self.substation_bus not in pos:
+            raise ValidationError(f"substation bus {self.substation_bus!r} is not a bus")
+
+        line_from, line_to = index(ln.from_bus for ln in lines), index(ln.to_bus for ln in lines)
+        z, rating = stack(lines, "z", NPHASE, NPHASE, dtype=complex), stack(lines, "s_rating")
+        line = "line {r.from_bus}-{r.to_bus}"
+        _raise_first_fault(
+            lines,
+            (line_from < 0, line + " references unknown bus {r.from_bus!r}"),
+            (line_to < 0, line + " references unknown bus {r.to_bus!r}"),
+            (line_from == line_to, line + " is a self-loop"),
+            (~np.isfinite(z).all(axis=(1, 2)), line + ": non-finite impedance"),
+            (~np.isclose(z, z.transpose(0, 2, 1), rtol=1e-9, atol=1e-12).all(axis=(1, 2)),
+             line + ": impedance matrix not symmetric"),
+            (~(np.diagonal(z, axis1=1, axis2=2).real > 0).all(axis=1),
+             line + ": diagonal resistance must be positive"),
+            (~(np.isfinite(rating) & (rating > 0)),
+             line + ": s_rating must be finite and positive, got {r.s_rating}"))
+        # only if no line has another fault: a zero pivot in np.linalg.inv's LU
+        _raise_first_fault(lines, (np.linalg.slogdet(z)[0] == 0,
+                                   line + ": impedance matrix is singular"))
+
+        load_bus = index(ld.bus for ld in loads)
+        p, q = stack(loads, "p", NPHASE), stack(loads, "q", NPHASE)
+        _raise_first_fault(
+            loads,
+            (load_bus < 0, "load references unknown bus {r.bus!r}"),
+            (~(np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1)),
+             "load at {r.bus}: non-finite demand"))
+        demand = np.zeros((len(buses), NPHASE), dtype=complex)
+        np.add.at(demand, load_bus, p + 1j * q)
+
+        subs = [k for k, g in enumerate(gens) if g.is_substation]
+        if len(subs) != 1:
+            raise ValidationError(f"expected exactly one substation generator, found {len(subs)}")
+        if gens[subs[0]].bus != self.substation_bus:
+            raise ValidationError(f"substation generator sits at {gens[subs[0]].bus!r}, "
+                                  f"expected {self.substation_bus!r}")
+        gen_bus, cost = index(g.bus for g in gens), stack(gens, "marginal_cost")
+        box = np.array([stack(gens, name, NPHASE) for name in _GEN_BOX])
+        gen = "generator at {r.bus}: "
+        _raise_first_fault(
+            gens,
+            (gen_bus < 0, "generator references unknown bus {r.bus!r}"),
+            *((~np.isfinite(b).all(axis=1), gen + "non-finite " + name)
+              for b, name in zip(box, _GEN_BOX)),
+            (((box[0] > box[1]) | (box[2] > box[3])).any(axis=1),
+             gen + "empty output box (min > max)"),
+            (~np.isfinite(cost), gen + "non-finite marginal cost"),
+            (cost < 0, gen + "negative marginal cost"))
+
+        _raise_first_fault(self.unbalance.buses, (index(self.unbalance.buses) < 0,
+                                                  "unbalance subset references unknown bus {r!r}"))
+        # connectivity: a traversal of the line graph from the substation
+        adj = [set() for _ in ids]
+        for i, j in zip(line_from.tolist(), line_to.tolist()):
+            adj[i].add(j)
+            adj[j].add(i)
+        seen = stack = {pos[self.substation_bus]}
+        while stack:
+            stack = set().union(*(adj[k] for k in stack)) - seen
+            seen = seen | stack
+        if len(seen) != len(ids):
+            missing = min(i for k, i in enumerate(ids) if k not in seen)
+            raise ValidationError(f"bus {missing!r} is not connected to the substation")
+
+        for name, value in dict(
+                bus_ids=ids, _bus_pos=pos, bus_vmin=vmin, bus_vmax=vmax, line_from=line_from,
+                line_to=line_to, line_y=_readonly(np.linalg.inv(z)), line_rating=rating,
+                demand=_readonly(demand), gen_bus=gen_bus, gen_cost=cost,
+                gen_box=_readonly(np.where([[ph in g.phases for ph in PHASES] for g in gens],
+                                           box, 0.0)), substation_gen=subs[0]).items():
+            object.__setattr__(self, name, value)
 
     @cached_property
     def ybus_csr(self):
@@ -240,7 +317,7 @@ class NetworkSpec:
         """Buses the unbalance term applies to; defaults to all non-slack buses."""
         if self.unbalance.buses:
             return list(self.unbalance.buses)
-        return [b.id for b in self.buses if b.id != self.substation_bus]
+        return [i for i in self.bus_ids if i != self.substation_bus]
 
     @property
     def base_kw(self):
@@ -248,25 +325,14 @@ class NetworkSpec:
 
     def demand_pu(self):
         """(nbus, 3) complex array of total load P + jQ per bus and phase."""
-        s = np.zeros((len(self.buses), NPHASE), dtype=complex)
-        for ld in self.loads:
-            s[self.bus_index(ld.bus)] += ld.p + 1j * ld.q
-        return s
+        return self.demand.copy()
 
     def with_extra_load(self, bus, phase, dp=0.0, dq=0.0) -> "NetworkSpec":
         """Copy with one additional point load (per-unit) at (bus, phase)."""
         i = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-        p = np.zeros(NPHASE)
-        q = np.zeros(NPHASE)
-        p[i] = dp
-        q[i] = dq
-        extra = LoadSpec(bus=bus, p=p, q=q)
-        return NetworkSpec(
-            base_kva=self.base_kva, base_volt_ln=self.base_volt_ln,
-            buses=self.buses, lines=self.lines, loads=self.loads + (extra,),
-            gens=self.gens, substation_bus=self.substation_bus,
-            unbalance=self.unbalance,
-        )
+        p, q = np.zeros(NPHASE), np.zeros(NPHASE)
+        p[i], q[i] = dp, dq
+        return replace(self, loads=self.loads + (LoadSpec(bus=bus, p=p, q=q),))
 
 
 def _check_bases(base_kva, base_volt_ln):
@@ -275,85 +341,14 @@ def _check_bases(base_kva, base_volt_ln):
             raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
-def _line_admittances(lines):
-    """Check the lines' impedances and ratings over their (nline, 3, 3) stack
-    and return its read-only inverse.  A ValidationError names the first line
-    at fault with its first fault, and a singular line only if none has one."""
-    z = np.array([ln.z for ln in lines], dtype=complex).reshape(-1, NPHASE, NPHASE)
-    rating = np.array([ln.s_rating for ln in lines], dtype=float)
-    faults = np.stack((
-        ~np.isfinite(z).all(axis=(1, 2)),
-        ~np.isclose(z, z.transpose(0, 2, 1), rtol=1e-9, atol=1e-12).all(axis=(1, 2)),
-        ~(np.diagonal(z, axis1=1, axis2=2).real > 0).all(axis=1),
-        ~(np.isfinite(rating) & (rating > 0)),
-    ), axis=1)
-    if faults.any():
-        k, fault = np.argwhere(faults)[0]
-        ln = lines[k]
-        reason = ("non-finite impedance", "impedance matrix not symmetric",
-                  "diagonal resistance must be positive",
-                  f"s_rating must be finite and positive, got {ln.s_rating}")[fault]
-        raise ValidationError(f"line {ln.from_bus}-{ln.to_bus}: {reason}")
-    try:
-        return _readonly(np.linalg.inv(z))
-    except np.linalg.LinAlgError:
-        for ln in lines:            # only to name the singular line
-            try:
-                np.linalg.inv(ln.z)
-            except np.linalg.LinAlgError:
-                raise ValidationError(f"line {ln.from_bus}-{ln.to_bus}: "
-                                      "impedance matrix is singular") from None
-        raise
-
-
-def _validate(net: NetworkSpec):
-    _check_bases(net.base_kva, net.base_volt_ln)
-    ids = [b.id for b in net.buses]
-    dup = {i for i in ids if ids.count(i) > 1}
-    if dup:
-        raise ValidationError(f"duplicate bus id {sorted(dup)[0]!r}")
-    known = set(ids)
-    if net.substation_bus not in known:
-        raise ValidationError(f"substation bus {net.substation_bus!r} is not a bus")
-    for ln in net.lines:
-        for end in (ln.from_bus, ln.to_bus):
-            if end not in known:
-                raise ValidationError(
-                    f"line {ln.from_bus}-{ln.to_bus} references unknown bus {end!r}"
-                )
-        if ln.from_bus == ln.to_bus:
-            raise ValidationError(f"line {ln.from_bus}-{ln.to_bus} is a self-loop")
-    for ld in net.loads:
-        if ld.bus not in known:
-            raise ValidationError(f"load references unknown bus {ld.bus!r}")
-    subs = [g for g in net.gens if g.is_substation]
-    if len(subs) != 1:
-        raise ValidationError(f"expected exactly one substation generator, found {len(subs)}")
-    if subs[0].bus != net.substation_bus:
-        raise ValidationError(
-            f"substation generator sits at {subs[0].bus!r}, expected {net.substation_bus!r}"
-        )
-    for g in net.gens:
-        if g.bus not in known:
-            raise ValidationError(f"generator references unknown bus {g.bus!r}")
-    for b in net.unbalance.buses:
-        if b not in known:
-            raise ValidationError(f"unbalance subset references unknown bus {b!r}")
-    # connectivity over the line graph
-    adj = {i: set() for i in known}
-    for ln in net.lines:
-        adj[ln.from_bus].add(ln.to_bus)
-        adj[ln.to_bus].add(ln.from_bus)
-    seen = {net.substation_bus}
-    stack = [net.substation_bus]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if seen != known:
-        missing = sorted(known - seen)
-        raise ValidationError(f"bus {missing[0]!r} is not connected to the substation")
+def _raise_first_fault(records, *faults):
+    """Raise the ValidationError of the first of ``records`` at fault, for its
+    first fault.  Each fault is a mask over the records and a message
+    template that ``str.format`` fills with the record as ``r``."""
+    at_fault = np.array([mask for mask, _ in faults], dtype=bool)
+    if at_fault.any():
+        k, kind = np.argwhere(at_fault.T)[0]
+        raise ValidationError(faults[kind][1].format(r=records[k]))
 
 
 # -- JSON ingestion ---------------------------------------------------------

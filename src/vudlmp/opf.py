@@ -270,11 +270,8 @@ class OpfProblem:
         self.idx_p, self.idx_q = _pairs(nv, (nline, 2, NPHASE))
         self.nvar = nv + 4 * NPHASE * nline
 
-        # effective generator boxes: phases the unit does not own are pinned to 0
-        owned = np.array([[ph in gen.phases for ph in PHASES] for gen in net.gens])
-        self.gen_pmin, self.gen_pmax, self.gen_qmin, self.gen_qmax = np.where(
-            owned, [[getattr(gen, name) for gen in net.gens]
-                    for name in ("pmin", "pmax", "qmin", "qmax")], 0.0)
+        # generator boxes, 0 on the phases a unit does not own
+        self.gen_pmin, self.gen_pmax, self.gen_qmin, self.gen_qmax = net.gen_box
 
         self.vuf_buses = []
         if self.cfg.mode in ("hard", "soft"):
@@ -336,9 +333,8 @@ class OpfProblem:
         else:
             v, s_from, s_to = point.voltages, point.s_from, point.s_to
             b = self.slack
-            gen[[g.is_substation for g in net.gens]] = (
-                np.sum(s_from[net.line_from == b], axis=0)
-                + np.sum(s_to[net.line_to == b], axis=0) + net.demand_pu()[b])
+            gen[net.substation_gen] = (np.sum(s_from[net.line_from == b], axis=0)
+                                       + np.sum(s_to[net.line_to == b], axis=0) + net.demand[b])
         ns = self._nonslack
         x[self.idx_e[ns]] = np.real(v[ns])
         x[self.idx_f[ns]] = np.imag(v[ns])
@@ -352,7 +348,8 @@ class OpfProblem:
 
     def _build_constraints(self):
         net = self.net
-        lines = [(ln.from_bus, ln.to_bus) for ln in net.lines]
+        ids = net.bus_ids
+        lines = [(ids[i], ids[j]) for i, j in zip(net.line_from, net.line_to)]
 
         # equality tags: flow definitions then nodal balances; flow block k =
         # (line, end, phase) in C order owns the P row 2k and the Q row 2k + 1,
@@ -360,16 +357,15 @@ class OpfProblem:
         self.eq_tags = [ConstraintTag("flow_definition", line=ln, end=d, phase=ph, part=part)
                         for ln in lines for d in range(2) for ph in PHASES for part in "pq"]
         self._balance_row0 = len(self.eq_tags)
-        self.eq_tags += [ConstraintTag(kind, bus=b.id, phase=ph) for b in net.buses
+        self.eq_tags += [ConstraintTag(kind, bus=b, phase=ph) for b in ids
                          for ph in PHASES for kind in ("p_balance", "q_balance")]
         self.n_eq = len(self.eq_tags)
         # nodal balances: flows leaving the bus enter with +1, generation with -1
         eq_rows = self.by_family(eq=np.arange(self.n_eq))
-        gen_bus = np.array([net.bus_index(g.bus) for g in net.gens], dtype=int)
         rows, cols, vals = [], [], []
         for b, cp, cq, sign in ((net.line_from, self.idx_p[:, 0], self.idx_q[:, 0], 1.0),
                                 (net.line_to, self.idx_p[:, 1], self.idx_q[:, 1], 1.0),
-                                (gen_bus, self.idx_pg, self.idx_qg, -1.0)):
+                                (net.gen_bus, self.idx_pg, self.idx_qg, -1.0)):
             rows += [eq_rows["p_balance"][b].ravel(), eq_rows["q_balance"][b].ravel()]
             cols += [cp.ravel(), cq.ravel()]
             vals.append(np.full(2 * cp.size, sign))
@@ -378,16 +374,16 @@ class OpfProblem:
         order = np.lexsort((cols, rows))
         self._bal = rows[order], cols[order], vals[order]
         self._bal_b = np.zeros(self.n_eq)
-        bal_b, demand = self.by_family(eq=self._bal_b), net.demand_pu()
-        bal_b["p_balance"][:], bal_b["q_balance"][:] = np.real(demand), np.imag(demand)
+        bal_b = self.by_family(eq=self._bal_b)
+        bal_b["p_balance"][:], bal_b["q_balance"][:] = np.real(net.demand), np.imag(net.demand)
 
         # inequality tags: voltage boxes (lo, hi per non-slack bus and phase),
         # generator boxes, thermal limits, hard VUF limits
-        self.ineq_tags = [ConstraintTag(kind, bus=net.buses[b].id, phase=ph)
+        self.ineq_tags = [ConstraintTag(kind, bus=ids[b], phase=ph)
                           for b in np.flatnonzero(self._nonslack) for ph in PHASES
                           for kind in ("v_mag_lo", "v_mag_hi")]
         self._box_row0 = len(self.ineq_tags)
-        self.ineq_tags += [ConstraintTag(kind, bus=gen.bus, phase=ph) for gen in net.gens
+        self.ineq_tags += [ConstraintTag(kind, bus=ids[b], phase=ph) for b in net.gen_bus
                            for ph in PHASES for kind in ("pg_lo", "pg_hi", "qg_lo", "qg_hi")]
         self._thermal_row0 = len(self.ineq_tags)
         self.ineq_tags += [ConstraintTag("thermal", line=ln, phase=ph)
@@ -399,8 +395,7 @@ class OpfProblem:
 
         # linear objective part: generator energy cost in EUR/h
         self._cost_lin = np.zeros(self.nvar)
-        self._cost_lin[self.idx_pg] += np.array(
-            [[gen.marginal_cost] for gen in net.gens]) * net.base_kw
+        self._cost_lin[self.idx_pg] += net.gen_cost[:, None] * net.base_kw
 
         self._build_flow_derivatives()
         self._build_ineq_derivatives()
@@ -470,11 +465,11 @@ class OpfProblem:
         ns = self._nonslack
         self._ve = self.idx_e[ns].ravel()
         self._vf = self.idx_f[ns].ravel()
-        self._vmin_sq = np.repeat([net.buses[b].vmin**2 for b in np.flatnonzero(ns)], NPHASE)
-        self._vmax_sq = np.repeat([net.buses[b].vmax**2 for b in np.flatnonzero(ns)], NPHASE)
+        self._vmin_sq = np.repeat(_pow(net.bus_vmin[ns], 2), NPHASE)
+        self._vmax_sq = np.repeat(_pow(net.bus_vmax[ns], 2), NPHASE)
         self._tp = self.idx_p[:, 0].ravel()
         self._tq = self.idx_q[:, 0].ravel()
-        self._rating_sq = np.repeat([ln.s_rating**2 for ln in net.lines], NPHASE)
+        self._rating_sq = np.repeat(_pow(net.line_rating, 2), NPHASE)
         self._box_values = np.tile([-1.0, 1.0, -1.0, 1.0], self.idx_pg.size)
 
         ineq_rows = self.by_family(ineq=np.arange(self.n_ineq))

@@ -85,12 +85,15 @@ class TestSerialization:
 
 class TestValidation:
     def test_bus_bounds_must_be_ordered(self):
-        with pytest.raises(ValidationError):
-            BusSpec("x", vmin=1.1, vmax=0.9)
+        two_bus = make_two_bus()
+        with pytest.raises(ValidationError, match="bus load: requires 0 < vmin < vmax"):
+            dataclasses.replace(two_bus, buses=(two_bus.buses[0],
+                                                BusSpec("load", vmin=1.1, vmax=0.9)))
 
     def test_bus_id_with_carriage_return_rejected(self):
+        two_bus = make_two_bus()
         with pytest.raises(ValidationError, match="carriage return"):
-            BusSpec("r\rs")
+            dataclasses.replace(two_bus, buses=two_bus.buses + (BusSpec("r\rs"),))
 
     @staticmethod
     def with_line(z, s_rating=1.0, base=None):
@@ -192,9 +195,10 @@ class TestValidation:
             network_from_dict(doc)
 
     def test_gen_empty_box_rejected(self):
-        with pytest.raises(ValidationError):
-            GenSpec("b", ("a",), pmin=np.ones(3), pmax=np.zeros(3),
-                    qmin=np.zeros(3), qmax=np.zeros(3), marginal_cost=1.0)
+        two_bus = make_two_bus()
+        with pytest.raises(ValidationError, match="generator at sub: empty output box"):
+            dataclasses.replace(two_bus, gens=(      # its pmax is 4
+                dataclasses.replace(two_bus.gens[0], pmin=np.full(3, 5.0)),))
 
     @pytest.mark.parametrize("field, value", [("cost", float("nan")),
                                               ("pmax", [float("nan"), 1.0, 1.0])],
@@ -252,6 +256,195 @@ class TestValidation:
         doc["unbalance"]["buses"] = ["nope"]
         with pytest.raises(ValidationError):
             network_from_dict(doc)
+
+
+def change(kind, k, **changes):
+    """An edit of the k-th record of ``kind``; a callable value takes the record."""
+    def edit(f):
+        r = f[kind][k]
+        f[kind][k] = dataclasses.replace(
+            r, **{name: v(r) if callable(v) else v for name, v in changes.items()})
+    return edit
+
+
+def setting(**changes):
+    """An edit of network fields."""
+    return lambda f: f.update(changes)
+
+
+def add_bus(bus_id, joined_to="b5", **fields):
+    """An edit adding a bus, joined to ``joined_to`` by a copy of line 0 if given."""
+    def edit(f):
+        f["buses"].append(BusSpec(bus_id, **fields))
+        if joined_to:
+            f["lines"].append(dataclasses.replace(f["lines"][0], from_bus=joined_to,
+                                                  to_bus=bus_id))
+    return edit
+
+
+def build(net, *edits):
+    """The network of ``net``'s records after ``edits``, checked once."""
+    f = {fl.name: getattr(net, fl.name) for fl in dataclasses.fields(net)}
+    for kind in ("buses", "lines", "loads", "gens"):
+        f[kind] = list(f[kind])
+    for edit in edits:
+        edit(f)
+    return NetworkSpec(**f)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# one fault on simple5 (buses sub, b1..b5; lines sub-b1, b1-b2, b2-b3, b3-b4,
+# b2-b5; loads at b2..b5; generators at sub (the substation), b3, b4, b2)
+# and the exception message it raises
+SINGLE_FAULTS = {
+    "base-kva": (setting(base_kva=0.0),
+                 "base_kva must be finite and positive, got 0.0"),
+    "base-volt": (setting(base_volt_ln=NAN),
+                  "base_volt_ln must be finite and positive, got nan"),
+    "bus-cr": (add_bus("b\r6"),
+               "bus 'b\\r6': an id may not hold a carriage return"),
+    "bus-vmin-inf": (change("buses", 2, vmin=INF),
+                     "bus b2: vmin must be finite, got inf"),
+    "bus-vmin-nan": (change("buses", 2, vmin=NAN),
+                     "bus b2: vmin must be finite, got nan"),
+    "bus-vmax-inf": (change("buses", 4, vmax=-INF),
+                     "bus b4: vmax must be finite, got -inf"),
+    "bus-unordered": (change("buses", 2, vmin=1.2),
+                      "bus b2: requires 0 < vmin < vmax, got vmin=1.2, vmax=1.1"),
+    "bus-vmin-zero": (change("buses", 3, vmin=0.0),
+                      "bus b3: requires 0 < vmin < vmax, got vmin=0.0, vmax=1.1"),
+    "bus-duplicate": (add_bus("b3", joined_to=None),
+                      "duplicate bus id 'b3'"),
+    "substation-not-a-bus": (setting(substation_bus="ghost"),
+                             "substation bus 'ghost' is not a bus"),
+    "line-from-unknown": (change("lines", 2, from_bus="ghost"),
+                          "line ghost-b3 references unknown bus 'ghost'"),
+    "line-to-unknown": (change("lines", 3, to_bus="ghost"),
+                        "line b3-ghost references unknown bus 'ghost'"),
+    "line-self-loop": (change("lines", 4, to_bus="b2"),
+                       "line b2-b2 is a self-loop"),
+    "line-non-finite": (change("lines", 1, z=lambda r: r.z * INF),
+                        "line b1-b2: non-finite impedance"),
+    "line-rating": (change("lines", 1, s_rating=-1.0),
+                    "line b1-b2: s_rating must be finite and positive, got -1.0"),
+    "line-singular": (change("lines", 3, z=np.full((3, 3), 0.2 + 0.1j)),
+                      "line b3-b4: impedance matrix is singular"),
+    "load-unknown": (change("loads", 1, bus="ghost"),
+                     "load references unknown bus 'ghost'"),
+    "load-p-nan": (change("loads", 1, p=[0.1, NAN, 0.1]),
+                   "load at b3: non-finite demand"),
+    "load-q-inf": (change("loads", 3, q=[0.1, 0.1, -INF]),
+                   "load at b5: non-finite demand"),
+    "no-substation-gen": (change("gens", 0, is_substation=False),
+                          "expected exactly one substation generator, found 0"),
+    "two-substation-gens": (change("gens", 2, is_substation=True),
+                            "expected exactly one substation generator, found 2"),
+    "substation-gen-elsewhere": (change("gens", 0, bus="b1"),
+                                 "substation generator sits at 'b1', expected 'sub'"),
+    "substation-gen-unknown": (change("gens", 0, bus="ghost"),
+                               "substation generator sits at 'ghost', expected 'sub'"),
+    "gen-unknown": (change("gens", 1, bus="ghost"),
+                    "generator references unknown bus 'ghost'"),
+    "gen-pmin-nan": (change("gens", 1, pmin=[0.0, NAN, 0.0]),
+                     "generator at b3: non-finite pmin"),
+    "gen-pmax-inf": (change("gens", 1, pmax=[INF, 1.0, 1.0]),
+                     "generator at b3: non-finite pmax"),
+    "gen-qmin-inf": (change("gens", 2, qmin=[-1.0, -1.0, -INF]),
+                     "generator at b4: non-finite qmin"),
+    "gen-qmax-nan": (change("gens", 3, qmax=[NAN, 1.0, 1.0]),
+                     "generator at b2: non-finite qmax"),
+    "gen-empty-p-box": (change("gens", 1, pmin=lambda r: r.pmax + 1.0),
+                        "generator at b3: empty output box (min > max)"),
+    "gen-empty-q-box": (change("gens", 3, qmax=lambda r: r.qmin - 1e-3),
+                        "generator at b2: empty output box (min > max)"),
+    "gen-cost-nan": (change("gens", 1, marginal_cost=NAN),
+                     "generator at b3: non-finite marginal cost"),
+    "gen-cost-negative": (change("gens", 3, marginal_cost=-0.5),
+                          "generator at b2: negative marginal cost"),
+    "gen-unknown-phase": (change("gens", 2, phases=("a", "d")),
+                          "generator at b4: unknown phase d"),
+    "unbalance-unknown": (setting(unbalance=UnbalanceConfig("soft", 0.0, 1.0, ("b1", "ghost"))),
+                          "unbalance subset references unknown bus 'ghost'"),
+    "disconnected": (add_bus("island", joined_to=None),
+                     "bus 'island' is not connected to the substation"),
+}
+
+# several faults on one simple5 network, in the order they are named: the
+# first of the records of a kind at fault, with its first fault; kinds in
+# the order buses, lines, loads, substation unit, generators, then the
+# unbalance subset and connectivity
+ORDERED_FAULTS = (
+    (add_bus("b3", joined_to=None), "duplicate bus id 'b3'"),
+    (add_bus("b7", vmin=1.2),
+     "bus b7: requires 0 < vmin < vmax, got vmin=1.2, vmax=1.1"),
+    (change("lines", 1, to_bus="ghost"),
+     "line b1-ghost references unknown bus 'ghost'"),
+    (change("lines", 2, z=lambda r: r.z * NAN, to_bus="b2"),
+     "line b2-b2 is a self-loop"),
+    (change("lines", 3, s_rating=0.0),
+     "line b3-b4: s_rating must be finite and positive, got 0.0"),
+    (change("lines", 0, z=np.full((3, 3), 0.2 + 0.1j)),
+     "line sub-b1: impedance matrix is singular"),
+    (change("loads", 2, bus="ghost", p=[NAN] * 3),
+     "load references unknown bus 'ghost'"),
+    (change("loads", 3, q=[INF] * 3), "load at b5: non-finite demand"),
+    (change("gens", 0, is_substation=False),
+     "expected exactly one substation generator, found 0"),
+    (change("gens", 1, bus="ghost", marginal_cost=NAN),
+     "generator references unknown bus 'ghost'"),
+    (change("gens", 2, pmax=[1.0, NAN, 1.0], marginal_cost=-1.0),
+     "generator at b4: non-finite pmax"),
+    (change("gens", 3, marginal_cost=-1.0), "generator at b2: negative marginal cost"),
+    (setting(unbalance=UnbalanceConfig(buses=("ghost",))),
+     "unbalance subset references unknown bus 'ghost'"),
+    (add_bus("island", joined_to=None),
+     "bus 'island' is not connected to the substation"),
+)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("fault", list(SINGLE_FAULTS))
+    def test_one_fault_is_named(self, simple5, fault):
+        edit, message = SINGLE_FAULTS[fault]
+        with pytest.raises(ValidationError) as info:
+            build(simple5, edit)
+        assert type(info.value) is ValidationError and str(info.value) == message
+
+    def test_faults_are_named_in_stack_order(self, simple5):
+        # each fault is named while it and all later ones are present
+        for k, (_, message) in enumerate(ORDERED_FAULTS):
+            with pytest.raises(ValidationError) as info:
+                build(simple5, *(edit for edit, _ in ORDERED_FAULTS[k:]))
+            assert str(info.value) == message, k
+
+    def test_compiled_arrays(self):
+        two_bus = make_two_bus()
+        solo = GenSpec("load", ("b",), pmin=[-1.0, 0.1, -2.0], pmax=[1.0, 0.5, 3.0],
+                       qmin=[-0.5, -0.2, -0.5], qmax=[0.5, 0.2, 0.5], marginal_cost=0.7)
+        extra = LoadSpec("load", p=[0.01, 0.02, -0.03], q=[0.004, 0.0, 0.006])
+        net = dataclasses.replace(two_bus, loads=two_bus.loads + (extra,),
+                                  gens=two_bus.gens + (solo,))
+        names = ("bus_vmin", "bus_vmax", "line_from", "line_to", "line_y", "line_rating",
+                 "demand", "gen_bus", "gen_box", "gen_cost")
+        assert not any(getattr(net, name).flags.writeable for name in names)
+        # the per-load loop the demand replaces, bit for bit
+        loop = np.zeros((2, 3), dtype=complex)
+        for ld in net.loads:
+            loop[net.bus_index(ld.bus)] += ld.p + 1j * ld.q
+        assert net.demand.tobytes() == loop.tobytes()
+        assert net.demand_pu().tobytes() == loop.tobytes() and net.demand_pu().flags.writeable
+        assert net.bus_ids == ("sub", "load")
+        assert net.bus_vmin.tolist() == [0.9, 0.85] and net.bus_vmax.tolist() == [1.1, 1.1]
+        assert (net.line_from.tolist(), net.line_to.tolist()) == ([0], [1])
+        assert net.line_rating.tolist() == [2.0]
+        assert net.gen_bus.tolist() == [0, 1] and net.gen_cost.tolist() == [1.0, 0.7]
+        assert net.substation_gen == 0
+        # pmin, pmax, qmin, qmax as given on owned phases, exactly 0 elsewhere
+        assert net.gen_box.shape == (4, 2, 3)
+        for b, name in enumerate(("pmin", "pmax", "qmin", "qmax")):
+            assert net.gen_box[b, 0].tolist() == getattr(two_bus.gens[0], name).tolist()
+            assert net.gen_box[b, 1].tolist() == [0.0, getattr(solo, name)[1], 0.0]
 
 
 class TestConvenience:
