@@ -34,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .dlmp import COMPONENTS, StepTooSmall, decompose, sensitivity_report
-from .ipsolver import SolverSettings, is_number, solve
+from .ipsolver import SolverSettings, solve
 from .netmodel import (
     NetworkError,
     UnbalanceConfig,
+    is_number,
     load_network,
 )
 from .opf import build_problem

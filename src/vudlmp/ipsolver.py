@@ -51,7 +51,6 @@ expressions they replace, which the seed-0 benchmark outputs are pinned to:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +59,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
+from .netmodel import is_number
 from .opf import ConstraintTag, OpfProblem
 from .powerflow import max_vuf
 
@@ -74,14 +74,6 @@ REG_INIT = 1e-8         # initial inertia regularization
 REG_CAP = 1e12          # regularization past which a KKT matrix is given up on
 BOUND_RELAX = 1e-8      # tiny inequality relaxation (handles pinned boxes)
 DELTA_C = 1e-8          # dual regularization of the KKT matrix
-
-
-def is_number(value, integral=False):
-    """Whether a value from an untyped JSON config (``"1e-6"``, ``1.5``,
-    ``true``) is a real number, or with ``integral`` an integer; a bool is
-    neither."""
-    kind = numbers.Integral if integral else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -45,6 +46,14 @@ class ParseError(NetworkError):
 
 class ValidationError(NetworkError):
     """Structurally parseable file that violates a model invariant."""
+
+
+def is_number(value, integral=False):
+    """Whether a value from an untyped JSON document (``"1e-6"``, ``1.5``,
+    ``true``) is a real number, or with ``integral`` an integer; a bool is
+    neither."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def impedance_base(base_kva, base_volt_ln):
@@ -351,9 +360,27 @@ def _raise_first_fault(records, *faults):
         raise ValidationError(faults[kind][1].format(r=records[k]))
 
 
+def _numbers(value, shape, what):
+    """``value`` as a float if ``shape`` is ``()``, else as a float array of
+    ``shape``; a ParseError naming ``what`` unless it is (nested lists of)
+    JSON numbers (:func:`is_number`) of that shape."""
+    def fits(v, shape):
+        if not shape:
+            return is_number(v)
+        return (isinstance(v, (list, tuple)) and len(v) == shape[0]
+                and all(fits(e, shape[1:]) for e in v))
+    try:
+        if fits(value, shape):
+            return np.array(value, dtype=float) if shape else float(value)
+    except OverflowError:       # an integer beyond the float range
+        pass
+    kind = "x".join(map(str, shape)) + " numbers" if shape else "a number"
+    raise ParseError(f"{what} must be {kind}, got {value!r}")
+
+
 # -- JSON ingestion ---------------------------------------------------------
 #
-# Schema (SI units):
+# Schema (SI units; every number a JSON number):
 #   base_kva, base_volt_ln,
 #   buses:  [{id, vmin, vmax}]
 #   lines:  [{from, to, z_real[3][3], z_imag[3][3], s_rating}]   (ohm, kVA)
@@ -377,12 +404,13 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     """Build a :class:`NetworkSpec` from a parsed schema document (SI units).
 
     An entry or field of the wrong type or shape raises ParseError naming
-    the entry, e.g. ``line entry 0: ...``.
+    the entry, e.g. ``line entry 0: ...``; a number must be a JSON number and
+    ``is_substation`` a JSON bool.
     """
     try:
-        base_kva = float(doc["base_kva"])
-        base_volt = float(doc["base_volt_ln"])
-    except (KeyError, TypeError, ValueError) as exc:
+        base_kva = _numbers(doc["base_kva"], (), "base_kva")
+        base_volt = _numbers(doc["base_volt_ln"], (), "base_volt_ln")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed base fields: {exc}") from exc
     _check_bases(base_kva, base_volt)
     zbase = impedance_base(base_kva, base_volt)
@@ -392,6 +420,12 @@ def network_from_dict(doc: dict) -> NetworkSpec:
             return entry[key]
         except KeyError:
             raise ParseError(f"{where}: missing field {key!r}") from None
+
+    def _num(where, entry, key, shape=(), default=None):
+        """The entry's ``key`` read by :func:`_numbers`; required unless it
+        has a default."""
+        value = _req(entry, key, where) if default is None else entry.get(key, default)
+        return _numbers(value, shape, f"{where}: {key}")
 
     def _list(value, what):
         if not isinstance(value, (list, tuple)):
@@ -405,59 +439,39 @@ def network_from_dict(doc: dict) -> NetworkSpec:
                 raise ParseError(f"{kind} entry {k}: must be an object, got {e!r}")
             yield f"{kind} entry {k}", e
 
-    # a value float() or np.asarray() cannot take raises TypeError or
-    # ValueError, which is reported against the entry being read
-    where = "network"
-    try:
-        buses = []
-        for where, e in _entries("buses", "bus"):
-            buses.append(BusSpec(
-                id=str(_req(e, "id", where)),
-                vmin=float(e.get("vmin", DEFAULT_VMIN)),
-                vmax=float(e.get("vmax", DEFAULT_VMAX)),
-            ))
-        lines = []
-        with np.errstate(invalid="ignore"):     # the network names a non-finite z
-            for where, e in _entries("lines", "line"):
-                z = (np.asarray(_req(e, "z_real", where), dtype=float)
-                     + 1j * np.asarray(_req(e, "z_imag", where), dtype=float)) / zbase
-                lines.append(LineSpec(
-                    from_bus=str(_req(e, "from", where)),
-                    to_bus=str(_req(e, "to", where)),
-                    z=z,
-                    s_rating=float(_req(e, "s_rating", where)) / base_kva,
-                ))
-        loads = []
-        for where, e in _entries("loads", "load"):
-            loads.append(LoadSpec(
-                bus=str(_req(e, "bus", where)),
-                p=np.asarray(_req(e, "p", where), dtype=float) / base_kva,
-                q=np.asarray(_req(e, "q", where), dtype=float) / base_kva,
-            ))
-        gens = []
-        for where, e in _entries("gens", "generator"):
-            gens.append(GenSpec(
-                bus=str(_req(e, "bus", where)),
-                phases=tuple(_list(_req(e, "phases", where), f"{where}: phases")),
-                pmin=np.asarray(_req(e, "pmin", where), dtype=float) / base_kva,
-                pmax=np.asarray(_req(e, "pmax", where), dtype=float) / base_kva,
-                qmin=np.asarray(_req(e, "qmin", where), dtype=float) / base_kva,
-                qmax=np.asarray(_req(e, "qmax", where), dtype=float) / base_kva,
-                marginal_cost=float(_req(e, "cost", where)),
-                is_substation=bool(e.get("is_substation", False)),
-            ))
-        where = "unbalance"
-        ub = doc.get("unbalance", {})
-        if not isinstance(ub, dict):
-            raise ParseError(f"unbalance must be an object, got {ub!r}")
-        cfg = UnbalanceConfig(
-            mode=ub.get("mode", "none"),
-            vuf_limit_pct=float(ub.get("limit_pct", 0.0)),
-            penalty_weight=float(ub.get("penalty", 0.0)),
-            buses=tuple(str(b) for b in _list(ub.get("buses", []), "unbalance: buses")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    buses = [BusSpec(id=str(_req(e, "id", w)), vmin=_num(w, e, "vmin", default=DEFAULT_VMIN),
+                     vmax=_num(w, e, "vmax", default=DEFAULT_VMAX))
+             for w, e in _entries("buses", "bus")]
+    lines = []
+    with np.errstate(invalid="ignore"):     # the network names a non-finite z
+        for w, e in _entries("lines", "line"):
+            z = (_num(w, e, "z_real", (NPHASE, NPHASE))
+                 + 1j * _num(w, e, "z_imag", (NPHASE, NPHASE))) / zbase
+            lines.append(LineSpec(from_bus=str(_req(e, "from", w)), to_bus=str(_req(e, "to", w)),
+                                  z=z, s_rating=_num(w, e, "s_rating") / base_kva))
+    loads = [LoadSpec(bus=str(_req(e, "bus", w)), p=_num(w, e, "p", (NPHASE,)) / base_kva,
+                      q=_num(w, e, "q", (NPHASE,)) / base_kva)
+             for w, e in _entries("loads", "load")]
+    gens = []
+    for w, e in _entries("gens", "generator"):
+        is_substation = e.get("is_substation", False)
+        if not isinstance(is_substation, bool):
+            raise ParseError(f"{w}: is_substation must be true or false, got {is_substation!r}")
+        gens.append(GenSpec(
+            bus=str(_req(e, "bus", w)),
+            phases=tuple(_list(_req(e, "phases", w), f"{w}: phases")),
+            **{name: _num(w, e, name, (NPHASE,)) / base_kva for name in _GEN_BOX},
+            marginal_cost=_num(w, e, "cost"), is_substation=is_substation,
+        ))
+    ub = doc.get("unbalance", {})
+    if not isinstance(ub, dict):
+        raise ParseError(f"unbalance must be an object, got {ub!r}")
+    cfg = UnbalanceConfig(
+        mode=ub.get("mode", "none"),
+        vuf_limit_pct=_num("unbalance", ub, "limit_pct", default=0.0),
+        penalty_weight=_num("unbalance", ub, "penalty", default=0.0),
+        buses=tuple(str(b) for b in _list(ub.get("buses", []), "unbalance: buses")),
+    )
     sub = doc.get("substation_bus")
     if sub is None:
         subs = [g.bus for g in gens if g.is_substation]

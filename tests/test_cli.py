@@ -341,11 +341,25 @@ class TestSweep:
         (("loads", 0, "p"), ["a", "b", "c"], "load entry 0: "),
         (("buses", 1, "vmin"), "low", "bus entry 1: "),
         (("lines", 0, "s_rating"), None, "line entry 0: "),
+        (("lines", 0, "z_imag"), [0.1, 0.1, 0.1], "line entry 0: z_imag must be 3x3 numbers"),
+        (("lines", 0, "z_imag"), 0.1, "line entry 0: z_imag must be 3x3 numbers"),
+        (("lines", 0, "z_real"), 0.1, "line entry 0: z_real must be 3x3 numbers"),
+        (("gens", 0, "is_substation"), "false", "generator entry 0: is_substation"),
+        (("buses", 1, "vmin"), "0.9", "bus entry 1: vmin must be a number"),
+        (("base_kva",), "50", "base_kva must be a number"),
+        (("gens", 0, "cost"), "1.0", "generator entry 0: cost must be a number"),
+        (("unbalance", "penalty"), "2", "unbalance: penalty must be a number"),
+        (("lines", 0, "s_rating"), True, "line entry 0: s_rating must be a number"),
+        (("loads", 0, "p"), [True, False, True], "load entry 0: p must be 3 numbers"),
+        (("lines", 0, "s_rating"), 10**400, "line entry 0: s_rating must be a number"),
     ], ids=["z-inf", "z-nan", "z-imag-inf", "s-rating-inf", "vmin-inf", "vmax-inf",
             "base-kva-inf", "base-volt-inf", "base-kva-nan", "line-not-object",
             "load-not-object", "gen-not-object", "unbalance-not-object", "lines-not-list",
             "phases-not-list", "unbalance-buses-not-list", "z-ragged", "z-not-numeric",
-            "load-p-not-numeric", "vmin-not-numeric", "s-rating-null"])
+            "load-p-not-numeric", "vmin-not-numeric", "s-rating-null", "z-imag-row",
+            "z-imag-scalar", "z-real-scalar", "substation-string", "vmin-string",
+            "base-kva-string", "cost-string", "penalty-string", "s-rating-bool",
+            "load-p-bool", "s-rating-huge-int"])
     def test_opf_non_finite_network_value_is_config_error(self, simple5, tmp_path, capsys,
                                                           where, value, named):
         doc = network_to_dict(simple5)
