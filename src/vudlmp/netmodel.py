@@ -360,22 +360,25 @@ def _raise_first_fault(records, *faults):
         raise ValidationError(faults[kind][1].format(r=records[k]))
 
 
-def _numbers(value, shape, what):
+def _numbers(value, shape, *name):
     """``value`` as a float if ``shape`` is ``()``, else as a float array of
-    ``shape``; a ParseError naming ``what`` unless it is (nested lists of)
-    JSON numbers (:func:`is_number`) of that shape."""
-    def fits(v, shape):
-        if not shape:
-            return is_number(v)
-        return (isinstance(v, (list, tuple)) and len(v) == shape[0]
-                and all(fits(e, shape[1:]) for e in v))
+    ``shape``; a ParseError naming ``name`` (its parts joined by ": ") unless
+    it is (nested lists of) JSON numbers (:func:`is_number`) of that shape."""
+    if type(value) is float and not shape:      # most fields: no numpy, no ABC check
+        return value
     try:
-        if fits(value, shape):
-            return np.array(value, dtype=float) if shape else float(value)
-    except OverflowError:       # an integer beyond the float range
-        pass
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):      # ragged, not numeric, too large
+        a = None
+    if a is not None and a.shape == shape:
+        leaves = [value] if not shape else [v for row in value for v in row] \
+            if len(shape) == 2 else value
+        # np.array takes strings, bools and None too; float and int, JSON's
+        # numbers, pass without the slower is_number
+        if set(map(type, leaves)) <= {float, int} or all(map(is_number, leaves)):
+            return a if shape else float(value)
     kind = "x".join(map(str, shape)) + " numbers" if shape else "a number"
-    raise ParseError(f"{what} must be {kind}, got {value!r}")
+    raise ParseError(f"{': '.join(name)} must be {kind}, got {value!r}")
 
 
 # -- JSON ingestion ---------------------------------------------------------
@@ -425,7 +428,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         """The entry's ``key`` read by :func:`_numbers`; required unless it
         has a default."""
         value = _req(entry, key, where) if default is None else entry.get(key, default)
-        return _numbers(value, shape, f"{where}: {key}")
+        return _numbers(value, shape, where, key)
 
     def _list(value, what):
         if not isinstance(value, (list, tuple)):
