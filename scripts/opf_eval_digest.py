@@ -151,7 +151,7 @@ def print_network_digests():
         ids = np.frombuffer("\n".join(net.bus_ids).encode(), np.uint8)
         print(f"{name} network buses={len(net.buses)} loads={len(net.loads)}"
               f" gens={len(net.gens)} substation_gen={net.substation_gen}"
-              f" digest={digest(ids, *(getattr(net, name) for name in COMPILED))}")
+              f" digest={digest(ids, *(getattr(net, attr) for attr in COMPILED))}")
     for name, net in nets:
         print(f"{name} line_y lines={len(net.lines)} digest={digest(net.line_y)}")
 
