@@ -19,36 +19,34 @@ v = PhasorSet.from_array([
     1.03 * np.exp(2j * np.pi / 3 - 0.015j),
 ])
 
-seq = fortescue(v)
+v_pos, v_neg = fortescue(v)
 print("phase voltages (pu):")
-for name, val in zip("abc", v.as_array()):
+for name, val in zip("abc", np.asarray(v)):
     print(f"  v_{name} = {abs(val):.4f} /_{np.angle(val, deg=True):8.2f} deg")
-print(f"positive sequence |v+| = {abs(seq.v_pos):.5f}")
-print(f"negative sequence |v-| = {abs(seq.v_neg):.5f}")
+print(f"positive sequence |v+| = {abs(v_pos):.5f}")
+print(f"negative sequence |v-| = {abs(v_neg):.5f}")
 print(f"VUF = 100 |v-| / |v+| = {vuf(v):.4f} %")
 print(f"f   = VUF^2            = {f_metric(v):.4f} %^2")
 
 # the balanced reference carries no negative sequence at all
 flat = PhasorSet.balanced(1.0)
 print(f"\nbalanced set: VUF = {vuf(flat):.2e} %, "
-      f"|grad f| = {np.max(np.abs(grad_f(flat).as_array())):.2e}  (exactly zero)")
+      f"|grad f| = {np.max(np.abs(grad_f(flat))):.2e}  (exactly zero)")
 
 # gradient sanity: closed form vs central differences, coordinate by coordinate
-g = grad_f(v).as_array()
+g = grad_f(v)
 h = 1e-7
 print("\ngradient of f (closed form vs finite differences):")
 for ph in range(3):
     fd = 0j
     for unit in (1.0, 1j):
-        up = v.as_array(); up[ph] += h * unit
-        dn = v.as_array(); dn[ph] -= h * unit
-        d = (f_metric(PhasorSet.from_array(up))
-             - f_metric(PhasorSet.from_array(dn))) / (2 * h)
-        fd += d * unit
+        up = np.array(v); up[ph] += h * unit
+        dn = np.array(v); dn[ph] -= h * unit
+        fd += unit * (f_metric(up) - f_metric(dn)) / (2 * h)
     print(f"  phase {'abc'[ph]}: closed {g[ph]:+.6f}   fd {fd:+.6f}")
 
 # walking against the gradient reduces the unbalance
 step = 1e-4
-improved = PhasorSet.from_array(v.as_array() - step * g)
+improved = np.asarray(v) - step * g
 print(f"\none gradient step of {step}: f {f_metric(v):.4f} -> "
       f"{f_metric(improved):.4f}")

@@ -5,7 +5,12 @@ so the per-bus values here are reconstructions that honor the aggregates
 (totals, phase splits, DER capacities, motor loads).  Line impedances are
 plausible LV cable data; a global impedance scale is tuned by bisection so
 the load-only power flow lands at a stated maximum VUF.  Output is
-deterministic.
+deterministic, and simple5 comes out byte for byte as bundled, but eulv117
+no longer does: the bisection runs on power-flow VUF bits that have moved
+since the bundled file was written, so its line impedances differ in their
+last digits.  Every pinned benchmark output depends on those digits, so do
+not use this script to refresh ``src/vudlmp/data`` outside a reference
+regeneration of the benchmark.
 
 Run from the repo root:  python scripts/make_networks.py
 """

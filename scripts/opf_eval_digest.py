@@ -36,7 +36,9 @@ and residuals, and digests of its primal and dual iterates and of its
 SuperLU in the eulv117 hard 0.5 % solve (the stand-in its one ordering is
 taken from, then the permuted ``P K P'`` of every factorization) and to
 LAPACK ``dsytrf`` in the simple5 soft-f and hard 1 % solves (the latter with the three-term
-``J' diag(sigma) J`` entries and the VUF Hessian blocks).  Each digest is a prefix of the SHA-256 of the raw
+``J' diag(sigma) J`` entries and the VUF Hessian blocks).  The last line
+gives each whole solve's ``max_vuf()``: the bus and the ``float.hex`` of its
+VUF.  Each digest is a prefix of the SHA-256 of the raw
 bytes (values, ``indices``, ``indptr`` and their dtypes) of one vector or
 matrix.  The script pins OpenBLAS, OpenMP and MKL to one thread before
 numpy loads (the eulv117 power flow's dense LU rounds by thread count), so
@@ -235,26 +237,32 @@ def print_solve_digest(name, label, sol):
           f" residuals={ {k: float(v) for k, v in sol.residuals.items()}!r}"
           f" message={sol.message!r}"
           f" decompose={len(rows)}:{digest(np.frombuffer(keys, np.uint8), values)}")
+    bus, worst = sol.max_vuf()
+    return f"{name}/{label}={bus}:{float.hex(float(worst))}"
 
 
 def print_solve_digests():
+    """Print every whole solve's digest line; return each one's highest VUF
+    entry."""
+    worst = []
     for name, label, cfg, penalty_on in SOLVES:
         net = load_network(bundled_network(name))
         prob = build_problem(net, cfg, penalty_on=penalty_on)
         print_layout_digest(name, label, prob)
-        print_solve_digest(name, label, solve(prob, warm=solve_pf(net)))
+        worst.append(print_solve_digest(name, label, solve(prob, warm=solve_pf(net))))
     net = two_bus()
     cold = build_problem(net)
     print_layout_digest("two-bus", "cold", cold)
-    print_solve_digest("two-bus", "cold", solve(cold))
+    worst.append(print_solve_digest("two-bus", "cold", solve(cold)))
     infeasible = build_problem(net, UnbalanceConfig("hard", 1e-4, buses=("load",)))
     print_layout_digest("two-bus", "hard-1e-4", infeasible)
-    print_solve_digest("two-bus", "hard-1e-4",
-                       solve(infeasible, settings=SolverSettings(max_iter=80)))
+    worst.append(print_solve_digest("two-bus", "hard-1e-4",
+                                    solve(infeasible, settings=SolverSettings(max_iter=80))))
     for name in ("simple5", "eulv117"):
         cold = build_problem(load_network(bundled_network(name)), UnbalanceConfig("none"))
         print_layout_digest(name, "none-cold", cold)
-        print_solve_digest(name, "none-cold", solve(cold))
+        worst.append(print_solve_digest(name, "none-cold", solve(cold)))
+    return worst
 
 
 @contextlib.contextmanager
@@ -295,8 +303,9 @@ def main():
     print_network_digests()
     print_opf_digests()
     print_pf_digests()
-    print_solve_digests()
+    worst = print_solve_digests()
     print_kkt_digest()
+    print("max_vuf " + " ".join(worst))
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ from .netmodel import (
 from .sequence import (
     DegeneratePointError,
     PhasorSet,
-    SequencePair,
-    UnbalanceGradient,
     f_metric,
     fortescue,
     grad_f,

@@ -43,6 +43,7 @@ from .netmodel import (
 )
 from .opf import build_problem
 from .powerflow import PowerFlowDiverged, PowerFlowError, solve_pf
+from .sequence import vuf
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -250,6 +251,10 @@ def run_sweep(cfg: ScenarioConfig) -> list:
         raise ConfigError("sweep requested with an empty weight/limit list")
     cases = [replace(cfg, case_id=f"{cfg.case_id}_{knob}_{_fmt(float(v))}",
                      **{knob: float(v)}) for v in values]
+    ids = [case.case_id for case in cases]
+    if len(set(ids)) < len(ids):
+        raise ConfigError(f"sweep values name case {max(ids, key=ids.count)!r} more than "
+                          "once; no two may print alike to 10 significant digits")
     nworkers = cfg.jobs or os.cpu_count() or 1
     if nworkers > 1 and len(cases) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=nworkers) as pool:
@@ -357,12 +362,10 @@ def _cmd_pf(args):
         return EXIT_SOLVER
     print(f"power flow converged in {point.iterations} iterations")
     print("bus        |v_a|     |v_b|     |v_c|     VUF%")
-    rows = []
-    for b in net.buses:
-        v = point.voltages[net.bus_index(b.id)]
-        u = point.vuf(b.id)
-        rows.append((b.id, abs(v[0]), abs(v[1]), abs(v[2]), u))
-        print(f"{b.id:<10} {abs(v[0]):.5f}   {abs(v[1]):.5f}   {abs(v[2]):.5f}   {u:.4f}")
+    v = point.voltages
+    rows = list(zip(net.bus_ids, *np.hypot(v.real, v.imag).T, vuf(v)))
+    for row in rows:
+        print("{:<10} {:.5f}   {:.5f}   {:.5f}   {:.4f}".format(*row))
     bus, worst = point.max_vuf()
     print(f"losses: {point.losses * net.base_kw:.4f} kW; "
           f"highest VUF {worst:.4f}% at {bus}")

@@ -32,7 +32,7 @@ from .powerflow import (
     nonslack_index,
     resolve_from,
 )
-from .sequence import PhasorSet, f_metric, grad_f
+from .sequence import f_metric, grad_f
 
 EPS_I = 1e-8            # incident-current magnitude below which the
                         # closed-form sensitivity is reported as undefined
@@ -83,17 +83,18 @@ class StepTooSmall(ValueError):
 # -- closed-form sensitivity ------------------------------------------------
 
 
-def _closed_forms(point: OperatingPoint, bus):
+def _closed_forms(point: OperatingPoint, bus, grad):
     """Incident-current magnitude per phase at ``bus`` and, from one
-    transposed solve, its closed-form responses as a (kind, phase) array
-    (active first); None when no phase carries more than EPS_I."""
+    transposed solve, the closed-form responses of f (gradient ``grad``)
+    as a (kind, phase) array (active first); None when no phase carries
+    more than EPS_I."""
     net = point.net
     current = [abs(point.incident_current_sum(bus, ph)) for ph in range(NPHASE)]
     if max(current) <= EPS_I:
         return current, None
     b = net.bus_index(bus)
     weight = np.zeros((1, len(net.buses), NPHASE), dtype=complex)
-    weight[0, b] = grad_f(point.phasors(bus)).as_array()
+    weight[0, b] = grad
     return current, _consumption_response(net, point.jacobian_lu, weight)[:, b, :, 0]
 
 
@@ -111,7 +112,8 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     (:attr:`OperatingPoint.jacobian_lu`), factored once per point.
     """
     phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
-    current, closed = _closed_forms(point, bus)
+    current, closed = _closed_forms(
+        point, bus, grad_f(point.voltages[point.net.bus_index(bus)]))
     value = None
     if current[phase_idx] > EPS_I:
         value = float(closed[0 if power_kind == "active" else 1, phase_idx])
@@ -122,11 +124,10 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     )
 
 
-def _fd_sensitivities(net, point, bus, entries, step):
-    """Central finite differences of f at ``bus`` for each (phase index,
-    power kind) of ``entries``, from one batch of re-solves from ``point``
-    (+step, then -step, per entry; see :func:`~vudlmp.powerflow.resolve_from`).
-    StepTooSmall if a re-solve takes no Newton step."""
+def _fd_voltages(net, point, bus, entries, step):
+    """Voltages at ``bus`` of one batch of :func:`~vudlmp.powerflow.resolve_from`
+    re-solves from ``point``, +step then -step for each (phase index, power
+    kind) of ``entries``; StepTooSmall if a re-solve takes no Newton step."""
     b = net.bus_index(bus)
     pert = np.repeat(point.injections[None], 2 * len(entries), axis=0)
     for j, (phase_idx, kind) in enumerate(entries):
@@ -140,9 +141,7 @@ def _fd_sensitivities(net, point, bus, entries, step):
             f"finite-difference step {step:g} leaves the power flow unchanged at "
             f"bus {bus} phase {PHASES[phase_idx]} ({kind}): the perturbed mismatch "
             f"is below the power-flow tolerance {TOL_PF:g} pu")
-    df = np.array([f_metric(PhasorSet.from_array(row)) for row in v[:, b]]) \
-        - point.f_metric(bus)
-    return (df[0::2] - df[1::2]) / (2.0 * step)
+    return v[:, b]
 
 
 def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
@@ -162,20 +161,28 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
     if point.net is not net:
         raise ValueError("point must be an operating point of net")
     if buses is None:
-        buses = [b.id for b in net.buses if b.id != net.substation_bus]
+        buses = [i for i in net.bus_ids if i != net.substation_bus]
+    if net.substation_bus in buses:
+        raise ValueError(f"bus {net.substation_bus} is the substation: its injection is "
+                         "not a power-flow unknown")
+    v = point.voltages[[net.bus_index(bus) for bus in buses]]
+    closed = [_closed_forms(point, bus, grad) for bus, grad in zip(buses, grad_f(v))]
+    defined = [[(phase_idx, kind) for phase_idx in range(NPHASE) for kind in _POWER_KINDS
+                if current[phase_idx] > EPS_I] for current, _ in closed]
+    resolved = [_fd_voltages(net, point, bus, entries, step)
+                for bus, entries in zip(buses, defined) if entries]
+    # f over every re-solve less its bus's base f, +step then -step per entry
+    df = (f_metric(np.concatenate([np.empty((0, NPHASE)), *resolved]))
+          - np.repeat(f_metric(v), [2 * len(entries) for entries in defined]))
+    fds = iter(((df[0::2] - df[1::2]) / (2.0 * step)).tolist())
     out = []
-    for bus in buses:
-        current, closed = _closed_forms(point, bus)
-        defined = [(phase_idx, kind) for phase_idx in range(NPHASE)
-                   for kind in _POWER_KINDS if current[phase_idx] > EPS_I]
-        fds = dict(zip(defined, _fd_sensitivities(net, point, bus, defined, step))
-                   if defined else ())
+    for bus, (current, closed_forms) in zip(buses, closed):
         for phase_idx in range(NPHASE):
             for k, kind in enumerate(_POWER_KINDS):
                 cf = fd = gap = None
-                if (phase_idx, kind) in fds:
-                    cf = float(closed[k, phase_idx])
-                    fd = float(fds[phase_idx, kind])
+                if current[phase_idx] > EPS_I:
+                    cf = float(closed_forms[k, phase_idx])
+                    fd = next(fds)
                     gap = float(abs(cf - fd) / max(abs(fd), abs(cf), 1e-12))
                 out.append(SensitivityReport(
                     bus=bus, phase=PHASES[phase_idx], power_kind=kind,
@@ -257,9 +264,8 @@ def decompose(sol):
     g_vlim[ns] = 2.0 * binding(mult["v_mag_hi"] - mult["v_mag_lo"]) * v[ns]
     # unbalance: sum over the VUF buses of (the problem's weight) * f
     weights = binding(prob.unbalance_weights(sol.x, sol.z_ineq))
-    for bid, w in zip(prob.vuf_buses, weights):
-        b = net.bus_index(bid)
-        g_unb[b] += w * grad_f(PhasorSet.from_array(v[b])).as_array()
+    vuf_buses = [net.bus_index(bid) for bid in prob.vuf_buses]
+    g_unb[vuf_buses] += weights[:, None] * grad_f(v[vuf_buses])
     # energy + loss: sum of phi_p P + phi_q Q over the substation phases,
     # which changes by Re(conj(c) Y dV)
     ybus = build_ybus(net)
@@ -276,12 +282,12 @@ def decompose(sol):
     for kind, comp, phi in (("active", comp_p, phi_p), ("reactive", comp_q, phi_q)):
         energy = [float(p) / base_kw for p in phi[slack]]
         comp[slack, :, 3] = energy      # energy + loss at the substation itself
-        for b, bus in enumerate(net.buses):
+        for b, bus in enumerate(net.bus_ids):
             for ph, phase in enumerate(PHASES):
                 total = float(phi[b, ph]) / base_kw
                 cong, vlim, unb, energy_loss = map(float, comp[b, ph])
                 out.append(DlmpBreakdown(
-                    bus=bus.id, phase=phase, power_kind=kind,
+                    bus=bus, phase=phase, power_kind=kind,
                     total=total, energy=energy[ph],
                     loss=total - energy[ph] - cong - vlim - unb,
                     congestion=cong, voltage_limit=vlim, unbalance=unb,

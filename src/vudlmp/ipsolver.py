@@ -153,8 +153,8 @@ class OpfSolution:
         """Energy cost only (EUR over the 1-hour interval), penalty excluded."""
         p, _ = self.gen_dispatch()
         cost = 0.0
-        for g, gen in enumerate(self.problem.net.gens):
-            cost += gen.marginal_cost * self.problem.net.base_kw * float(np.sum(p[g]))
+        for marginal_cost, pg in zip(self.problem.net.gen_cost.tolist(), p):
+            cost += marginal_cost * self.problem.net.base_kw * float(np.sum(pg))
         return cost
 
     def max_vuf(self):

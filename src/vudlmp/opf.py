@@ -24,12 +24,10 @@ gets is built from them.  These rules keep those values equal, bit for
 bit, to a plain per-entry evaluation assembled by scipy.sparse, which the
 seed-0 benchmark outputs are pinned to:
 
-- Products of complex scalars (``v * conj(y)``, ``1j * conj(i)``) are
-  written as real arithmetic, ``(ar*br - ai*bi) + 1j*(ar*bi + ai*br)``,
-  rounding each real product on its own as numpy's scalar multiply does.
-  numpy's array complex multiply may fuse a product and a sum into one FMA
-  and round differently in the last bit.  The flow Hessian weights times
-  the constant ``g_V g_C'`` blocks stay array products.
+- Products of complex scalars (``v * conj(y)``, ``1j * conj(i)``) go
+  through :func:`~vudlmp.sequence._cmul`, which rounds as numpy's scalar
+  multiply does.  The flow Hessian weights times the constant ``g_V g_C'``
+  blocks stay array products.
 - A Hessian entry sums up to 8 terms of a triplet stream in a fixed family
   order: objective (row-major), flow (each block, then its transpose),
   voltage bounds, thermal, VUF.  ``csr_matrix`` would add them in the order
@@ -43,12 +41,7 @@ seed-0 benchmark outputs are pinned to:
   factorization orders on.  The public equality Jacobian drops entries
   that are exactly zero, as scipy's sum with the balance rows does; the
   inequality Jacobian keeps them.
-- The VUF kernel takes all VUF buses in one pass and rounds as the 6x6
-  forms do bus by bus: ``A x`` sums its products in index order, ``x'Ax``
-  is a stacked ``(k, 1, 6) @ (k, 6, 1)`` matmul, squares and cubes go
-  through libm ``pow`` as a float64 scalar ``**`` does (numpy's SIMD array
-  power rounds ~5 % of cubes differently), and penalty terms join the
-  objective in bus order.
+- Penalty terms join the objective in bus order.
 
 The unbalance term is defined here only: :meth:`OpfProblem.unbalance_weights`
 gives :func:`~vudlmp.dlmp.decompose` its derivative in each bus's ``f``.
@@ -65,7 +58,7 @@ import scipy.sparse as sp
 
 from .netmodel import NPHASE, PHASES, NetworkSpec, UnbalanceConfig, ValidationError
 from .powerflow import line_flows
-from .sequence import ALPHA, BALANCED_SOURCE
+from .sequence import BALANCED_SOURCE, _cmul, _outer, _pow, vuf_metric_grad_hess, vuf_metric_local
 
 
 @dataclass(frozen=True)
@@ -87,30 +80,6 @@ class ConstraintTag:
             if value is not None:
                 words += [name, value]
         return " ".join(words)
-
-
-# with x = [ea, fa, eb, fb, ec, fc], x'Ax = |v_neg_sum|^2 and
-# x'Bx = |v_pos_sum|^2 (un-normalized sums)
-_W = np.array([[1, 1j, ALPHA**2, 1j * ALPHA**2, ALPHA, 1j * ALPHA],
-               [1, 1j, ALPHA, 1j * ALPHA, ALPHA**2, 1j * ALPHA**2]])
-_VUF_A, _VUF_B = np.real(_W[:, :, None] * np.conj(_W[:, None, :]))
-
-
-def _cmul(a, b):
-    """Complex product a * b rounded as numpy multiplies two complex scalars
-    (one rounding per real product; see the module docstring)."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-# a**p per element, rounded as a float64 scalar ``**`` rounds (libm pow)
-_pow = np.vectorize(math.pow, otypes=[float])
-
-
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
 
 
 def _pairs(start, shape):
@@ -178,38 +147,6 @@ _ROOT_SMOOTH = 1e-6
 def _root(f):
     """Smoothed sqrt(f): the VUF in percent that ``penalty_on="vuf"`` penalizes."""
     return np.sqrt(np.maximum(f, 0.0) + _ROOT_SMOOTH)
-
-
-def _forms(x, m):
-    """(m x, x'm x) for each row x of [ea, fa, eb, fb, ec, fc] parts."""
-    mx = m[:, 0] * x[..., :1]
-    for j in range(1, 2 * NPHASE):
-        mx = mx + m[:, j] * x[..., j:j + 1]
-    return mx, (x[..., None, :] @ mx[..., :, None])[..., 0, 0]
-
-
-def vuf_metric_local(xv):
-    """f = VUF^2 in squared percent for each row of rectangular parts (k, 6)."""
-    return 1e4 * _forms(xv, _VUF_A)[1] / _forms(xv, _VUF_B)[1]
-
-
-def vuf_metric_grad_hess(xv):
-    """Value, gradient and Hessian of f for each row of (k, 6) parts."""
-    Ax, u = _forms(xv, _VUF_A)
-    Bx, d = _forms(xv, _VUF_B)
-    gu = 2.0 * Ax
-    gd = 2.0 * Bx
-    d2 = _pow(d, 2)[..., None]
-    val = 1e4 * u / d
-    grad = 1e4 * (gu / d[..., None] - u[..., None] * gd / d2)
-    u, d, d2 = u[..., None, None], d[..., None, None], d2[..., None]
-    hess = 1e4 * (
-        2.0 * _VUF_A / d
-        - (_outer(gu, gd) + _outer(gd, gu)) / d2
-        - u * 2.0 * _VUF_B / d2
-        + 2.0 * u * _outer(gd, gd) / _pow(d, 3)
-    )
-    return val, grad, hess
 
 
 @dataclass

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .netmodel import NPHASE, NetworkSpec
-from .sequence import BALANCED_SOURCE, PhasorSet, f_metric, vuf
+from .sequence import BALANCED_SOURCE, f_metric, vuf
 
 TOL_PF = 1e-10
 MAX_ITER = 50
@@ -119,15 +119,14 @@ def pf_jacobian(ybus, v, idx):
 
 
 def max_vuf(net: NetworkSpec, v):
-    """(bus id, VUF percent) of the worst non-slack bus of (nbus, 3) voltages."""
-    worst, worst_bus = -1.0, None
-    for b, row in zip(net.buses, v):
-        if b.id == net.substation_bus:
-            continue
-        u = vuf(PhasorSet.from_array(row))
-        if u > worst:
-            worst, worst_bus = u, b.id
-    return worst_bus, worst
+    """(bus id, VUF percent) of the first worst non-slack bus of (nbus, 3)
+    voltages; (None, 0.0) when the substation (balanced) is the only bus."""
+    buses = np.flatnonzero(np.arange(len(net.buses)) != net.bus_index(net.substation_bus))
+    if not len(buses):
+        return None, 0.0
+    u = vuf(v[buses])
+    worst = np.argmax(u)
+    return net.bus_ids[buses[worst]], u[worst]
 
 
 class _DenseFactors:
@@ -237,14 +236,11 @@ class OperatingPoint:
     losses: float               # total active losses, per-unit
     iterations: int = 0
 
-    def phasors(self, bus) -> PhasorSet:
-        return PhasorSet.from_array(self.voltages[self.net.bus_index(bus)])
-
     def vuf(self, bus) -> float:
-        return vuf(self.phasors(bus))
+        return vuf(self.voltages[self.net.bus_index(bus)])
 
     def f_metric(self, bus) -> float:
-        return f_metric(self.phasors(bus))
+        return f_metric(self.voltages[self.net.bus_index(bus)])
 
     def max_vuf(self):
         """(bus id, VUF percent) of the worst non-slack bus."""

@@ -1,14 +1,28 @@
-"""Symmetrical components, the voltage unbalance factor and its gradient.
+"""Symmetrical components, the voltage unbalance factor and its derivatives.
 
-The unbalance metric used throughout the package is the square of the VUF
-in percent, ``f(v) = VUF(v)**2``, kept in squared form so that it stays
-smooth at a constraint boundary and its derivatives are cheap.  The
-gradient is returned in the conventional real pairing: the complex entry
-for phase ``a`` holds ``df/d(Re va) + 1j * df/d(Im va)``.
+The unbalance metric is f = VUF**2, the squared VUF in percent: smooth at a
+constraint boundary, with cheap derivatives.  This module alone defines it.
+:func:`fortescue`, :func:`vuf`, :func:`f_metric` and :func:`grad_f` take
+complex voltages whose last axis holds phases a, b, c (one bus, a stack of
+buses or a :class:`PhasorSet`) and return one value, or one gradient row,
+per bus; the gradient's entry for phase a is ``df/d(Re va) + 1j df/d(Im
+va)``.  :func:`vuf_metric_local` and :func:`vuf_metric_grad_hess` take the
+OPF's rectangular parts ``[ea, fa, eb, fb, ec, fc]`` of each bus.
+
+Each bus rounds as the one-bus scalar code behind the pinned outputs:
+complex products go through :func:`_cmul` (one rounding per real product;
+numpy's array multiply may fuse them), magnitudes are ``np.hypot`` of the
+parts (``np.abs`` of a complex array rounds differently), squares and cubes
+take libm ``pow`` (:data:`_pow`; ``np.square`` differs), and grad f's purely
+imaginary scale ``-(sqrt(3) 1e4) / D**2`` is a true division (numpy's
+complex division multiplies by a reciprocal).  In the 6x6 forms ``A x``
+sums its products in index order and ``x'Ax`` is a stacked ``(k, 1, 6) @
+(k, 6, 1)`` matmul.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +42,38 @@ class DegeneratePointError(ValueError):
     """Positive-sequence voltage magnitude too small for VUF to be defined."""
 
 
+def _cmul(a, b):
+    """Complex product a * b rounded as numpy multiplies two complex scalars
+    (one rounding per real product)."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(np.broadcast(ar, br).shape, dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
+# a**p per element, rounded as a float64 scalar ``**`` rounds (libm pow)
+_pow = np.vectorize(math.pow, otypes=[float])
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
 @dataclass(frozen=True)
 class PhasorSet:
-    """The three complex phase voltages of one bus (per-unit)."""
+    """The three complex phase voltages of one bus (per-unit); as an array
+    (``np.asarray``) it is ``[va, vb, vc]``."""
     va: complex
     vb: complex
     vc: complex
 
-    def as_array(self):
-        return np.array([self.va, self.vb, self.vc], dtype=complex)
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.va, self.vb, self.vc], dtype=dtype or complex)
 
     @classmethod
     def from_array(cls, v):
-        v = np.asarray(v, dtype=complex)
-        return cls(va=complex(v[0]), vb=complex(v[1]), vc=complex(v[2]))
+        return cls(*map(complex, np.asarray(v, dtype=complex)))
 
     @classmethod
     def balanced(cls, magnitude=1.0, angle=0.0):
@@ -49,56 +81,49 @@ class PhasorSet:
         return cls(va=rot, vb=rot * ALPHA**2, vc=rot * ALPHA)
 
 
-@dataclass(frozen=True)
-class SequencePair:
-    """Positive- and negative-sequence components of a phasor set."""
-    v_pos: complex
-    v_neg: complex
+def _sums(v):
+    """The phases (va, vb, vc) of complex voltages whose last axis holds a,
+    b, c, and their un-normalized positive and negative sequence sums."""
+    va, vb, vc = np.moveaxis(np.asarray(v, dtype=complex), -1, 0)
+    return ((va, vb, vc), va + _cmul(ALPHA, vb) + _cmul(ALPHA**2, vc),
+            va + _cmul(ALPHA**2, vb) + _cmul(ALPHA, vc))
 
 
-@dataclass(frozen=True)
-class UnbalanceGradient:
-    """Per-phase derivatives of f = VUF**2."""
-    dva: complex
-    dvb: complex
-    dvc: complex
-
-    def as_array(self):
-        return np.array([self.dva, self.dvb, self.dvc], dtype=complex)
+def _abs(z):
+    """|z| rounded as ``abs`` of a complex scalar rounds it (libm hypot)."""
+    return np.hypot(z.real, z.imag)
 
 
-def fortescue(v: PhasorSet) -> SequencePair:
-    """Fortescue transform: positive- and negative-sequence components."""
-    va, vb, vc = v.va, v.vb, v.vc
-    v_pos = (va + ALPHA * vb + ALPHA**2 * vc) / 3.0
-    v_neg = (va + ALPHA**2 * vb + ALPHA * vc) / 3.0
-    return SequencePair(v_pos=v_pos, v_neg=v_neg)
+def _checked(pos_magnitude):
+    """``pos_magnitude``; DegeneratePointError names its first entry <= EPS_POS."""
+    bad = np.ravel(pos_magnitude)[np.ravel(pos_magnitude) <= EPS_POS]
+    if bad.size:
+        raise DegeneratePointError(f"positive-sequence magnitude {bad[0]:.3e} below {EPS_POS}")
+    return pos_magnitude
 
 
-def _checked_fortescue(v: PhasorSet) -> SequencePair:
-    """:func:`fortescue`, raising DegeneratePointError where VUF is undefined."""
-    seq = fortescue(v)
-    if abs(seq.v_pos) <= EPS_POS:
-        raise DegeneratePointError(
-            f"positive-sequence magnitude {abs(seq.v_pos):.3e} below {EPS_POS}"
-        )
-    return seq
+def fortescue(v):
+    """Fortescue transform: the positive- and negative-sequence components
+    (v_pos, v_neg) of each bus."""
+    _, pos, neg = _sums(v)
+    return pos / 3.0, neg / 3.0
 
 
-def vuf(v: PhasorSet) -> float:
-    """Voltage unbalance factor in percent: 100 |v_neg| / |v_pos|."""
-    seq = _checked_fortescue(v)
-    return 100.0 * abs(seq.v_neg) / abs(seq.v_pos)
+def vuf(v):
+    """Voltage unbalance factor in percent, 100 |v_neg| / |v_pos|, per bus."""
+    v_pos, v_neg = fortescue(v)
+    return 100.0 * _abs(v_neg) / _checked(_abs(v_pos))
 
 
-def f_metric(v: PhasorSet) -> float:
-    """Relaxed unbalance metric f = VUF**2, in squared percent."""
-    seq = _checked_fortescue(v)
-    return 1e4 * (abs(seq.v_neg) ** 2) / (abs(seq.v_pos) ** 2)
+def f_metric(v):
+    """Relaxed unbalance metric f = VUF**2 in squared percent, per bus."""
+    v_pos, v_neg = fortescue(v)
+    return 1e4 * _pow(_abs(v_neg), 2) / _pow(_checked(_abs(v_pos)), 2)
 
 
-def grad_f(v: PhasorSet) -> UnbalanceGradient:
-    """Gradient of f = VUF**2 with respect to each phase voltage.
+def grad_f(v):
+    """Gradient of f = VUF**2 with respect to each phase voltage, one
+    (3,) complex row per bus.
 
     Uses the line-voltage closed form: for phase ``a`` the derivative is
     driven by the opposite line voltage ``vbc`` through
@@ -110,24 +135,57 @@ def grad_f(v: PhasorSet) -> UnbalanceGradient:
     The factor ``vab^2 + vbc^2 + vca^2`` vanishes identically on balanced
     sets, making the whole gradient exactly zero there.
     """
-    va, vb, vc = v.va, v.vb, v.vc
-    dpos = va + ALPHA * vb + ALPHA**2 * vc
-    d = abs(dpos) ** 2
-    if np.sqrt(d) / 3.0 <= EPS_POS:
-        raise DegeneratePointError(
-            f"positive-sequence magnitude {np.sqrt(d) / 3.0:.3e} below {EPS_POS}"
-        )
-    vab, vbc, vca = va - vb, vb - vc, vc - va
-    line_sq = vab**2 + vbc**2 + vca**2
+    (va, vb, vc), pos, _ = _sums(v)
+    d = _pow(_abs(pos), 2)
+    _checked(np.sqrt(d) / 3.0)
+    opposite = np.stack((vb - vc, vc - va, va - vb), axis=-1)      # vbc, vca, vab
+    # z**2 as Python's complex power rounds it: (1 + 0j) * (z * z)
+    square = _cmul(1.0 + 0j, _cmul(opposite, opposite))
+    mag_sq = _pow(_abs(opposite), 2)
+    line_sq = square[..., 2] + square[..., 0] + square[..., 1]
     # the factor vanishes identically on balanced sets; snap rounding noise
     # to zero so those points report an exactly zero gradient
-    noise = 64.0 * np.finfo(float).eps * (
-        abs(vab) ** 2 + abs(vbc) ** 2 + abs(vca) ** 2)
-    if abs(line_sq) <= noise:
-        line_sq = 0.0
-    scale = -1j * _SQRT3 * 1e4 / d**2
-    return UnbalanceGradient(
-        dva=complex(scale * np.conj(vbc) * line_sq),
-        dvb=complex(scale * np.conj(vca) * line_sq),
-        dvc=complex(scale * np.conj(vab) * line_sq),
+    noise = 64.0 * np.finfo(float).eps * (mag_sq[..., 2] + mag_sq[..., 0] + mag_sq[..., 1])
+    line_sq = np.where(_abs(line_sq) <= noise, 0.0, line_sq)
+    scale = np.zeros(np.shape(d), dtype=complex)
+    scale.imag = -(_SQRT3 * 1e4) / _pow(d, 2)
+    return _cmul(_cmul(scale[..., None], np.conj(opposite)), line_sq[..., None])
+
+
+# with x = [ea, fa, eb, fb, ec, fc], x'Ax = |v_neg_sum|^2 and
+# x'Bx = |v_pos_sum|^2 (un-normalized sums)
+_W = np.array([[1, 1j, ALPHA**2, 1j * ALPHA**2, ALPHA, 1j * ALPHA],
+               [1, 1j, ALPHA, 1j * ALPHA, ALPHA**2, 1j * ALPHA**2]])
+_VUF_A, _VUF_B = np.real(_W[:, :, None] * np.conj(_W[:, None, :]))
+
+
+def _forms(x, m):
+    """(m x, x'm x) for each row x of [ea, fa, eb, fb, ec, fc] parts."""
+    mx = m[:, 0] * x[..., :1]
+    for j in range(1, 6):
+        mx = mx + m[:, j] * x[..., j:j + 1]
+    return mx, (x[..., None, :] @ mx[..., :, None])[..., 0, 0]
+
+
+def vuf_metric_local(xv):
+    """f = VUF^2 in squared percent for each row of rectangular parts (k, 6)."""
+    return 1e4 * _forms(xv, _VUF_A)[1] / _forms(xv, _VUF_B)[1]
+
+
+def vuf_metric_grad_hess(xv):
+    """Value, gradient and Hessian of f for each row of (k, 6) parts."""
+    Ax, u = _forms(xv, _VUF_A)
+    Bx, d = _forms(xv, _VUF_B)
+    gu = 2.0 * Ax
+    gd = 2.0 * Bx
+    d2 = _pow(d, 2)[..., None]
+    val = 1e4 * u / d
+    grad = 1e4 * (gu / d[..., None] - u[..., None] * gd / d2)
+    u, d, d2 = u[..., None, None], d[..., None, None], d2[..., None]
+    hess = 1e4 * (
+        2.0 * _VUF_A / d
+        - (_outer(gu, gd) + _outer(gd, gu)) / d2
+        - u * 2.0 * _VUF_B / d2
+        + 2.0 * u * _outer(gd, gd) / _pow(d, 3)
     )
+    return val, grad, hess

@@ -285,11 +285,13 @@ class TestSweep:
         {"network": 5},
         {"outdir": 7},
         {"with_sensitivity": "no"},
+        {"sweep_weights": [1.0, 1]},
+        {"sweep_weights": [0.1, 0.10000000000001]},
     ], ids=["string-jobs", "zero-jobs", "string-weights", "scalar-weights", "list-document",
             "boolean-jobs", "boolean-weight", "boolean-penalty", "boolean-limit",
             "weights-in-none-mode", "limits-in-soft-mode", "weights-in-hard-mode",
             "case-id-path", "case-id-carriage-return", "numeric-network", "numeric-outdir",
-            "string-with-sensitivity"])
+            "string-with-sensitivity", "duplicate-weight", "weights-print-alike"])
     def test_sweep_malformed_config_is_config_error(self, two_bus_file, tmp_path, capsys,
                                                     doc):
         if isinstance(doc, dict):

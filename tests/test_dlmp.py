@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from vudlmp import powerflow
+from vudlmp import dlmp, powerflow
 from vudlmp.dlmp import (
     COMPONENTS,
     FD_STEP,
@@ -187,6 +187,14 @@ class TestSensitivity:
         # checked before the report reads the point at two_bus's own buses
         with pytest.raises(ValueError, match="point must be an operating point of net"):
             sensitivity_report(two_bus, simple5_pf)
+
+    def test_substation_is_rejected_before_any_resolve(self, simple5, simple5_pf, monkeypatch):
+        # the slack injection is not a power-flow unknown: no step can move
+        # it, so the substation is named as such, not as a step too small
+        monkeypatch.setattr(dlmp, "resolve_from", lambda *args: pytest.fail("re-solved"))
+        with pytest.raises(ValueError, match="bus sub is the substation") as raised:
+            sensitivity_report(simple5, simple5_pf, buses=["b1", "sub"])
+        assert not isinstance(raised.value, StepTooSmall)
 
     def test_report_covers_all_phases_and_kinds(self, two_bus, two_bus_pf):
         entries = sensitivity_report(two_bus, two_bus_pf)

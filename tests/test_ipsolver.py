@@ -251,6 +251,8 @@ class TestSmallestNetwork:
         rows = decompose(sol)
         assert len(rows) == 6
         assert max(abs(d.residual) for d in rows) < 1e-6
+        # the only bus is the balanced source: no unbalance to report
+        assert sol.max_vuf() == (None, 0.0)
 
 
 class TestEvaluationBudget:

@@ -9,16 +9,9 @@ import scipy.sparse as sp
 
 from vudlmp import opf
 from vudlmp.netmodel import PHASES, UnbalanceConfig, ValidationError
-from vudlmp.opf import (
-    _VUF_A,
-    _VUF_B,
-    ConstraintTag,
-    build_problem,
-    vuf_metric_grad_hess,
-    vuf_metric_local,
-)
+from vudlmp.opf import ConstraintTag, build_problem, vuf_metric_grad_hess, vuf_metric_local
 from vudlmp.powerflow import solve_pf
-from vudlmp.sequence import BALANCED_SOURCE, PhasorSet, f_metric
+from vudlmp.sequence import _VUF_A, _VUF_B, BALANCED_SOURCE, PhasorSet, f_metric
 
 
 def rect_vars(v):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vudlmp.sequence import (
     ALPHA,
+    BALANCED_SOURCE,
     DegeneratePointError,
     PhasorSet,
     f_metric,
@@ -39,7 +40,7 @@ class TestMetricOracle:
         rng = np.random.default_rng(7)
         sets = random_phasors(rng, 10_000)
         t0 = time.perf_counter()
-        vals = np.array([f_metric(PhasorSet.from_array(v)) for v in sets])
+        vals = f_metric(sets)
         elapsed = time.perf_counter() - t0
         ref = np.array([oracle_f(v) for v in sets])
         rel = np.abs(vals - ref) / np.maximum(np.abs(ref), 1e-300)
@@ -78,43 +79,40 @@ class TestMetricOracle:
 
 
 def fd_gradient(v, h=1e-7):
-    """Central finite differences of f over all six rectangular coordinates."""
-    out = np.zeros(3, dtype=complex)
+    """Central finite differences of f over all six rectangular coordinates
+    of each row of a (k, 3) stack."""
+    out = np.zeros(v.shape, dtype=complex)
     for ph in range(3):
-        for reim, unit in ((0, 1.0), (1, 1j)):
+        for unit in (1.0, 1j):
             up = v.copy()
             dn = v.copy()
-            up[ph] += h * unit
-            dn[ph] -= h * unit
-            d = (f_metric(PhasorSet.from_array(up))
-                 - f_metric(PhasorSet.from_array(dn))) / (2 * h)
-            out[ph] += d if reim == 0 else 1j * d
+            up[:, ph] += h * unit
+            dn[:, ph] -= h * unit
+            out[:, ph] += unit * (f_metric(up) - f_metric(dn)) / (2 * h)
     return out
 
 
 class TestGradient:
     def test_closed_form_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        worst = 0.0
-        for v in random_phasors(rng, 1000):
-            g = grad_f(PhasorSet.from_array(v)).as_array()
-            ref = fd_gradient(v)
-            scale = max(np.max(np.abs(ref)), 1e-12)
-            worst = max(worst, np.max(np.abs(g - ref)) / scale)
-        assert worst < 1e-6
+        v = random_phasors(rng, 1000)
+        g = grad_f(v)
+        ref = fd_gradient(v)
+        scale = np.maximum(np.max(np.abs(ref), axis=1), 1e-12)
+        assert np.max(np.max(np.abs(g - ref), axis=1) / scale) < 1e-6
 
     def test_balanced_points_give_exact_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             ps = PhasorSet.balanced(rng.uniform(0.9, 1.1), rng.uniform(-np.pi, np.pi))
-            g = grad_f(ps).as_array()
+            g = grad_f(ps)
             assert np.max(np.abs(g)) < 1e-12
 
     def test_gradient_descends_the_metric(self):
         rng = np.random.default_rng(13)
         for v in random_phasors(rng, 20):
             ps = PhasorSet.from_array(v)
-            g = grad_f(ps).as_array()
+            g = grad_f(ps)
             step = 1e-6
             moved = v - step * g          # steepest descent in the real pairing
             assert f_metric(PhasorSet.from_array(moved)) < f_metric(ps)
@@ -125,21 +123,21 @@ class TestFortescue:
         rng = np.random.default_rng(2)
         a = complex(ALPHA)
         for v in random_phasors(rng, 50):
-            seq = fortescue(PhasorSet.from_array(v))
+            v_pos, v_neg = fortescue(PhasorSet.from_array(v))
             zero = np.sum(v) / 3.0
             rebuilt = np.array([
-                zero + seq.v_pos + seq.v_neg,
-                zero + a**2 * seq.v_pos + a * seq.v_neg,
-                zero + a * seq.v_pos + a**2 * seq.v_neg,
+                zero + v_pos + v_neg,
+                zero + a**2 * v_pos + a * v_neg,
+                zero + a * v_pos + a**2 * v_neg,
             ])
             assert np.allclose(rebuilt, v, atol=1e-13)
 
     @given(st.floats(0.5, 1.5), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_balanced_sets_are_pure_positive_sequence(self, mag, ang):
-        seq = fortescue(PhasorSet.balanced(mag, ang))
-        assert abs(seq.v_neg) < 1e-12 * max(1.0, mag)
-        assert abs(seq.v_pos) == pytest.approx(mag, rel=1e-12)
+        v_pos, v_neg = fortescue(PhasorSet.balanced(mag, ang))
+        assert abs(v_neg) < 1e-12 * max(1.0, mag)
+        assert abs(v_pos) == pytest.approx(mag, rel=1e-12)
 
     @given(st.floats(0.8, 1.2), st.floats(0.0, 0.1), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
@@ -149,3 +147,75 @@ class TestFortescue:
         base = f_metric(PhasorSet.from_array(v))
         spun = f_metric(PhasorSet.from_array(v * np.exp(1j * rot)))
         assert spun == pytest.approx(base, rel=1e-10, abs=1e-12)
+
+
+# The one-bus scalar formulas the kernel replaced, kept as the reference it
+# must round like: phases are Python complexes, ALPHA a numpy complex scalar.
+def scalar_fortescue(va, vb, vc):
+    return ((va + ALPHA * vb + ALPHA**2 * vc) / 3.0,
+            (va + ALPHA**2 * vb + ALPHA * vc) / 3.0)
+
+
+def scalar_vuf(va, vb, vc):
+    v_pos, v_neg = scalar_fortescue(va, vb, vc)
+    return 100.0 * abs(v_neg) / abs(v_pos)
+
+
+def scalar_f(va, vb, vc):
+    v_pos, v_neg = scalar_fortescue(va, vb, vc)
+    return 1e4 * (abs(v_neg) ** 2) / (abs(v_pos) ** 2)
+
+
+def scalar_grad(va, vb, vc):
+    d = abs(va + ALPHA * vb + ALPHA**2 * vc) ** 2
+    vab, vbc, vca = va - vb, vb - vc, vc - va
+    line_sq = vab**2 + vbc**2 + vca**2
+    noise = 64.0 * np.finfo(float).eps * (abs(vab) ** 2 + abs(vbc) ** 2 + abs(vca) ** 2)
+    if abs(line_sq) <= noise:
+        line_sq = 0.0
+    scale = -1j * np.sqrt(3.0) * 1e4 / d**2
+    return [complex(scale * np.conj(opp) * line_sq) for opp in (vbc, vca, vab)]
+
+
+def kernel_sets():
+    """10,000 seeded sets: 8,000 unbalanced ones at three scales and 2,000
+    exactly balanced ones, where the gradient snaps to exact zeros."""
+    rng = np.random.default_rng(17)
+    balanced = [np.asarray(PhasorSet.balanced(m, a)) for m, a in
+                zip(rng.uniform(0.9, 1.1, 1999), rng.uniform(-np.pi, np.pi, 1999))]
+    return np.concatenate((random_phasors(rng, 6000), 1e-3 * random_phasors(rng, 1000),
+                           50.0 * random_phasors(rng, 1000), balanced, [BALANCED_SOURCE]))
+
+
+class TestKernel:
+    @pytest.fixture(scope="class")
+    def sets(self):
+        return kernel_sets()
+
+    @pytest.mark.parametrize("kernel, reference", [
+        (vuf, scalar_vuf), (f_metric, scalar_f), (grad_f, scalar_grad),
+        (lambda v: np.stack(fortescue(v), axis=-1), scalar_fortescue),
+    ], ids=["vuf", "f_metric", "grad_f", "fortescue"])
+    def test_stack_rounds_as_the_scalar_formulas(self, sets, kernel, reference):
+        ref = np.array([reference(*map(complex, v)) for v in sets])
+        assert kernel(sets).tobytes() == ref.tobytes()
+
+    def test_balanced_sets_give_exact_zero_gradients(self, sets):
+        assert np.all(grad_f(sets[-2000:]) == 0)
+
+    @pytest.mark.parametrize("kernel", [vuf, f_metric, grad_f,
+                                        lambda v: np.stack(fortescue(v), axis=-1)],
+                             ids=["vuf", "f_metric", "grad_f", "fortescue"])
+    def test_stack_equals_per_bus_calls(self, sets, kernel):
+        stack = sets[::50].reshape(4, 50, 3)
+        one_by_one = np.array([[kernel(bus) for bus in row] for row in stack])
+        assert kernel(stack).tobytes() == one_by_one.tobytes()
+        assert kernel(PhasorSet.from_array(stack[0, 0])).tobytes() == one_by_one[0, 0].tobytes()
+
+    @pytest.mark.parametrize("kernel", [vuf, f_metric, grad_f], ids=["vuf", "f_metric", "grad_f"])
+    def test_degenerate_error_names_the_first_bad_bus(self, kernel):
+        negative = np.array([1.0, complex(ALPHA), complex(ALPHA**2)])     # no v_pos at all
+        stack = np.array([BALANCED_SOURCE, negative + 5e-10 * BALANCED_SOURCE,
+                          negative + 2e-10 * BALANCED_SOURCE])
+        with pytest.raises(DegeneratePointError, match=r"magnitude 5\.000e-10 below 1e-09"):
+            kernel(stack)
