@@ -171,18 +171,20 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
                 if current[phase_idx] > EPS_I] for current, _ in closed]
     resolved = [_fd_voltages(net, point, bus, entries, step)
                 for bus, entries in zip(buses, defined) if entries]
-    # f over every re-solve less its bus's base f, +step then -step per entry
-    df = (f_metric(np.concatenate([np.empty((0, NPHASE)), *resolved]))
-          - np.repeat(f_metric(v), [2 * len(entries) for entries in defined]))
-    fds = iter(((df[0::2] - df[1::2]) / (2.0 * step)).tolist())
+    # f at each bus, then at every re-solve (+step then -step per entry)
+    f = f_metric(np.concatenate([v, *resolved]))
+    df = f[len(buses):] - np.repeat(f[:len(buses)], [2 * len(entries) for entries in defined])
+    fd_by_bus = np.split((df[0::2] - df[1::2]) / (2.0 * step),
+                         np.cumsum([len(entries) for entries in defined], dtype=int)[:-1])
     out = []
-    for bus, (current, closed_forms) in zip(buses, closed):
+    for bus, (current, closed_forms), entries, bus_fd in zip(buses, closed, defined, fd_by_bus):
+        fds = dict(zip(entries, bus_fd.tolist()))
         for phase_idx in range(NPHASE):
             for k, kind in enumerate(_POWER_KINDS):
                 cf = fd = gap = None
-                if current[phase_idx] > EPS_I:
+                if (phase_idx, kind) in fds:
                     cf = float(closed_forms[k, phase_idx])
-                    fd = next(fds)
+                    fd = fds[phase_idx, kind]
                     gap = float(abs(cf - fd) / max(abs(fd), abs(cf), 1e-12))
                 out.append(SensitivityReport(
                     bus=bus, phase=PHASES[phase_idx], power_kind=kind,

@@ -413,9 +413,10 @@ def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
         base = solve_pf(net, injections)
     elif base.net is not net:
         raise ValueError("base must be an operating point of net")
+    b = net.bus_index(bus)
     pert = injections.copy()
-    pert[net.bus_index(bus), phase_idx] -= dp + 1j * dq
+    pert[b, phase_idx] -= dp + 1j * dq
     v, iterations = resolve_from(base, pert[None])
     point = _operating_point(net, v[0], int(iterations[0]))
-    delta_f = point.f_metric(bus) - base.f_metric(bus)
-    return point, delta_f
+    f_after, f_before = f_metric(np.stack((v[0, b], base.voltages[b])))
+    return point, f_after - f_before

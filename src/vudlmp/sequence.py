@@ -9,15 +9,15 @@ per bus; the gradient's entry for phase a is ``df/d(Re va) + 1j df/d(Im
 va)``.  :func:`vuf_metric_local` and :func:`vuf_metric_grad_hess` take the
 OPF's rectangular parts ``[ea, fa, eb, fb, ec, fc]`` of each bus.
 
-Each bus rounds as the one-bus scalar code behind the pinned outputs:
-complex products go through :func:`_cmul` (one rounding per real product;
-numpy's array multiply may fuse them), magnitudes are ``np.hypot`` of the
-parts (``np.abs`` of a complex array rounds differently), squares and cubes
-take libm ``pow`` (:data:`_pow`; ``np.square`` differs), and grad f's purely
-imaginary scale ``-(sqrt(3) 1e4) / D**2`` is a true division (numpy's
-complex division multiplies by a reciprocal).  In the 6x6 forms ``A x``
-sums its products in index order and ``x'Ax`` is a stacked ``(k, 1, 6) @
-(k, 6, 1)`` matmul.
+Each bus rounds as the one-bus scalar code behind the pinned outputs.
+Complex products go through :func:`_cmul`, which rounds each real product
+on its own (numpy's array complex multiply may fuse them).  Magnitudes are
+``np.hypot`` of the parts (``np.abs`` of a complex array rounds
+differently).  Squares and cubes take libm ``pow`` (:func:`_pow`;
+``np.square`` differs).  grad f's purely imaginary scale ``-(sqrt(3) 1e4)
+/ D**2`` is a true division (numpy's complex division multiplies by a
+reciprocal).  In the 6x6 forms ``A x`` sums its products in index order
+and ``x'Ax`` is a stacked ``(k, 1, 6) @ (k, 6, 1)`` matmul.
 """
 
 from __future__ import annotations
@@ -52,8 +52,12 @@ def _cmul(a, b):
     return out
 
 
-# a**p per element, rounded as a float64 scalar ``**`` rounds (libm pow)
-_pow = np.vectorize(math.pow, otypes=[float])
+_math_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(a, p):
+    """a**p per element, rounded as a float64 scalar ``**`` rounds (libm pow)."""
+    return np.asarray(_math_pow(a, p), dtype=float)
 
 
 def _outer(a, b):
@@ -81,44 +85,52 @@ class PhasorSet:
         return cls(va=rot, vb=rot * ALPHA**2, vc=rot * ALPHA)
 
 
+# the rotations of vb in the positive and negative sums, then those of vc
+_ROT = np.array([ALPHA, ALPHA**2, ALPHA**2, ALPHA])
+
+
 def _sums(v):
-    """The phases (va, vb, vc) of complex voltages whose last axis holds a,
-    b, c, and their un-normalized positive and negative sequence sums."""
-    va, vb, vc = np.moveaxis(np.asarray(v, dtype=complex), -1, 0)
-    return ((va, vb, vc), va + _cmul(ALPHA, vb) + _cmul(ALPHA**2, vc),
-            va + _cmul(ALPHA**2, vb) + _cmul(ALPHA, vc))
+    """Complex voltages whose last axis holds phases a, b, c, and their
+    un-normalized positive and negative sequence sums on a last axis."""
+    v = np.asarray(v, dtype=complex)
+    turned = _cmul(_ROT, v[..., [1, 1, 2, 2]])
+    return v, v[..., :1] + turned[..., :2] + turned[..., 2:]
 
 
-def _abs(z):
-    """|z| rounded as ``abs`` of a complex scalar rounds it (libm hypot)."""
-    return np.hypot(z.real, z.imag)
+def _check(pos_magnitude):
+    """DegeneratePointError naming the first entry <= EPS_POS, if any."""
+    bad = pos_magnitude <= EPS_POS
+    if np.count_nonzero(bad):
+        raise DegeneratePointError(
+            f"positive-sequence magnitude {pos_magnitude[bad][0]:.3e} below {EPS_POS}")
 
 
-def _checked(pos_magnitude):
-    """``pos_magnitude``; DegeneratePointError names its first entry <= EPS_POS."""
-    bad = np.ravel(pos_magnitude)[np.ravel(pos_magnitude) <= EPS_POS]
-    if bad.size:
-        raise DegeneratePointError(f"positive-sequence magnitude {bad[0]:.3e} below {EPS_POS}")
-    return pos_magnitude
+def _magnitudes(v):
+    """|v_pos| and |v_neg| of each bus on a last axis, rounded as ``abs`` of
+    a complex scalar rounds them (libm hypot); checked by :func:`_check`."""
+    seq = _sums(v)[1] / 3.0
+    mag = np.hypot(seq.real, seq.imag)
+    _check(mag[..., 0])
+    return mag
 
 
 def fortescue(v):
     """Fortescue transform: the positive- and negative-sequence components
     (v_pos, v_neg) of each bus."""
-    _, pos, neg = _sums(v)
-    return pos / 3.0, neg / 3.0
+    seq = _sums(v)[1] / 3.0
+    return seq[..., 0], seq[..., 1]
 
 
 def vuf(v):
     """Voltage unbalance factor in percent, 100 |v_neg| / |v_pos|, per bus."""
-    v_pos, v_neg = fortescue(v)
-    return 100.0 * _abs(v_neg) / _checked(_abs(v_pos))
+    mag = _magnitudes(v)
+    return 100.0 * mag[..., 1] / mag[..., 0]
 
 
 def f_metric(v):
     """Relaxed unbalance metric f = VUF**2 in squared percent, per bus."""
-    v_pos, v_neg = fortescue(v)
-    return 1e4 * _pow(_abs(v_neg), 2) / _pow(_checked(_abs(v_pos)), 2)
+    sq = _pow(_magnitudes(v), 2)
+    return 1e4 * sq[..., 1] / sq[..., 0]
 
 
 def grad_f(v):
@@ -135,18 +147,19 @@ def grad_f(v):
     The factor ``vab^2 + vbc^2 + vca^2`` vanishes identically on balanced
     sets, making the whole gradient exactly zero there.
     """
-    (va, vb, vc), pos, _ = _sums(v)
-    d = _pow(_abs(pos), 2)
-    _checked(np.sqrt(d) / 3.0)
-    opposite = np.stack((vb - vc, vc - va, va - vb), axis=-1)      # vbc, vca, vab
+    v, sums = _sums(v)
+    opposite = v[..., [1, 2, 0]] - v[..., [2, 0, 1]]                # vbc, vca, vab
+    parts = np.concatenate((sums[..., :1], opposite), axis=-1)
+    sq = _pow(np.hypot(parts.real, parts.imag), 2)
+    d, mag_sq = sq[..., 0], sq[..., 1:]
+    _check(np.sqrt(d) / 3.0)
     # z**2 as Python's complex power rounds it: (1 + 0j) * (z * z)
     square = _cmul(1.0 + 0j, _cmul(opposite, opposite))
-    mag_sq = _pow(_abs(opposite), 2)
     line_sq = square[..., 2] + square[..., 0] + square[..., 1]
     # the factor vanishes identically on balanced sets; snap rounding noise
     # to zero so those points report an exactly zero gradient
     noise = 64.0 * np.finfo(float).eps * (mag_sq[..., 2] + mag_sq[..., 0] + mag_sq[..., 1])
-    line_sq = np.where(_abs(line_sq) <= noise, 0.0, line_sq)
+    line_sq = np.where(np.hypot(line_sq.real, line_sq.imag) <= noise, 0.0, line_sq)
     scale = np.zeros(np.shape(d), dtype=complex)
     scale.imag = -(_SQRT3 * 1e4) / _pow(d, 2)
     return _cmul(_cmul(scale[..., None], np.conj(opposite)), line_sq[..., None])

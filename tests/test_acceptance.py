@@ -72,7 +72,7 @@ def test_criterion_01_metric_equals_fortescue_oracle():
     a = np.exp(2j * np.pi / 3)
     t = np.array([[1, a, a**2], [1, a**2, a]]) / 3.0
     t0 = time.perf_counter()
-    vals = f_metric(sets)
+    vals = np.array([f_metric(PhasorSet.from_array(v)) for v in sets])
     elapsed = time.perf_counter() - t0
     seq = sets @ t.T
     ref = (100.0 * np.abs(seq[:, 1]) / np.abs(seq[:, 0])) ** 2
