@@ -35,8 +35,8 @@ base = run(UnbalanceConfig("none"), "none")
 print("\n=== hard cap at 1.0 % ===")
 hard = run(UnbalanceConfig("hard", 1.0), "hard 1.0%")
 print("the binding cap shows up as a positive multiplier psi:")
-for bus in net.unbalance.buses:
-    psi = hard.psi(bus)
+psi_rows = hard.problem.by_family(ineq=hard.z_ineq)["vuf_limit"]
+for bus, psi in zip(hard.problem.vuf_buses, psi_rows):
     mark = "  <- binding" if psi > 1e-4 else ""
     print(f"  psi[{bus}] = {psi:10.4f}{mark}")
 

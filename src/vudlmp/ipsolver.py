@@ -60,7 +60,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .netmodel import is_number
-from .opf import ConstraintTag, OpfProblem
+from .opf import OpfProblem
 from .powerflow import max_vuf
 
 STATUS_SUCCESS = "success"
@@ -90,7 +90,8 @@ class SolverSettings:
 
 @dataclass
 class OpfSolution:
-    """KKT point with one multiplier per constraint."""
+    """KKT point with one multiplier per constraint row, in EUR/h per
+    per-unit: ``problem.by_family(y_eq, z_ineq)`` reads them by family."""
     problem: OpfProblem
     status: str
     x: np.ndarray
@@ -105,34 +106,6 @@ class OpfSolution:
     @property
     def success(self):
         return self.status == STATUS_SUCCESS
-
-    @cached_property
-    def _tag_rows(self):
-        """tag -> (multiplier vector, row), built on the first named lookup."""
-        rows = {t: (self.y_eq, i) for i, t in enumerate(self.problem.eq_tags)}
-        return rows | {t: (self.z_ineq, i) for i, t in enumerate(self.problem.ineq_tags)}
-
-    def multiplier(self, tag: ConstraintTag) -> float:
-        vec, row = self._tag_rows[tag]
-        return float(vec[row])
-
-    # named accessors, EUR/h per per-unit constraint shift
-    def phi_p(self, bus, phase):
-        return self.multiplier(ConstraintTag("p_balance", bus=bus, phase=phase))
-
-    def phi_q(self, bus, phase):
-        return self.multiplier(ConstraintTag("q_balance", bus=bus, phase=phase))
-
-    def sigma(self, bus, phase):
-        lo = self.multiplier(ConstraintTag("v_mag_lo", bus=bus, phase=phase))
-        hi = self.multiplier(ConstraintTag("v_mag_hi", bus=bus, phase=phase))
-        return lo, hi
-
-    def eta(self, line, phase):
-        return self.multiplier(ConstraintTag("thermal", line=line, phase=phase))
-
-    def psi(self, bus):
-        return self.multiplier(ConstraintTag("vuf_limit", bus=bus))
 
     # convenient physical views --------------------------------------------
 
@@ -160,13 +133,6 @@ class OpfSolution:
     def max_vuf(self):
         """(bus id, VUF percent) of the worst non-slack bus."""
         return max_vuf(self.problem.net, self.voltages())
-
-    def dlmp(self, bus, phase, kind="active"):
-        """Nodal price in EUR/kWh (EUR/kvarh for reactive)."""
-        base_kw = self.problem.net.base_kw
-        if kind == "active":
-            return self.phi_p(bus, phase) / base_kw
-        return self.phi_q(bus, phase) / base_kw
 
 
 def _inertia(ldu, ipiv):

@@ -4,12 +4,15 @@ Variables (all per-unit): rectangular voltage parts of every non-slack
 bus/phase, per-generator-phase active and reactive output, and directed
 per-line-phase power flows.  The substation voltage is held at a balanced
 1 pu source.  Constraints come in tagged families so that every multiplier
-can be recovered by name after the solve.  Only :class:`OpfProblem` knows
-where a family's rows start and how its (p, q) or (lo, hi) rows interleave:
-its constructors lay the rows out and its evaluators fill them, and
-:meth:`OpfProblem.by_family` hands any per-row vector, multipliers or
-residuals, to other code as views shaped by each family's axes (bus or
-line, phase).
+can be recovered by name after the solve.  The rows are laid out once, in
+one table of :class:`RowBlock` s per side (:attr:`OpfProblem.eq_blocks`,
+:attr:`OpfProblem.ineq_blocks`): each block gives its kinds, interleaved
+on its last axis, and its axes with their labels.  Everything else about
+the rows comes from that table: ``n_eq`` and ``n_ineq``, the rows the
+evaluators fill, :meth:`OpfProblem.by_family`, which hands any per-row
+vector, multipliers or residuals, to other code as one view per family
+shaped by its axes (bus, generator or line, phase), and the
+:class:`ConstraintTag` of every row, built on first use.
 
 The objective is cost minimization in EUR/h: generator energy cost plus,
 in soft mode, the voltage-unbalance penalty over the configured bus
@@ -52,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,6 +84,37 @@ class ConstraintTag:
             if value is not None:
                 words += [name, value]
         return " ".join(words)
+
+
+class RowBlock:
+    """A run of constraint rows from ``start``: one row per combination of
+    its axes' labels and its kinds, in C order with the kinds interleaved
+    last.  An axis is a list of labels, each a dict of the tag fields it
+    sets."""
+
+    def __init__(self, kinds, axes, start):
+        self.kinds, self.axes = kinds, axes
+        self.shape = tuple(len(labels) for labels in axes) + (len(kinds),)
+        self.rows = slice(start, start + math.prod(self.shape))
+
+    def views(self, vec):
+        """The block's rows of ``vec`` as one view per kind, shaped by the axes."""
+        rows = vec[self.rows].reshape(self.shape)
+        return {kind: rows[..., k] for k, kind in enumerate(self.kinds)}
+
+    def tags(self):
+        """The tag of every row, in row order."""
+        return [ConstraintTag(kind, **{k: v for label in labels for k, v in label.items()})
+                for labels in product(*self.axes) for kind in self.kinds]
+
+
+def _end_to_end(*blocks):
+    """:class:`RowBlock` s of ``(kinds, *axes)``, laid one after another from
+    row 0."""
+    out = []
+    for kinds, *axes in blocks:
+        out.append(RowBlock(kinds, axes, out[-1].rows.stop if out else 0))
+    return out
 
 
 def _pairs(start, shape):
@@ -241,21 +276,27 @@ class OpfProblem:
         From ``eq`` (``n_eq`` rows): ``flow_definition`` (line, end, phase,
         part p/q), ``p_balance`` and ``q_balance`` (bus, phase).  From
         ``ineq`` (``n_ineq`` rows): ``v_mag_lo`` and ``v_mag_hi`` (non-slack
-        bus, phase), ``thermal`` (line, phase) and ``vuf_limit`` (VUF bus,
-        hard mode; empty otherwise).  A contiguous vector is not copied, so a
-        write to a view writes its rows.
+        bus, phase), ``pg_lo``, ``pg_hi``, ``qg_lo`` and ``qg_hi``
+        (generator, phase), ``thermal`` (line, phase) and ``vuf_limit`` (VUF
+        bus, hard mode; empty otherwise).  Every row sits in one view.  A
+        contiguous vector is not copied, so a write to a view writes its rows.
         """
         rows = {}
-        if eq is not None:
-            rows["flow_definition"] = eq[:self._balance_row0].reshape(-1, 2, NPHASE, 2)
-            balance = eq[self._balance_row0:].reshape(-1, NPHASE, 2)
-            rows["p_balance"], rows["q_balance"] = balance[..., 0], balance[..., 1]
-        if ineq is not None:
-            box = ineq[:self._box_row0].reshape(-1, NPHASE, 2)
-            rows["v_mag_lo"], rows["v_mag_hi"] = box[..., 0], box[..., 1]
-            rows["thermal"] = ineq[self._thermal_row0:self._vuf_row0].reshape(-1, NPHASE)
-            rows["vuf_limit"] = ineq[self._vuf_row0:]
+        for vec, blocks in ((eq, self.eq_blocks), (ineq, self.ineq_blocks)):
+            if vec is not None:
+                for block in blocks:
+                    rows |= block.views(vec)
         return rows
+
+    @cached_property
+    def eq_tags(self):
+        """The :class:`ConstraintTag` of every equality row, in row order."""
+        return [tag for block in self.eq_blocks for tag in block.tags()]
+
+    @cached_property
+    def ineq_tags(self):
+        """The :class:`ConstraintTag` of every inequality row, in row order."""
+        return [tag for block in self.ineq_blocks for tag in block.tags()]
 
     def x0(self, point=None):
         """Initial vector: flat start or a warm power-flow operating point."""
@@ -286,17 +327,25 @@ class OpfProblem:
     def _build_constraints(self):
         net = self.net
         ids = net.bus_ids
-        lines = [(ids[i], ids[j]) for i, j in zip(net.line_from, net.line_to)]
+        # the row table: equalities are flow definitions (P row, then Q row,
+        # per line, end and phase), then nodal balances; inequalities are
+        # voltage boxes, generator boxes, thermal limits and hard VUF limits
+        line = [{"line": (ids[i], ids[j])} for i, j in zip(net.line_from, net.line_to)]
+        bus = [{"bus": b} for b in ids]
+        phase = [{"phase": ph} for ph in PHASES]
+        self.eq_blocks = _end_to_end(
+            (("flow_definition",), line, [{"end": 0}, {"end": 1}], phase,
+             [{"part": "p"}, {"part": "q"}]),
+            (("p_balance", "q_balance"), bus, phase))
+        self.ineq_blocks = _end_to_end(
+            (("v_mag_lo", "v_mag_hi"), [bus[b] for b in np.flatnonzero(self._nonslack)], phase),
+            (("pg_lo", "pg_hi", "qg_lo", "qg_hi"), [bus[b] for b in net.gen_bus], phase),
+            (("thermal",), line, phase),
+            (("vuf_limit",), [{"bus": b} for b in self.vuf_buses]
+             if self.cfg.mode == "hard" else []))
+        self.n_eq = self.eq_blocks[-1].rows.stop
+        self.n_ineq = self.ineq_blocks[-1].rows.stop
 
-        # equality tags: flow definitions then nodal balances; flow block k =
-        # (line, end, phase) in C order owns the P row 2k and the Q row 2k + 1,
-        # and the Q row of each (bus, phase) balance follows its P row
-        self.eq_tags = [ConstraintTag("flow_definition", line=ln, end=d, phase=ph, part=part)
-                        for ln in lines for d in range(2) for ph in PHASES for part in "pq"]
-        self._balance_row0 = len(self.eq_tags)
-        self.eq_tags += [ConstraintTag(kind, bus=b, phase=ph) for b in ids
-                         for ph in PHASES for kind in ("p_balance", "q_balance")]
-        self.n_eq = len(self.eq_tags)
         # nodal balances: flows leaving the bus enter with +1, generation with -1
         eq_rows = self.by_family(eq=np.arange(self.n_eq))
         rows, cols, vals = [], [], []
@@ -313,22 +362,6 @@ class OpfProblem:
         self._bal_b = np.zeros(self.n_eq)
         bal_b = self.by_family(eq=self._bal_b)
         bal_b["p_balance"][:], bal_b["q_balance"][:] = np.real(net.demand), np.imag(net.demand)
-
-        # inequality tags: voltage boxes (lo, hi per non-slack bus and phase),
-        # generator boxes, thermal limits, hard VUF limits
-        self.ineq_tags = [ConstraintTag(kind, bus=ids[b], phase=ph)
-                          for b in np.flatnonzero(self._nonslack) for ph in PHASES
-                          for kind in ("v_mag_lo", "v_mag_hi")]
-        self._box_row0 = len(self.ineq_tags)
-        self.ineq_tags += [ConstraintTag(kind, bus=ids[b], phase=ph) for b in net.gen_bus
-                           for ph in PHASES for kind in ("pg_lo", "pg_hi", "qg_lo", "qg_hi")]
-        self._thermal_row0 = len(self.ineq_tags)
-        self.ineq_tags += [ConstraintTag("thermal", line=ln, phase=ph)
-                           for ln in lines for ph in PHASES]
-        self._vuf_row0 = len(self.ineq_tags)
-        if self.cfg.mode == "hard":
-            self.ineq_tags += [ConstraintTag("vuf_limit", bus=bid) for bid in self.vuf_buses]
-        self.n_ineq = len(self.ineq_tags)
 
         # linear objective part: generator energy cost in EUR/h
         self._cost_lin = np.zeros(self.nvar)
@@ -412,8 +445,9 @@ class OpfProblem:
         ineq_rows = self.by_family(ineq=np.arange(self.n_ineq))
         lo, hi = ineq_rows["v_mag_lo"].ravel(), ineq_rows["v_mag_hi"].ravel()
         pg, qg = self.idx_pg.ravel(), self.idx_qg.ravel()
+        gen_box = self.ineq_blocks[1].rows
         rows = [np.stack((lo, lo, hi, hi), axis=1).ravel(),
-                np.arange(self._box_row0, self._thermal_row0),
+                np.arange(gen_box.start, gen_box.stop),
                 np.repeat(ineq_rows["thermal"], 2)]
         cols = [np.stack((self._ve, self._vf, self._ve, self._vf), axis=1).ravel(),
                 np.stack((pg, pg, qg, qg), axis=1).ravel(),
@@ -534,8 +568,8 @@ class OpfProblem:
         rows, cols, vals = self._bal
         c = np.bincount(rows, vals * x[cols], self.n_eq) + self._bal_b
         # flow-definition rows, (line, end, phase) order, P then Q
-        c[0:self._balance_row0:2] = (x[self.idx_p] - np.real(s)).ravel()
-        c[1:self._balance_row0:2] = (x[self.idx_q] - np.imag(s)).ravel()
+        c[self.eq_blocks[0].rows] = np.stack((x[self.idx_p] - np.real(s),
+                                              x[self.idx_q] - np.imag(s)), axis=-1).ravel()
         if not want_jac:
             return c, None
         # d s / d(e, f) per (line, end, phase ph, phase psi): the near-end
@@ -575,25 +609,25 @@ class OpfProblem:
         """c_ineq, its Jacobian's values on :attr:`jac_ineq_layout` and, in
         hard mode, f's (k, 6, 6) Hessian blocks."""
         c = np.empty(self.n_ineq)
+        v_box, gen_box, thermal, vuf_limit = (block.rows for block in self.ineq_blocks)
         e = x[self._ve]
         f = x[self._vf]
         vsq = e * e + f * f
-        c[0:self._box_row0:2] = self._vmin_sq - vsq
-        c[1:self._box_row0:2] = vsq - self._vmax_sq
+        c[v_box] = np.stack((self._vmin_sq - vsq, vsq - self._vmax_sq), axis=1).ravel()
         pg = x[self.idx_pg].ravel()
         qg = x[self.idx_qg].ravel()
-        c[self._box_row0:self._thermal_row0] = np.stack((
+        c[gen_box] = np.stack((
             self.gen_pmin.ravel() - pg, pg - self.gen_pmax.ravel(),
             self.gen_qmin.ravel() - qg, qg - self.gen_qmax.ravel()), axis=1).ravel()
         p = x[self._tp]
         q = x[self._tq]
-        c[self._thermal_row0:self._vuf_row0] = p * p + q * q - self._rating_sq
+        c[thermal] = p * p + q * q - self._rating_sq
         vuf_grad = vuf_hess = np.zeros((0, 6, 6))
         if self.cfg.mode == "hard":
             xv = x[self._vuf_vars]
             fv, vuf_grad, vuf_hess = vuf_metric_grad_hess(xv) if want_jac else (
                 vuf_metric_local(xv), None, None)
-            c[self._vuf_row0:] = fv - self.cfg.vuf_limit_pct**2
+            c[vuf_limit] = fv - self.cfg.vuf_limit_pct**2
         if not want_jac:
             return c, None, None
         stream = np.concatenate((

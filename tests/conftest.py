@@ -38,6 +38,12 @@ def make_two_bus(unbalance=None):
     )
 
 
+def psi_at(sol, bus):
+    """The hard VUF-limit multiplier of ``bus`` in ``sol``, read by family."""
+    psi = sol.problem.by_family(ineq=sol.z_ineq)["vuf_limit"]
+    return psi[sol.problem.vuf_buses.index(bus)]
+
+
 @pytest.fixture(scope="session")
 def two_bus():
     return make_two_bus()

@@ -22,6 +22,7 @@ from vudlmp.netmodel import PHASES, UnbalanceConfig
 from vudlmp.opf import _ROOT_SMOOTH, build_problem
 from vudlmp.powerflow import build_ybus, solve_pf
 from vudlmp.sequence import PhasorSet, f_metric
+from conftest import psi_at
 
 
 def consumption_fd(net, v, functional, h=1e-6, keys=None):
@@ -51,7 +52,8 @@ def substation_term(sol):
     net = sol.problem.net
     sub = net.substation_bus
     s = net.bus_index(sub)
-    phi = np.array([[sol.phi_p(sub, ph), sol.phi_q(sub, ph)] for ph in PHASES])
+    mult = sol.problem.by_family(sol.y_eq)
+    phi = np.stack((mult["p_balance"][s], mult["q_balance"][s]), axis=1)
 
     def term(point):
         v = point.voltages
@@ -224,15 +226,20 @@ class TestDecomposition:
                 key = (d.bus, d.phase, d.power_kind)
                 assert abs(d.energy + d.loss - fd[key]) < 1e-7, key
 
-    def test_multipliers_are_read_by_row(self, simple5_solve):
-        sol = simple5_solve("hard", limit=1.0)
-        fresh = replace(sol)
-        rows = decompose(fresh)
-        # the tag indexes are built only for named lookups
-        assert "_eq_index" not in vars(fresh) and "_ineq_index" not in vars(fresh)
-        assert rows == decompose(sol)
-        for d in rows:
-            assert d.total == sol.dlmp(d.bus, d.phase, d.power_kind)
+    def test_multipliers_are_read_by_row(self, request):
+        # the constraint tags are built only to name a row, never on the way
+        # from a successful solve to its prices
+        for name, limit in (("simple5", 1.0), ("eulv117", 0.5)):
+            net = request.getfixturevalue(name)
+            prob = build_problem(net, UnbalanceConfig("hard", limit, buses=net.unbalance.buses))
+            sol = solve(prob, warm=solve_pf(net))
+            rows = decompose(sol)
+            assert "eq_tags" not in vars(prob) and "ineq_tags" not in vars(prob)
+            mult = prob.by_family(sol.y_eq)
+            for d in rows:
+                family = "p_balance" if d.power_kind == "active" else "q_balance"
+                at = net.bus_index(d.bus), PHASES.index(d.phase)
+                assert d.total == mult[family][at] / net.base_kw
 
     def test_every_bus_phase_kind_present(self, simple5, simple5_solve):
         rows = decompose(simple5_solve("none"))
@@ -297,12 +304,11 @@ class TestDecomposition:
         # each component is the first-order change of its binding terms,
         # sum eta |s_from|^2 and sum (sigma_hi - sigma_lo) |v|^2, under an
         # extra consumption with generation fixed (the slack swings)
-        eta = np.array([[sol.eta((ln.from_bus, ln.to_bus), ph) for ph in PHASES]
-                        for ln in net.lines])
+        mult = sol.problem.by_family(ineq=sol.z_ineq)
+        eta = mult["thermal"]
         sig = np.zeros((len(net.buses), len(PHASES)))
-        for b, bus in enumerate(net.buses):
-            if bus.id != net.substation_bus:
-                sig[b] = [hi - lo for lo, hi in (sol.sigma(bus.id, ph) for ph in PHASES)]
+        sig[np.arange(len(net.buses)) != net.bus_index(net.substation_bus)] = \
+            mult["v_mag_hi"] - mult["v_mag_lo"]
         fd = consumption_fd(net, sol.voltages(), lambda point: (
             np.sum(eta * np.abs(point.s_from) ** 2),
             np.sum(sig * np.abs(point.voltages) ** 2)))
@@ -330,7 +336,7 @@ class TestDecomposition:
         assert max(abs(d.unbalance) for d in rows) > 1e-2
         buses = sol.problem.vuf_buses
         if kwargs["mode"] == "hard":
-            weights = np.array([sol.psi(bid) for bid in buses])
+            weights = sol.problem.by_family(ineq=sol.z_ineq)["vuf_limit"]
         else:
             weights = kwargs["penalty"]
         idx = [simple5.bus_index(bid) for bid in buses]
@@ -351,7 +357,7 @@ class TestDecomposition:
         assert sol.success, sol.message
         bus, worst = sol.max_vuf()
         assert worst <= 0.5 + 1e-5
-        assert sol.psi(bus) > 0
+        assert psi_at(sol, bus) > 0
         rows = [d for d in decompose(sol) if d.bus == bus]
         assert max(abs(d.unbalance) for d in rows) > 1e-6
 
@@ -387,6 +393,7 @@ class TestShadowPrices:
         prob = build_problem(simple5, UnbalanceConfig("none"))
         base = solve(prob, warm=simple5_pf)
         assert base.success
+        phi_p = prob.by_family(base.y_eq)["p_balance"]
         eps = 1e-4
         checked = 0
         for bus, ph in (("b2", "a"), ("b4", "c"), ("b5", "b")):
@@ -396,7 +403,7 @@ class TestShadowPrices:
             if not sol2.success:
                 continue
             fd = (sol2.objective - base.objective) / eps
-            dual = base.phi_p(bus, ph)
+            dual = phi_p[simple5.bus_index(bus), PHASES.index(ph)]
             assert fd == pytest.approx(dual, rel=0.01)
             checked += 1
         assert checked >= 2
@@ -408,14 +415,15 @@ class TestShadowPrices:
         cfg = UnbalanceConfig("soft", 0.0, weight, buses=simple5.unbalance.buses)
         base = solve(build_problem(simple5, cfg), warm=simple5_pf)
         assert base.success
+        mult = base.problem.by_family(base.y_eq)
         eps = 1e-4
         checked = 0
-        for bus in simple5.buses:
+        for b, bus in enumerate(simple5.buses):
             if bus.id == simple5.substation_bus:
                 continue
-            for ph in PHASES:
-                for key, dual in (("dp", base.phi_p(bus.id, ph)),
-                                  ("dq", base.phi_q(bus.id, ph))):
+            for p, ph in enumerate(PHASES):
+                for key, dual in (("dp", mult["p_balance"][b, p]),
+                                  ("dq", mult["q_balance"][b, p])):
                     obj = []
                     for step in (eps, -eps):
                         bumped = simple5.with_extra_load(bus.id, ph, **{key: step})

@@ -100,14 +100,21 @@ class TestFamilyViews:
             "vuf_limit": ((len(prob.vuf_buses),),
                           [ConstraintTag("vuf_limit", bus=b) for b in prob.vuf_buses]),
         }
+        gen_buses = [g.bus for g in net.gens]
         for kind, on in (("p_balance", buses), ("q_balance", buses),
-                         ("v_mag_lo", nonslack), ("v_mag_hi", nonslack)):
+                         ("v_mag_lo", nonslack), ("v_mag_hi", nonslack),
+                         ("pg_lo", gen_buses), ("pg_hi", gen_buses),
+                         ("qg_lo", gen_buses), ("qg_hi", gen_buses)):
             expected[kind] = ((len(on), 3), [ConstraintTag(kind, bus=b, phase=ph)
                                              for b, ph in product(on, PHASES)])
         eq, ineq = np.arange(prob.n_eq), np.arange(prob.n_ineq)
         views = prob.by_family(eq, ineq)
         assert set(views) == set(expected)
         assert len(prob.vuf_buses) > 0
+        # every row sits in exactly one view
+        for vec, side in ((eq, prob.by_family(eq=eq)), (ineq, prob.by_family(ineq=ineq))):
+            assert np.array_equal(np.sort(np.concatenate([v.ravel() for v in side.values()])),
+                                  vec)
         for kind, view in views.items():
             vec, tags = (eq, prob.eq_tags) if kind in ("flow_definition", "p_balance",
                                                        "q_balance") else (ineq, prob.ineq_tags)
