@@ -71,18 +71,21 @@ class ConstraintTag:
     bus: str | None = None
     phase: str | None = None
     line: tuple | None = None   # (from_bus, to_bus)
+    index: int | None = None    # the line's or generator's position in the network
     end: int | None = None      # 0 = from, 1 = to
     part: str | None = None     # flow definitions: "p" or "q"
 
     def describe(self):
-        """The kind and the fields it sets, e.g. ``thermal line sub-b1 phase a``."""
+        """The kind and the fields it sets, e.g. ``thermal line sub-b1 index 0
+        phase a``."""
         words = [self.kind]
         for name, value in (("bus", self.bus),
                             ("line", self.line and "-".join(self.line)),
+                            ("index", self.index),
                             ("end", None if self.end is None else ("from", "to")[self.end]),
                             ("phase", self.phase), ("part", self.part)):
             if value is not None:
-                words += [name, value]
+                words += [name, str(value)]
         return " ".join(words)
 
 
@@ -330,7 +333,8 @@ class OpfProblem:
         # the row table: equalities are flow definitions (P row, then Q row,
         # per line, end and phase), then nodal balances; inequalities are
         # voltage boxes, generator boxes, thermal limits and hard VUF limits
-        line = [{"line": (ids[i], ids[j])} for i, j in zip(net.line_from, net.line_to)]
+        line = [{"line": (ids[i], ids[j]), "index": k}
+                for k, (i, j) in enumerate(zip(net.line_from, net.line_to))]
         bus = [{"bus": b} for b in ids]
         phase = [{"phase": ph} for ph in PHASES]
         self.eq_blocks = _end_to_end(
@@ -339,7 +343,8 @@ class OpfProblem:
             (("p_balance", "q_balance"), bus, phase))
         self.ineq_blocks = _end_to_end(
             (("v_mag_lo", "v_mag_hi"), [bus[b] for b in np.flatnonzero(self._nonslack)], phase),
-            (("pg_lo", "pg_hi", "qg_lo", "qg_hi"), [bus[b] for b in net.gen_bus], phase),
+            (("pg_lo", "pg_hi", "qg_lo", "qg_hi"),
+             [{"bus": ids[b], "index": g} for g, b in enumerate(net.gen_bus)], phase),
             (("thermal",), line, phase),
             (("vuf_limit",), [{"bus": b} for b in self.vuf_buses]
              if self.cfg.mode == "hard" else []))

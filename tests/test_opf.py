@@ -88,25 +88,26 @@ class TestFamilyViews:
     def test_view_entries_index_their_tagged_rows(self, request, name, limit):
         net = request.getfixturevalue(name)
         prob = build_problem(net, UnbalanceConfig("hard", limit))
-        lines = [(ln.from_bus, ln.to_bus) for ln in net.lines]
+        lines = list(enumerate((ln.from_bus, ln.to_bus) for ln in net.lines))
         buses = [b.id for b in net.buses]
         nonslack = [b for b in buses if b != net.substation_bus]
         expected = {    # kind -> (view shape, tags in the view's C order)
             "flow_definition": ((len(lines), 2, 3, 2), [
-                ConstraintTag("flow_definition", line=ln, end=d, phase=ph, part=part)
-                for ln, d, ph, part in product(lines, range(2), PHASES, "pq")]),
-            "thermal": ((len(lines), 3), [ConstraintTag("thermal", line=ln, phase=ph)
-                                          for ln, ph in product(lines, PHASES)]),
+                ConstraintTag("flow_definition", line=ln, index=k, end=d, phase=ph, part=part)
+                for (k, ln), d, ph, part in product(lines, range(2), PHASES, "pq")]),
+            "thermal": ((len(lines), 3), [ConstraintTag("thermal", line=ln, index=k, phase=ph)
+                                          for (k, ln), ph in product(lines, PHASES)]),
             "vuf_limit": ((len(prob.vuf_buses),),
                           [ConstraintTag("vuf_limit", bus=b) for b in prob.vuf_buses]),
         }
-        gen_buses = [g.bus for g in net.gens]
         for kind, on in (("p_balance", buses), ("q_balance", buses),
-                         ("v_mag_lo", nonslack), ("v_mag_hi", nonslack),
-                         ("pg_lo", gen_buses), ("pg_hi", gen_buses),
-                         ("qg_lo", gen_buses), ("qg_hi", gen_buses)):
+                         ("v_mag_lo", nonslack), ("v_mag_hi", nonslack)):
             expected[kind] = ((len(on), 3), [ConstraintTag(kind, bus=b, phase=ph)
                                              for b, ph in product(on, PHASES)])
+        for kind in ("pg_lo", "pg_hi", "qg_lo", "qg_hi"):
+            expected[kind] = ((len(net.gens), 3), [
+                ConstraintTag(kind, bus=g.bus, index=k, phase=ph)
+                for (k, g), ph in product(enumerate(net.gens), PHASES)])
         eq, ineq = np.arange(prob.n_eq), np.arange(prob.n_ineq)
         views = prob.by_family(eq, ineq)
         assert set(views) == set(expected)
@@ -135,9 +136,15 @@ class TestLayout:
         assert prob.nvar == expected
 
     def test_constraint_tags_are_unique(self, simple5):
-        prob = build_problem(simple5, UnbalanceConfig("hard", 1.0))
-        assert len(set(prob.eq_tags)) == len(prob.eq_tags) == prob.n_eq
-        assert len(set(prob.ineq_tags)) == len(prob.ineq_tags) == prob.n_ineq
+        # also with a second unit at b3 and with a parallel copy of a line,
+        # whose rows differ only by the element's position in the network
+        b3_unit = next(g for g in simple5.gens if g.bus == "b3")
+        for net in (simple5,
+                    replace(simple5, gens=simple5.gens + (replace(b3_unit),)),
+                    replace(simple5, lines=simple5.lines + simple5.lines[-1:])):
+            prob = build_problem(net, UnbalanceConfig("hard", 1.0))
+            assert len(set(prob.eq_tags)) == len(prob.eq_tags) == prob.n_eq
+            assert len(set(prob.ineq_tags)) == len(prob.ineq_tags) == prob.n_ineq
 
     def test_vuf_rows_present_only_in_hard_mode(self, simple5):
         count = lambda p: sum(t.kind == "vuf_limit" for t in p.ineq_tags)
