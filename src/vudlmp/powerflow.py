@@ -10,7 +10,9 @@ factors of the Jacobian at its own voltages once they are asked for
 (:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
 them, and :func:`resolve_from` re-solves a stack of perturbed injections
 from that point, all first Newton steps in one multi-column solve with
-them.
+them.  SuperLU solves each column of that solve as it solves the column
+alone; LAPACK's multi-column solve does not always, so on a small network
+a re-solve may differ from a separate :func:`solve_pf` in the last bits.
 
 A network whose Jacobian has fewer than ``SPARSE_JACOBIAN_ROWS`` rows is
 small, and a larger one large; that one test picks both the admittance
@@ -373,10 +375,13 @@ def resolve_from(base: OperatingPoint, injections):
     a column that has converged after it gets no line flows.  A column that
     needs more steps takes them alone, factoring as :func:`solve_pf` does;
     one whose mismatch at ``base`` is already below TOL_PF stays there with
-    0 steps.  LAPACK and SuperLU solve each column of an untransposed
-    multi-column right-hand side as they solve it alone, so column j is bit
-    for bit ``solve_pf(base.net, injections[j], v0=base.voltages)`` for a
-    ``base`` that :func:`solve_pf` returned.
+    0 steps.  On a large network SuperLU solves each column of the
+    multi-column right-hand side as it solves that column alone, so column
+    j is bit for bit ``solve_pf(base.net, injections[j], v0=base.voltages)``
+    for a ``base`` that :func:`solve_pf` returned.  On a small network
+    LAPACK's multi-column solve rounds some columns differently from a
+    one-column solve, so a column agrees with that re-solve only to
+    rounding.
     """
     net = base.net
     injections = _checked_bus_array("injections", injections, len(net.buses), stacked=True)

@@ -151,8 +151,9 @@ class TestSensitivity:
         ("simple5", FD_STEP), ("simple5", 2e-5), ("eulv117", FD_STEP)])
     def test_report_equals_one_solve_per_perturbation(self, request, feeder, step):
         # the batched re-solves give every bit that one power flow per
-        # perturbation from the point's voltages gives: dense LAPACK factors
-        # on simple5, SuperLU on eulv117
+        # perturbation from the point's voltages gives.  SuperLU (eulv117)
+        # solves each column of a batch as it solves the column alone;
+        # LAPACK (simple5) does not in general, but does on these columns
         if feeder == "simple5":
             net, point, buses = request.getfixturevalue("simple5"), \
                 request.getfixturevalue("simple5_pf"), None

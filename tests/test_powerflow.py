@@ -203,6 +203,31 @@ class TestResolveFrom:
             assert np.array_equal(v[j], alone.voltages)
         assert np.array_equal(v[2], simple5_pf.voltages)
 
+    def test_random_batches_equal_separate_solves_on_superlu(self, eulv117):
+        # SuperLU solves each column of a batch as it solves the column
+        # alone, so every re-solve keeps every bit of a separate one; seeded
+        # batches of 2 to 12 columns, each with one to three steps of up to
+        # 0.02 pu at random buses and phases (LAPACK rounds some columns of
+        # such batches on simple5 differently)
+        point = solve_pf(eulv117)
+        rng = np.random.default_rng(17)
+        nonslack = nonslack_index(eulv117)
+        iterations = []
+        for k in (2, 5, 12):
+            stack = np.repeat(np.array(point.injections)[None], k, axis=0)
+            for j in range(k):
+                for _ in range(rng.integers(1, 4)):
+                    flat = rng.choice(nonslack)
+                    step = rng.choice([1e-5, 1e-3, 0.02]) * rng.choice([-1, 1, -1j, 1j])
+                    stack[j].reshape(-1)[flat] -= step
+            v, its = resolve_from(point, stack)
+            for j in range(k):
+                alone = solve_pf(eulv117, stack[j], v0=point.voltages)
+                assert its[j] == alone.iterations
+                assert np.array_equal(v[j], alone.voltages)
+            iterations += list(its)
+        assert max(iterations) >= 3
+
     def test_injections_must_be_a_stack(self, simple5, simple5_pf):
         n = len(simple5.buses)
         with pytest.raises(ValueError, match="injections must have shape"):
