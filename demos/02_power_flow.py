@@ -16,6 +16,7 @@ from vudlmp import (
     load_network,
     perturb_and_resolve,
     solve_pf,
+    vuf,
 )
 
 net = load_network(bundled_network("simple5"))
@@ -24,14 +25,15 @@ point = solve_pf(net)
 print(f"converged in {point.iterations} Newton iterations "
       f"(base {net.base_kva:.0f} kVA, {net.base_volt_ln:.0f} V L-N)")
 print(f"{'bus':>4}  {'|va|':>7} {'|vb|':>7} {'|vc|':>7}   {'VUF %':>6}")
+vufs = vuf(point.voltages)
 for b, bus in enumerate(net.buses):
     mags = np.abs(point.voltages[b])
-    tag = "" if bus.id == net.substation_bus else f"{point.vuf(bus.id):6.3f}"
+    tag = "" if bus.id == net.substation_bus else f"{vufs[b]:6.3f}"
     print(f"{bus.id:>4}  {mags[0]:7.4f} {mags[1]:7.4f} {mags[2]:7.4f}   {tag}")
 
 worst_bus, worst = point.max_vuf()
 print(f"\nworst unbalance: {worst:.3f} % at {worst_bus} "
-      f"(f = {point.f_metric(worst_bus):.3f} %^2)")
+      f"(f = {f_metric(point.voltages[net.bus_index(worst_bus)]):.3f} %^2)")
 
 # conservation: substation infeed equals load plus series losses
 infeed = np.sum(np.real(point.s_from[0]))   # line 0 leaves the substation

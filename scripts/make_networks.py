@@ -25,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vudlmp.netmodel import network_from_dict  # noqa: E402
 from vudlmp.powerflow import PowerFlowDiverged, solve_pf  # noqa: E402
+from vudlmp.sequence import vuf  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "vudlmp" / "data"
 
@@ -250,9 +251,9 @@ def pick_vuf_subset(doc, count=15):
     """Motor buses plus the highest-VUF buses of the load-only power flow."""
     net = network_from_dict(doc)
     point = solve_pf(net)
-    scored = sorted(
-        ((point.vuf(b.id), b.id) for b in net.buses if b.id != "sub"),
-        reverse=True)
+    buses = [b for b, bid in enumerate(net.bus_ids) if bid != "sub"]
+    scored = sorted(zip(vuf(point.voltages[buses]).tolist(),
+                        (net.bus_ids[b] for b in buses)), reverse=True)
     subset = list(MOTOR_BUSES)
     for _, bid in scored:
         if bid not in subset:

@@ -238,12 +238,6 @@ class OperatingPoint:
     losses: float               # total active losses, per-unit
     iterations: int = 0
 
-    def vuf(self, bus) -> float:
-        return vuf(self.voltages[self.net.bus_index(bus)])
-
-    def f_metric(self, bus) -> float:
-        return f_metric(self.voltages[self.net.bus_index(bus)])
-
     def max_vuf(self):
         """(bus id, VUF percent) of the worst non-slack bus."""
         return max_vuf(self.net, self.voltages)

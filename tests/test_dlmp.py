@@ -172,7 +172,9 @@ class TestSensitivity:
                 pert = np.array(point.injections)
                 pert[net.bus_index(e.bus), PHASES.index(e.phase)] -= dp + 1j * dq
                 alone = solve_pf(net, pert, v0=point.voltages)
-                df.append(alone.f_metric(e.bus) - point.f_metric(e.bus))
+                b = net.bus_index(e.bus)
+                df.append(np.subtract(*f_metric(np.stack((alone.voltages[b],
+                                                          point.voltages[b])))))
             fd = (df[0] - df[1]) / (2.0 * step)
             gap = abs(e.closed_form - fd) / max(abs(fd), abs(e.closed_form), 1e-12)
             assert e.finite_difference == fd, (e.bus, e.phase, e.power_kind)
