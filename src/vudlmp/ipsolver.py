@@ -8,7 +8,8 @@ symmetric mode, whose inertia is the signs of the U diagonal when it
 pivoted on the diagonal only.  The multipliers are first-class outputs:
 convergence is declared only when stationarity, feasibility and
 complementarity all fall below the KKT tolerance, so the duals are clean
-enough to be read as prices.
+enough to be read as prices; :meth:`~vudlmp.opf.OpfProblem.by_family`
+reads them by constraint family.  Only a failed solve names a row by tag.
 
 MU0, MU_FACTOR and the mu**1.5 tail are the barrier schedule of Wächter &
 Biegler, "On the implementation of an interior-point filter line-search
@@ -106,8 +107,6 @@ class OpfSolution:
     @property
     def success(self):
         return self.status == STATUS_SUCCESS
-
-    # convenient physical views --------------------------------------------
 
     def voltages(self):
         return self.problem.voltages(self.x)

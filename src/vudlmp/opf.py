@@ -76,8 +76,7 @@ class ConstraintTag:
     part: str | None = None     # flow definitions: "p" or "q"
 
     def describe(self):
-        """The kind and the fields it sets, e.g. ``thermal line sub-b1 index 0
-        phase a``."""
+        """The kind and the fields it sets, e.g. ``pg_lo bus b3 index 1 phase a``."""
         words = [self.kind]
         for name, value in (("bus", self.bus),
                             ("line", self.line and "-".join(self.line)),
@@ -330,9 +329,7 @@ class OpfProblem:
     def _build_constraints(self):
         net = self.net
         ids = net.bus_ids
-        # the row table: equalities are flow definitions (P row, then Q row,
-        # per line, end and phase), then nodal balances; inequalities are
-        # voltage boxes, generator boxes, thermal limits and hard VUF limits
+        # the row table: each block's kinds, then its axes, in row order
         line = [{"line": (ids[i], ids[j]), "index": k}
                 for k, (i, j) in enumerate(zip(net.line_from, net.line_to))]
         bus = [{"bus": b} for b in ids]
@@ -450,9 +447,8 @@ class OpfProblem:
         ineq_rows = self.by_family(ineq=np.arange(self.n_ineq))
         lo, hi = ineq_rows["v_mag_lo"].ravel(), ineq_rows["v_mag_hi"].ravel()
         pg, qg = self.idx_pg.ravel(), self.idx_qg.ravel()
-        gen_box = self.ineq_blocks[1].rows
         rows = [np.stack((lo, lo, hi, hi), axis=1).ravel(),
-                np.arange(gen_box.start, gen_box.stop),
+                np.stack([ineq_rows[k] for k in ("pg_lo", "pg_hi", "qg_lo", "qg_hi")], -1).ravel(),
                 np.repeat(ineq_rows["thermal"], 2)]
         cols = [np.stack((self._ve, self._vf, self._ve, self._vf), axis=1).ravel(),
                 np.stack((pg, pg, qg, qg), axis=1).ravel(),

@@ -10,9 +10,8 @@ factors of the Jacobian at its own voltages once they are asked for
 (:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
 them, and :func:`resolve_from` re-solves a stack of perturbed injections
 from that point, all first Newton steps in one multi-column solve with
-them.  SuperLU solves each column of that solve as it solves the column
-alone; LAPACK's multi-column solve does not always, so on a small network
-a re-solve may differ from a separate :func:`solve_pf` in the last bits.
+them; on a small network LAPACK rounds some of those columns unlike a
+separate :func:`solve_pf` (see :func:`resolve_from`).
 
 A network whose Jacobian has fewer than ``SPARSE_JACOBIAN_ROWS`` rows is
 small, and a larger one large; that one test picks both the admittance
