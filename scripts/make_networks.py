@@ -3,14 +3,14 @@
 The published sources give only aggregate load data for both test feeders,
 so the per-bus values here are reconstructions that honor the aggregates
 (totals, phase splits, DER capacities, motor loads).  Line impedances are
-plausible LV cable data; a global impedance scale is tuned by bisection so
-the load-only power flow lands at a stated maximum VUF.  Output is
-deterministic, and simple5 comes out byte for byte as bundled, but eulv117
-no longer does: the bisection runs on power-flow VUF bits that have moved
-since the bundled file was written, so its line impedances differ in their
-last digits.  Every pinned benchmark output depends on those digits, so do
-not use this script to refresh ``src/vudlmp/data`` outside a reference
-regeneration of the benchmark.
+plausible LV cable data, times one global impedance scale per feeder.  Each
+scale was found by bisecting it until the load-only power flow's maximum
+VUF reached 1.30 %, and is pinned here: re-bisecting would follow the
+power flow's last bits, and those have moved since the bundled files were
+written.  Output is deterministic, and :func:`documents` rebuilds both
+bundled files byte for byte.  Every pinned benchmark output depends on
+their digits, so change a feeder here only in a reference regeneration of
+the benchmark.
 
 Run from the repo root:  python scripts/make_networks.py
 """
@@ -24,13 +24,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vudlmp.netmodel import network_from_dict  # noqa: E402
-from vudlmp.powerflow import PowerFlowDiverged, solve_pf  # noqa: E402
+from vudlmp.powerflow import solve_pf  # noqa: E402
 from vudlmp.sequence import vuf  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "vudlmp" / "data"
 
 MAIN_Z = (0.125 + 0.080j, 0.020 + 0.040j)      # ohm/km: (self, mutual)
 SERVICE_Z = (0.320 + 0.090j, 0.030 + 0.040j)
+
+# the bisected impedance scales (load-only max VUF 1.30 %)
+SIMPLE5_SCALE = 3.9060050484824704
+EULV117_SCALE = 0.7752378976727361
 
 
 def zmat(per_km, length_km, scale=1.0):
@@ -39,24 +43,6 @@ def zmat(per_km, length_km, scale=1.0):
     np.fill_diagonal(z, zs)
     z *= length_km * scale
     return np.real(z).tolist(), np.imag(z).tolist()
-
-
-def tune_scale(make_doc, target_vuf, lo=0.2, hi=20.0, iters=48):
-    """Bisect the impedance scale until the load-only PF max VUF hits target."""
-    def max_vuf(scale):
-        net = network_from_dict(make_doc(scale))
-        try:
-            point = solve_pf(net)
-        except PowerFlowDiverged:
-            return float("inf")     # over-scaled feeder: treat as above target
-        return point.max_vuf()[1]
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if max_vuf(mid) < target_vuf:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # -- simple 5-bus feeder ----------------------------------------------------
@@ -263,29 +249,22 @@ def pick_vuf_subset(doc, count=15):
     return subset
 
 
+def documents():
+    """The JSON text of each bundled feeder document, by name."""
+    eulv = eulv_doc(EULV117_SCALE)
+    eulv["unbalance"]["buses"] = pick_vuf_subset(eulv)
+    return {name: json.dumps(doc, indent=1) + "\n"
+            for name, doc in (("simple5", simple5_doc(SIMPLE5_SCALE)), ("eulv117", eulv))}
+
+
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-
-    scale = tune_scale(simple5_doc, target_vuf=1.30)
-    doc = simple5_doc(scale)
-    net = network_from_dict(doc)
-    point = solve_pf(net)
-    bus, worst = point.max_vuf()
-    vmin = min(abs(point.voltages[net.bus_index(b.id)]).min() for b in net.buses)
-    print(f"simple5: scale={scale:.4f} load-only max VUF={worst:.3f}% at {bus}, "
-          f"min |v|={vmin:.4f}")
-    (OUT / "simple5.net.json").write_text(json.dumps(doc, indent=1) + "\n")
-
-    scale = tune_scale(eulv_doc, target_vuf=1.30)
-    doc = eulv_doc(scale)
-    doc["unbalance"]["buses"] = pick_vuf_subset(doc)
-    net = network_from_dict(doc)
-    point = solve_pf(net)
-    bus, worst = point.max_vuf()
-    vmin = min(abs(point.voltages[net.bus_index(b.id)]).min() for b in net.buses)
-    print(f"eulv117: scale={scale:.4f} load-only max VUF={worst:.3f}% at {bus}, "
-          f"min |v|={vmin:.4f}, subset={doc['unbalance']['buses']}")
-    (OUT / "eulv117.net.json").write_text(json.dumps(doc, indent=1) + "\n")
+    for name, text in documents().items():
+        point = solve_pf(network_from_dict(json.loads(text)))
+        bus, worst = point.max_vuf()
+        print(f"{name}: load-only max VUF={worst:.3f}% at {bus}, "
+              f"min |v|={np.abs(point.voltages).min():.4f}")
+        (OUT / f"{name}.net.json").write_text(text)
 
 
 if __name__ == "__main__":

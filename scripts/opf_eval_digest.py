@@ -21,9 +21,11 @@ the ``solve_pf`` voltages of both feeders, four simple5
 closed-form and finite-difference columns of the sensitivity reports of
 both feeders on their VUF buses (every non-slack bus of simple5, whose
 Jacobian LAPACK factors, and 15 eulv117 buses, whose Jacobian SuperLU
-factors).  Then it runs whole interior-point solves (simple5 none,
-soft on f, soft on f at weight 0 (no objective Hessian), soft on VUF, hard
-1.1 % (a slack limit), hard 1 % and hard 0.5 %; eulv117 none, soft 3.0 and
+factors) and of eulv117's default report over all 116 non-slack buses
+(what ``vudlmp sens eulv117`` writes, and the largest re-solve batch).
+Then it runs whole interior-point solves (simple5 none, soft on f, soft
+on f at weight 0 (no objective Hessian), soft on VUF, hard 1.1 % (a slack
+limit), hard 1 % and hard 0.5 %; eulv117 none, soft 3.0 and
 hard 0.5 %, all on the sparse KKT path; the two-bus feeder of the tests
 cold-started, and at a 1e-4 % hard limit that ends infeasible; simple5 none
 and eulv117 none cold-started, since only a cold start puts exact zeros on
@@ -198,10 +200,12 @@ def print_pf_digests():
         point, df = perturb_and_resolve(base.net, None, "b4", 0, dp=dp, base=base)
         print(f"simple5 perturb_and_resolve b4 a dp={dp} iterations={point.iterations}"
               f" voltages={digest(point.voltages)} delta_f={float(df)!r}")
-    for name in ("simple5", "eulv117"):
+    # each feeder on its VUF buses, then eulv117 on every non-slack bus
+    for name, label in (("simple5", ""), ("eulv117", ""), ("eulv117", " buses=all")):
         base = points[name]
-        entries = sensitivity_report(base.net, base, buses=list(base.net.unbalance.buses))
-        print(f"{name} sensitivity_report entries={len(entries)}"
+        buses = None if label else list(base.net.unbalance.buses)
+        entries = sensitivity_report(base.net, base, buses=buses)
+        print(f"{name} sensitivity_report{label} entries={len(entries)}"
               f" closed_form={digest(column(entries, 'closed_form'))}"
               f" finite_difference={digest(column(entries, 'finite_difference'))}"
               f" rel_gap={digest(column(entries, 'rel_gap'))}")

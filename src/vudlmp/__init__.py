@@ -18,7 +18,6 @@ from .netmodel import (
 )
 from .sequence import (
     DegeneratePointError,
-    PhasorSet,
     f_metric,
     fortescue,
     grad_f,

@@ -12,6 +12,10 @@ power-flow Jacobian at the solved point with generation held fixed (the
 slack absorbs the perturbation); this convention is stated in every report
 header the CLI writes.  The ``residual`` checks the split independently.
 
+The sensitivity report checks each closed-form df/dP and df/dQ against a
+central difference of f over power-flow re-solves from the same point,
+all of one report in one :func:`~vudlmp.powerflow.resolve_from` batch.
+
 Prices are EUR/kWh; duals arrive in EUR/h per per-unit and are divided by
 the kW base.
 """
@@ -124,26 +128,6 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     )
 
 
-def _fd_voltages(net, point, bus, entries, step):
-    """Voltages at ``bus`` of one batch of :func:`~vudlmp.powerflow.resolve_from`
-    re-solves from ``point``, +step then -step for each (phase index, power
-    kind) of ``entries``; StepTooSmall if a re-solve takes no Newton step."""
-    b = net.bus_index(bus)
-    pert = np.repeat(point.injections[None], 2 * len(entries), axis=0)
-    for j, (phase_idx, kind) in enumerate(entries):
-        for s, h in enumerate((step, -step)):
-            dp, dq = (h, 0.0) if kind == "active" else (0.0, h)
-            pert[2 * j + s, b, phase_idx] -= dp + 1j * dq
-    v, iterations = resolve_from(point, pert)
-    if not np.all(iterations):
-        phase_idx, kind = entries[np.flatnonzero(iterations == 0)[0] // 2]
-        raise StepTooSmall(
-            f"finite-difference step {step:g} leaves the power flow unchanged at "
-            f"bus {bus} phase {PHASES[phase_idx]} ({kind}): the perturbed mismatch "
-            f"is below the power-flow tolerance {TOL_PF:g} pu")
-    return v[:, b]
-
-
 def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
                        step=FD_STEP):
     """Closed-form and FD sensitivities for every (bus, phase, power kind).
@@ -151,12 +135,14 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
     The FD column perturbs the consumption and re-solves the network, so
     the relative gap reports the linearization error of the closed form
     instead of hiding it.  Each bus's closed forms come from one transposed
-    solve with ``point``'s Jacobian factors, and its re-solves (+-step for
-    each defined entry, at most 12) form one batch whose first Newton steps
-    come from one untransposed solve with the same factors.  A re-solve
-    that takes no Newton step, because the step moves the mismatch less
-    than the power-flow tolerance, raises StepTooSmall.  ``point`` must be
-    an operating point of ``net``.
+    solve with ``point``'s Jacobian factors.  The re-solves, +step then
+    -step for each defined entry of every bus, form one
+    :func:`~vudlmp.powerflow.resolve_from` batch whose first Newton steps
+    come from one untransposed solve with the same factors; with no entry
+    defined nothing is re-solved.  A re-solve that takes no Newton step,
+    because the step moves the mismatch less than the power-flow
+    tolerance, raises StepTooSmall naming the entry of the first such
+    column.  ``point`` must be an operating point of ``net``.
     """
     if point.net is not net:
         raise ValueError("point must be an operating point of net")
@@ -165,26 +151,41 @@ def sensitivity_report(net: NetworkSpec, point: OperatingPoint, buses=None,
     if net.substation_bus in buses:
         raise ValueError(f"bus {net.substation_bus} is the substation: its injection is "
                          "not a power-flow unknown")
-    v = point.voltages[[net.bus_index(bus) for bus in buses]]
+    rows = [net.bus_index(bus) for bus in buses]
+    v = point.voltages[rows]
     closed = [_closed_forms(point, bus, grad) for bus, grad in zip(buses, grad_f(v))]
-    defined = [[(phase_idx, kind) for phase_idx in range(NPHASE) for kind in _POWER_KINDS
-                if current[phase_idx] > EPS_I] for current, _ in closed]
-    resolved = [_fd_voltages(net, point, bus, entries, step)
-                for bus, entries in zip(buses, defined) if entries]
-    # f at each bus, then at every re-solve (+step then -step per entry)
-    f = f_metric(np.concatenate([v, *resolved]))
-    df = f[len(buses):] - np.repeat(f[:len(buses)], [2 * len(entries) for entries in defined])
-    fd_by_bus = np.split((df[0::2] - df[1::2]) / (2.0 * step),
-                         np.cumsum([len(entries) for entries in defined], dtype=int)[:-1])
+    # every defined (bus position, phase index, power kind), bus by bus
+    defined = [(i, phase_idx, kind) for i, (current, _) in enumerate(closed)
+               for phase_idx in range(NPHASE) for kind in _POWER_KINDS
+               if current[phase_idx] > EPS_I]
+    fds = {}
+    if defined:
+        # consumption +step then -step for each defined entry
+        pert = np.repeat(point.injections[None], 2 * len(defined), axis=0)
+        for j, (i, phase_idx, kind) in enumerate(defined):
+            for s, h in enumerate((step, -step)):
+                dp, dq = (h, 0.0) if kind == "active" else (0.0, h)
+                pert[2 * j + s, rows[i], phase_idx] -= dp + 1j * dq
+        resolved, iterations = resolve_from(point, pert)
+        if not np.all(iterations):
+            i, phase_idx, kind = defined[np.flatnonzero(iterations == 0)[0] // 2]
+            raise StepTooSmall(
+                f"finite-difference step {step:g} leaves the power flow unchanged at "
+                f"bus {buses[i]} phase {PHASES[phase_idx]} ({kind}): the perturbed "
+                f"mismatch is below the power-flow tolerance {TOL_PF:g} pu")
+        pos = np.repeat([i for i, _, _ in defined], 2)      # bus of each re-solve
+        # f at each bus, then at the perturbed bus of every re-solve
+        f = f_metric(np.concatenate([v, resolved[np.arange(len(pos)), np.take(rows, pos)]]))
+        df = f[len(buses):] - f[pos]
+        fds = dict(zip(defined, ((df[0::2] - df[1::2]) / (2.0 * step)).tolist()))
     out = []
-    for bus, (current, closed_forms), entries, bus_fd in zip(buses, closed, defined, fd_by_bus):
-        fds = dict(zip(entries, bus_fd.tolist()))
+    for i, (bus, (current, closed_forms)) in enumerate(zip(buses, closed)):
         for phase_idx in range(NPHASE):
             for k, kind in enumerate(_POWER_KINDS):
                 cf = fd = gap = None
-                if (phase_idx, kind) in fds:
+                if (i, phase_idx, kind) in fds:
                     cf = float(closed_forms[k, phase_idx])
-                    fd = fds[phase_idx, kind]
+                    fd = fds[i, phase_idx, kind]
                     gap = float(abs(cf - fd) / max(abs(fd), abs(cf), 1e-12))
                 out.append(SensitivityReport(
                     bus=bus, phase=PHASES[phase_idx], power_kind=kind,

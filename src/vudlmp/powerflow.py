@@ -9,9 +9,10 @@ Every Newton step solves with the LU factors of the power-flow Jacobian
 factors of the Jacobian at its own voltages once they are asked for
 (:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
 them, and :func:`resolve_from` re-solves a stack of perturbed injections
-from that point, all first Newton steps in one multi-column solve with
-them; on a small network LAPACK rounds some of those columns unlike a
-separate :func:`solve_pf` (see :func:`resolve_from`).
+from that point (a sensitivity report's finite differences are one such
+stack), all first Newton steps in one multi-column solve with them; on a
+small network LAPACK rounds some of those columns unlike a separate
+:func:`solve_pf` (see :func:`resolve_from`).
 
 A network whose Jacobian has fewer than ``SPARSE_JACOBIAN_ROWS`` rows is
 small, and a larger one large; that one test picks both the admittance

@@ -3,8 +3,8 @@
 The unbalance metric is f = VUF**2, the squared VUF in percent: smooth at a
 constraint boundary, with cheap derivatives.  This module alone defines it.
 :func:`fortescue`, :func:`vuf`, :func:`f_metric` and :func:`grad_f` take
-complex voltages whose last axis holds phases a, b, c (one bus, a stack of
-buses or a :class:`PhasorSet`) and return one value, or one gradient row,
+complex voltages whose last axis holds phases a, b, c (one bus as a (3,)
+array, or any stack of buses) and return one value, or one gradient row,
 per bus; the gradient's entry for phase a is ``df/d(Re va) + 1j df/d(Im
 va)``.  :func:`vuf_metric_local` and :func:`vuf_metric_grad_hess` take the
 OPF's rectangular parts ``[ea, fa, eb, fb, ec, fc]`` of each bus.
@@ -23,7 +23,6 @@ and ``x'Ax`` is a stacked ``(k, 1, 6) @ (k, 6, 1)`` matmul.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,27 +61,6 @@ def _pow(a, p):
 
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
-
-
-@dataclass(frozen=True)
-class PhasorSet:
-    """The three complex phase voltages of one bus (per-unit); as an array
-    (``np.asarray``) it is ``[va, vb, vc]``."""
-    va: complex
-    vb: complex
-    vc: complex
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.va, self.vb, self.vc], dtype=dtype or complex)
-
-    @classmethod
-    def from_array(cls, v):
-        return cls(*map(complex, np.asarray(v, dtype=complex)))
-
-    @classmethod
-    def balanced(cls, magnitude=1.0, angle=0.0):
-        rot = magnitude * np.exp(1j * angle)
-        return cls(va=rot, vb=rot * ALPHA**2, vc=rot * ALPHA)
 
 
 # the rotations of vb in the positive and negative sums, then those of vc

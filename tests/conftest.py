@@ -16,6 +16,7 @@ from vudlmp import (
     solve,
     solve_pf,
 )
+from vudlmp.sequence import ALPHA
 
 
 def make_two_bus(unbalance=None):
@@ -36,6 +37,13 @@ def make_two_bus(unbalance=None):
         substation_bus="sub",
         unbalance=unbalance or UnbalanceConfig(),
     )
+
+
+def balanced_set(magnitude=1.0, angle=0.0):
+    """The balanced phases a, b, c of one bus: phase a at ``magnitude`` and
+    ``angle``, b and c turned by ALPHA**2 and ALPHA."""
+    rot = magnitude * np.exp(1j * angle)
+    return np.array([rot, rot * ALPHA**2, rot * ALPHA])
 
 
 def psi_at(sol, bus):

@@ -15,8 +15,8 @@ from vudlmp.ipsolver import SolverSettings, solve
 from vudlmp.netmodel import PHASES, UnbalanceConfig
 from vudlmp.opf import build_problem
 from vudlmp.powerflow import solve_pf
-from vudlmp.sequence import PhasorSet, f_metric, grad_f, vuf
-from conftest import psi_at
+from vudlmp.sequence import f_metric, grad_f, vuf
+from conftest import balanced_set, psi_at
 
 SOFT_WEIGHTS = (0.0, 1.0, 1.5, 3.0)     # multiples of the substation cost
 
@@ -73,7 +73,7 @@ def test_criterion_01_metric_equals_fortescue_oracle():
     a = np.exp(2j * np.pi / 3)
     t = np.array([[1, a, a**2], [1, a**2, a]]) / 3.0
     t0 = time.perf_counter()
-    vals = np.array([f_metric(PhasorSet.from_array(v)) for v in sets])
+    vals = np.array([f_metric(v) for v in sets])
     elapsed = time.perf_counter() - t0
     seq = sets @ t.T
     ref = (100.0 * np.abs(seq[:, 1]) / np.abs(seq[:, 0])) ** 2
@@ -90,21 +90,20 @@ def test_criterion_02_gradient_closed_form_vs_finite_differences():
         v = (rng.uniform(0.8, 1.2, 3)
              * np.exp(1j * (np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])
                             + rng.uniform(-0.3, 0.3, 3))))
-        g = grad_f(PhasorSet.from_array(v))
+        g = grad_f(v)
         fd = np.zeros(3, dtype=complex)
         for ph in range(3):
             for unit in (1.0, 1j):
                 up = v.copy(); up[ph] += h * unit
                 dn = v.copy(); dn[ph] -= h * unit
-                d = (f_metric(PhasorSet.from_array(up))
-                     - f_metric(PhasorSet.from_array(dn))) / (2 * h)
+                d = (f_metric(up) - f_metric(dn)) / (2 * h)
                 fd[ph] += d * unit
         scale = max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, np.max(np.abs(g - fd)) / scale)
     assert worst < 1e-6
     for _ in range(50):
-        ps = PhasorSet.balanced(rng.uniform(0.9, 1.1), rng.uniform(-3, 3))
-        assert np.max(np.abs(grad_f(ps))) < 1e-12
+        v = balanced_set(rng.uniform(0.9, 1.1), rng.uniform(-3, 3))
+        assert np.max(np.abs(grad_f(v))) < 1e-12
 
 
 def test_criterion_03_sensitivity_vs_perturb_and_resolve(two_bus, two_bus_pf,

@@ -1,6 +1,5 @@
 """Price decomposition and unbalance-sensitivity tests."""
 
-from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 
@@ -21,7 +20,7 @@ from vudlmp.ipsolver import SolverSettings, solve
 from vudlmp.netmodel import PHASES, UnbalanceConfig
 from vudlmp.opf import _ROOT_SMOOTH, build_problem
 from vudlmp.powerflow import build_ybus, solve_pf
-from vudlmp.sequence import PhasorSet, f_metric
+from vudlmp.sequence import f_metric
 from conftest import psi_at
 
 
@@ -127,25 +126,36 @@ class TestSensitivity:
         else:
             cache = request.getfixturevalue("eulv117_solve")
             net, point, buses = cache.net, cache.warm, list(cache.net.unbalance.buses)
-        # and each bus's finite-difference re-solves take their first Newton
-        # steps with the same factors, in one untransposed solve whose
-        # right-hand side holds +-step for each of the bus's defined entries
-        calls = []
+        # and the finite-difference re-solves of all buses form one batch,
+        # whose first Newton steps come from one untransposed solve with the
+        # same factors, its right-hand side holding +-step for each defined
+        # entry
+        calls, batches = [], []
         lu = point.jacobian_lu
         solve = lu.solve
         monkeypatch.setattr(lu, "solve", lambda rhs, trans=False:
                             calls.append((trans, rhs.shape)) or solve(rhs, trans))
+        resolve_from = dlmp.resolve_from
+        monkeypatch.setattr(dlmp, "resolve_from", lambda base, injections:
+                            batches.append(len(injections)) or resolve_from(base, injections))
         entries = sensitivity_report(net, point, buses=buses)
         assert [trans for trans, _ in calls].count(True) == solves
-        per_bus = Counter(e.bus for e in entries if e.defined)
-        columns = [shape[1] for trans, shape in calls if not trans]
-        assert columns == [2 * count for count in per_bus.values()]
-        assert sum(columns) == 2 * defined
+        assert [shape[1] for trans, shape in calls if not trans] == [2 * defined]
+        assert batches == [2 * defined]
         assert sum(e.defined for e in entries) == defined
         for e in entries:
             alone = sensitivity_closed_form(point, e.bus, e.phase, e.power_kind)
             assert alone.closed_form == e.closed_form
             assert alone.incident_current == e.incident_current
+
+    def test_report_without_current_resolves_nothing(self, simple5, simple5_pf, monkeypatch):
+        # b1 feeds the rest of the network and draws no current itself, so
+        # every entry is undefined and there is nothing to re-solve
+        monkeypatch.setattr(dlmp, "resolve_from", lambda *args: pytest.fail("re-solved"))
+        entries = sensitivity_report(simple5, simple5_pf, buses=["b1"])
+        assert len(entries) == 6
+        for e in entries:
+            assert e.closed_form is None and e.finite_difference is None and e.rel_gap is None
 
     @pytest.mark.parametrize("feeder, step", [
         ("simple5", FD_STEP), ("simple5", 2e-5), ("eulv117", FD_STEP)])
@@ -345,8 +355,7 @@ class TestDecomposition:
         idx = [simple5.bus_index(bid) for bid in buses]
 
         def priced(point):
-            f = np.array([f_metric(PhasorSet.from_array(point.voltages[b])) for b in idx])
-            return np.sum(weights * term(f))
+            return np.sum(weights * term(f_metric(point.voltages[idx])))
 
         fd = consumption_fd(simple5, sol.voltages(), priced, h=1e-7)
         for d in rows:
@@ -374,8 +383,7 @@ class TestDecomposition:
         idx = [eulv117.bus_index(bid) for bid in sol.problem.vuf_buses]
 
         def priced(point):
-            return np.sum(3.0 * np.array([f_metric(PhasorSet.from_array(point.voltages[b]))
-                                          for b in idx]))
+            return np.sum(3.0 * f_metric(point.voltages[idx]))
 
         keys = [(bus, phase, "active") for bus, phase in (
             ("n100", "b"), ("n98", "b"), ("n99", "b"), ("n99", "a"), ("n102", "a"), ("n100", "a"))]

@@ -1,7 +1,10 @@
 """Network model tests: per-unit conversion, serialization, validation."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +84,21 @@ class TestSerialization:
         del doc["substation_bus"]
         net = network_from_dict(doc)
         assert net.substation_bus == "sub"
+
+    def test_generator_rebuilds_the_bundled_files(self, tmp_path, monkeypatch):
+        # scripts/make_networks.py builds both documents in memory from its
+        # pinned impedance scales, byte for byte as bundled, and writes nothing
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_networks.py"
+        monkeypatch.setattr(sys, "path", list(sys.path))    # the script extends it
+        spec = importlib.util.spec_from_file_location("make_networks", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "OUT", tmp_path / "data")
+        docs = module.documents()
+        assert sorted(docs) == ["eulv117", "simple5"]
+        for name, text in docs.items():
+            assert text.encode() == bundled_network(name).read_bytes(), name
+        assert not module.OUT.exists()
 
 
 class TestValidation:

@@ -11,7 +11,7 @@ from vudlmp import opf
 from vudlmp.netmodel import PHASES, UnbalanceConfig, ValidationError
 from vudlmp.opf import ConstraintTag, build_problem, vuf_metric_grad_hess, vuf_metric_local
 from vudlmp.powerflow import solve_pf
-from vudlmp.sequence import _VUF_A, _VUF_B, BALANCED_SOURCE, PhasorSet, f_metric
+from vudlmp.sequence import _VUF_A, _VUF_B, BALANCED_SOURCE, f_metric
 
 
 def rect_vars(v):
@@ -35,7 +35,7 @@ class TestLocalMetric:
                  * np.exp(1j * (np.array([0, -2.1, 2.1]) + rng.uniform(-0.2, 0.2, 3))))
             xv = rect_vars(v)
             assert vuf_metric_local(xv) == pytest.approx(
-                f_metric(PhasorSet.from_array(v)), rel=1e-12)
+                f_metric(v), rel=1e-12)
 
     def test_grad_hess_match_finite_differences(self):
         rng = np.random.default_rng(4)

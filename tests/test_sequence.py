@@ -11,12 +11,12 @@ from vudlmp.sequence import (
     ALPHA,
     BALANCED_SOURCE,
     DegeneratePointError,
-    PhasorSet,
     f_metric,
     fortescue,
     grad_f,
     vuf,
 )
+from conftest import balanced_set
 
 
 def random_phasors(rng, n):
@@ -40,7 +40,7 @@ class TestMetricOracle:
         rng = np.random.default_rng(7)
         sets = random_phasors(rng, 10_000)
         t0 = time.perf_counter()
-        vals = np.array([f_metric(PhasorSet.from_array(v)) for v in sets])
+        vals = np.array([f_metric(v) for v in sets])
         elapsed = time.perf_counter() - t0
         ref = np.array([oracle_f(v) for v in sets])
         rel = np.abs(vals - ref) / np.maximum(np.abs(ref), 1e-300)
@@ -50,21 +50,20 @@ class TestMetricOracle:
     def test_vuf_is_root_of_metric(self):
         rng = np.random.default_rng(3)
         for v in random_phasors(rng, 50):
-            ps = PhasorSet.from_array(v)
-            assert vuf(ps) == pytest.approx(np.sqrt(f_metric(ps)), rel=1e-14)
+            assert vuf(v) == pytest.approx(np.sqrt(f_metric(v)), rel=1e-14)
 
     def test_balanced_set_has_zero_unbalance(self):
-        ps = PhasorSet.balanced(magnitude=1.03, angle=0.4)
-        assert f_metric(ps) < 1e-24
-        assert vuf(ps) < 1e-12
+        v = balanced_set(magnitude=1.03, angle=0.4)
+        assert f_metric(v) < 1e-24
+        assert vuf(v) < 1e-12
 
     def test_degenerate_point_raises(self):
         # pure negative-sequence set: positive sequence vanishes
-        ps = PhasorSet(1.0, complex(ALPHA), complex(ALPHA**2))
+        v = np.array([1.0, complex(ALPHA), complex(ALPHA**2)])
         with pytest.raises(DegeneratePointError):
-            f_metric(ps)
+            f_metric(v)
         with pytest.raises(DegeneratePointError):
-            grad_f(ps)
+            grad_f(v)
 
     def test_known_two_component_ratio(self):
         # |v_neg|/|v_pos| = 0.2/5.8 -> VUF 3.4483 %, f = 11.891
@@ -73,9 +72,8 @@ class TestMetricOracle:
         v = np.array([pos + neg,
                       pos * a**2 + neg * a,
                       pos * a + neg * a**2])
-        ps = PhasorSet.from_array(v)
-        assert vuf(ps) == pytest.approx(100.0 * 0.2 / 5.8, rel=1e-12)
-        assert f_metric(ps) == pytest.approx((100.0 * 0.2 / 5.8) ** 2, rel=1e-12)
+        assert vuf(v) == pytest.approx(100.0 * 0.2 / 5.8, rel=1e-12)
+        assert f_metric(v) == pytest.approx((100.0 * 0.2 / 5.8) ** 2, rel=1e-12)
 
 
 def fd_gradient(v, h=1e-7):
@@ -104,18 +102,16 @@ class TestGradient:
     def test_balanced_points_give_exact_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            ps = PhasorSet.balanced(rng.uniform(0.9, 1.1), rng.uniform(-np.pi, np.pi))
-            g = grad_f(ps)
+            g = grad_f(balanced_set(rng.uniform(0.9, 1.1), rng.uniform(-np.pi, np.pi)))
             assert np.max(np.abs(g)) < 1e-12
 
     def test_gradient_descends_the_metric(self):
         rng = np.random.default_rng(13)
         for v in random_phasors(rng, 20):
-            ps = PhasorSet.from_array(v)
-            g = grad_f(ps)
+            g = grad_f(v)
             step = 1e-6
             moved = v - step * g          # steepest descent in the real pairing
-            assert f_metric(PhasorSet.from_array(moved)) < f_metric(ps)
+            assert f_metric(moved) < f_metric(v)
 
 
 class TestFortescue:
@@ -123,7 +119,7 @@ class TestFortescue:
         rng = np.random.default_rng(2)
         a = complex(ALPHA)
         for v in random_phasors(rng, 50):
-            v_pos, v_neg = fortescue(PhasorSet.from_array(v))
+            v_pos, v_neg = fortescue(v)
             zero = np.sum(v) / 3.0
             rebuilt = np.array([
                 zero + v_pos + v_neg,
@@ -135,7 +131,7 @@ class TestFortescue:
     @given(st.floats(0.5, 1.5), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_balanced_sets_are_pure_positive_sequence(self, mag, ang):
-        v_pos, v_neg = fortescue(PhasorSet.balanced(mag, ang))
+        v_pos, v_neg = fortescue(balanced_set(mag, ang))
         assert abs(v_neg) < 1e-12 * max(1.0, mag)
         assert abs(v_pos) == pytest.approx(mag, rel=1e-12)
 
@@ -144,8 +140,8 @@ class TestFortescue:
     def test_metric_is_rotation_invariant(self, mag, skew, rot):
         a = complex(ALPHA)
         v = np.array([mag + skew, mag * a**2, (mag - skew) * a])
-        base = f_metric(PhasorSet.from_array(v))
-        spun = f_metric(PhasorSet.from_array(v * np.exp(1j * rot)))
+        base = f_metric(v)
+        spun = f_metric(v * np.exp(1j * rot))
         assert spun == pytest.approx(base, rel=1e-10, abs=1e-12)
 
 
@@ -181,7 +177,7 @@ def kernel_sets():
     """10,000 seeded sets: 8,000 unbalanced ones at three scales and 2,000
     exactly balanced ones, where the gradient snaps to exact zeros."""
     rng = np.random.default_rng(17)
-    balanced = [np.asarray(PhasorSet.balanced(m, a)) for m, a in
+    balanced = [balanced_set(m, a) for m, a in
                 zip(rng.uniform(0.9, 1.1, 1999), rng.uniform(-np.pi, np.pi, 1999))]
     return np.concatenate((random_phasors(rng, 6000), 1e-3 * random_phasors(rng, 1000),
                            50.0 * random_phasors(rng, 1000), balanced, [BALANCED_SOURCE]))
@@ -210,7 +206,6 @@ class TestKernel:
         stack = sets[::50].reshape(4, 50, 3)
         one_by_one = np.array([[kernel(bus) for bus in row] for row in stack])
         assert kernel(stack).tobytes() == one_by_one.tobytes()
-        assert kernel(PhasorSet.from_array(stack[0, 0])).tobytes() == one_by_one[0, 0].tobytes()
 
     @pytest.mark.parametrize("kernel", [vuf, f_metric, grad_f], ids=["vuf", "f_metric", "grad_f"])
     def test_degenerate_error_names_the_first_bad_bus(self, kernel):
