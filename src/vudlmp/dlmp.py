@@ -93,10 +93,10 @@ def _closed_forms(point: OperatingPoint, bus, grad):
     as a (kind, phase) array (active first); None when no phase carries
     more than EPS_I."""
     net = point.net
-    current = [abs(point.incident_current_sum(bus, ph)) for ph in range(NPHASE)]
+    b = net.bus_index(bus)
+    current = [abs(i) for i in point.incident_currents[b].tolist()]
     if max(current) <= EPS_I:
         return current, None
-    b = net.bus_index(bus)
     weight = np.zeros((1, len(net.buses), NPHASE), dtype=complex)
     weight[0, b] = grad
     return current, _consumption_response(net, point.jacobian_lu, weight)[:, b, :, 0]

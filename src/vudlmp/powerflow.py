@@ -10,8 +10,9 @@ factors of the Jacobian at its own voltages once they are asked for
 (:attr:`OperatingPoint.jacobian_lu`): the closed-form sensitivities use
 them, and :func:`resolve_from` re-solves a stack of perturbed injections
 from that point (a sensitivity report's finite differences are one such
-stack), all first Newton steps in one multi-column solve with them; on a
-small network LAPACK rounds some of those columns unlike a separate
+stack), all first Newton steps in one multi-column solve with them, with
+at most four (nbus, 3)-sized complex buffers per column alive at once; on
+a small network LAPACK rounds some of those columns unlike a separate
 :func:`solve_pf` (see :func:`resolve_from`).
 
 A network whose Jacobian has fewer than ``SPARSE_JACOBIAN_ROWS`` rows is
@@ -258,12 +259,24 @@ class OperatingPoint:
         s.flags.writeable = False
         return s
 
+    @cached_property
+    def incident_currents(self):
+        """(nbus, 3) sum of the currents flowing from each bus into its
+        incident lines, computed on first use with one ``np.add.at`` per
+        line end; read-only.  Each side's currents are added in line
+        order, the order ``np.sum`` adds up to three complex values in;
+        from four lines ending on one side of a bus it pairs them, so the
+        last bit may differ from a per-bus ``np.sum``."""
+        out = np.zeros((2, len(self.net.buses), NPHASE), dtype=complex)
+        np.add.at(out[0], self.net.line_from, self.currents_from)
+        np.add.at(out[1], self.net.line_to, self.currents_from)
+        out = out[0] - out[1]
+        out.flags.writeable = False
+        return out
+
     def incident_current_sum(self, bus, phase_idx) -> complex:
         """Sum of currents flowing from the bus into its incident lines."""
-        i = self.net.bus_index(bus)
-        cur = self.currents_from[:, phase_idx]
-        return complex(np.sum(cur[self.net.line_from == i])
-                       - np.sum(cur[self.net.line_to == i]))
+        return complex(self.incident_currents[self.net.bus_index(bus), phase_idx])
 
 
 def _operating_point(net, v, iterations=0):
@@ -277,11 +290,12 @@ def _operating_point(net, v, iterations=0):
 
 
 def _checked_bus_array(name, a, n, stacked=False):
-    """Copy of ``a`` as an (n, 3) complex array, or a (k, n, 3) stack of them
-    with ``stacked``; ValueError naming ``name`` if it is not one or has a
-    non-finite entry."""
+    """Copy of ``a`` as an (n, 3) complex array, or with ``stacked`` a
+    (k, n, 3) complex stack, which is ``a`` itself when it already is one
+    (its readers write nothing); ValueError naming ``name`` if it is not
+    one or has a non-finite entry."""
     try:
-        a = np.array(a, dtype=complex)
+        a = (np.asarray if stacked else np.array)(a, dtype=complex)
     except TypeError:
         raise ValueError(f"{name} must be a complex array") from None
     if a.ndim != 2 + stacked or a.shape[-2:] != (n, NPHASE):
@@ -295,25 +309,44 @@ def _checked_bus_array(name, a, n, stacked=False):
 def _mismatch(ybus, injections, v, idx):
     """Injections less the power drawn at voltages ``v``, at the flat indices
     ``idx``, and the largest magnitude of each; ``injections`` and ``v`` are
-    (nbus, 3) or (k, nbus, 3) and broadcast.  Each (nbus, 3) voltage slice
-    takes its own product with ``ybus``, so a stacked one rounds as it
-    would alone."""
-    vflat = v.reshape(*v.shape[:-2], -1)
-    i_calc = np.array([ybus @ x for x in vflat.reshape(-1, vflat.shape[-1])])
-    s_calc = vflat * np.conj(i_calc.reshape(vflat.shape))
-    mismatch = (injections.reshape(*injections.shape[:-2], -1)[..., idx]
-                - s_calc[..., idx])
+    (nbus, 3) or (k, nbus, 3) and broadcast.  A CSR ``ybus`` takes one
+    product with the whole stack, which rounds each row of each column as
+    a product with that column alone does; a dense one takes one product
+    per (nbus, 3) voltage slice, since a matrix-matrix product may round
+    unlike it.  Besides the result, at most two (k, 3 nbus)-sized buffers
+    are alive at once."""
+    n = v.shape[-2] * NPHASE
+    flat = v.reshape(-1, n)                         # (k, 3 nbus); k = 1 for one point
+    if sp.issparse(ybus):
+        i_calc = ybus @ flat.T
+    else:
+        i_calc = np.array([ybus @ x for x in flat]).T
+    i_calc = i_calc[idx]
+    np.conj(i_calc, out=i_calc)
+    s_calc = flat[:, idx]
+    s_calc *= i_calc.T
+    del i_calc
+    mismatch = injections.reshape(*injections.shape[:-2], n)[..., idx]
+    mismatch -= s_calc.reshape(*v.shape[:-2], -1)
+    del s_calc
     return mismatch, np.max(np.abs(mismatch), axis=-1, initial=0.0)
 
 
 def _newton_step(lu, mismatch):
     """Voltage updates for (m,) or (k, m) mismatches from the Jacobian
-    factors ``lu``, all k in one solve."""
+    factors ``lu``, all k in one solve on a (2m, k) right-hand side."""
     m = mismatch.shape[-1]
-    step = lu.solve(np.concatenate([np.real(mismatch), np.imag(mismatch)], axis=-1).T)
-    if not np.all(np.isfinite(step)):
+    rhs = np.empty((2 * m, *mismatch.shape[:-1]))
+    rhs[:m] = mismatch.real.T
+    rhs[m:] = mismatch.imag.T
+    x = lu.solve(rhs)
+    del rhs
+    if not np.all(np.isfinite(x)):
         raise SingularJacobian("non-finite Newton step")
-    return (step[:m] + 1j * step[m:]).T
+    step = np.empty(mismatch.shape, dtype=complex)
+    step.real = x[:m].T
+    step.imag = x[m:].T
+    return step
 
 
 def _newton(net, injections, v, taken=0):
@@ -363,35 +396,51 @@ def resolve_from(base: OperatingPoint, injections):
     """Re-solve the power flow of ``base.net`` from ``base`` for each of a
     (k, nbus, 3) stack of injections.
 
-    Returns the (k, nbus, 3) voltages and the k Newton step counts.  All k
-    first Newton steps come from one solve with the base point's factors
-    (:attr:`OperatingPoint.jacobian_lu`) on a (2m, k) right-hand side, and
-    a column that has converged after it gets no line flows.  A column that
-    needs more steps takes them alone, factoring as :func:`solve_pf` does;
-    one whose mismatch at ``base`` is already below TOL_PF stays there with
-    0 steps.  On a large network SuperLU solves each column of the
-    multi-column right-hand side as it solves that column alone, so column
-    j is bit for bit ``solve_pf(base.net, injections[j], v0=base.voltages)``
-    for a ``base`` that :func:`solve_pf` returned.  On a small network
-    LAPACK's multi-column solve rounds some columns differently from a
-    one-column solve, so a column agrees with that re-solve only to
-    rounding.
+    Returns the (k, nbus, 3) voltages and the k Newton step counts (empty
+    for an empty stack).  All k first Newton steps come from one solve with
+    the base point's factors (:attr:`OperatingPoint.jacobian_lu`) on a
+    (2m, k) right-hand side, and a column that has converged after it gets
+    no line flows.  A column that needs more steps takes them alone,
+    factoring as :func:`solve_pf` does; one whose mismatch at ``base`` is
+    already below TOL_PF stays there with 0 steps, and the other columns
+    re-solve as a batch of their own.  On a large network SuperLU solves
+    each column of the multi-column right-hand side as it solves that
+    column alone, so column j is bit for bit
+    ``solve_pf(base.net, injections[j], v0=base.voltages)`` for a ``base``
+    that :func:`solve_pf` returned.  On a small network LAPACK's
+    multi-column solve rounds some columns differently from a one-column
+    solve, so a column agrees with that re-solve only to rounding.
+
+    When every column steps, as in a sensitivity report, at most four
+    buffers of (nbus, 3) complex values per column are alive at once: the
+    injections (a complex stack is read, not copied), the voltages
+    returned and two working buffers of the mismatch or the step.
+    ``injections`` is left unchanged.
     """
     net = base.net
     injections = _checked_bus_array("injections", injections, len(net.buses), stacked=True)
     ybus = build_ybus(net)
     idx = nonslack_index(net)
     mismatch, err = _mismatch(ybus, injections, base.voltages, idx)
-    v = np.repeat(base.voltages[None], len(injections), axis=0)
-    iterations = np.zeros(len(injections), dtype=int)
     todo = np.flatnonzero(err >= TOL_PF)
-    if len(todo):
-        vflat = v.reshape(len(v), -1)
-        vflat[np.ix_(todo, idx)] += _newton_step(base.jacobian_lu, mismatch[todo])
-        iterations[todo] = 1
-        err = _mismatch(ybus, injections[todo], v[todo], idx)[1]
-        for j in todo[err >= TOL_PF]:
-            v[j], iterations[j] = _newton(net, injections[j], v[j], 1)
+    if not len(todo) or len(todo) < len(injections):
+        del mismatch
+        v = np.repeat(base.voltages[None], len(injections), axis=0)
+        iterations = np.zeros(len(injections), dtype=int)
+        if len(todo):
+            v[todo], iterations[todo] = resolve_from(base, injections[todo])
+        return v, iterations
+    # every column steps: the stepped voltages are built in the step's buffer
+    step = _newton_step(base.jacobian_lu, mismatch)
+    del mismatch
+    step += base.voltages.reshape(-1)[idx]
+    v = np.repeat(base.voltages[None], len(injections), axis=0)
+    v.reshape(len(v), -1)[:, idx] = step
+    del step
+    iterations = np.ones(len(injections), dtype=int)
+    err = _mismatch(ybus, injections, v, idx)[1]
+    for j in np.flatnonzero(err >= TOL_PF):
+        v[j], iterations[j] = _newton(net, injections[j], v[j], 1)
     return v, iterations
 
 

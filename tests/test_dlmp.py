@@ -1,5 +1,6 @@
 """Price decomposition and unbalance-sensitivity tests."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import cached_property
 
@@ -113,6 +114,29 @@ class TestSensitivity:
         entries = sensitivity_report(simple5, point)
         assert sum(e.defined for e in entries) == 24
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("vuf_buses_only, limit_mib", [(True, 1.5), (False, 7.0)],
+                             ids=["vuf-buses", "all-buses"])
+    def test_report_batch_holds_few_buffers_per_column(self, eulv117, vuf_buses_only,
+                                                       limit_mib):
+        # the one re-solve batch (56 columns on the 15 VUF buses, 244 on all
+        # 116 non-slack buses) keeps at most four (nbus, 3) complex buffers
+        # per column alive at once; eleven reach 3.34 and 14.7 MiB
+        point = solve_pf(eulv117)
+        buses = list(eulv117.unbalance.buses) if vuf_buses_only else None
+        sensitivity_report(eulv117, point, buses=buses)     # factors, cached arrays
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sensitivity_report(eulv117, point, buses=buses)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
     @pytest.mark.parametrize("feeder, solves, defined", [
         ("simple5", 4, 24), ("eulv117", 8, 28)])

@@ -137,6 +137,20 @@ class TestOperatingPoint:
             assert v * np.conj(-isum) == pytest.approx(
                 complex(two_bus.demand_pu()[1, ph]), abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["simple5", "eulv117"])
+    def test_incident_currents_equal_per_bus_sums(self, name, request):
+        # one pass over the lines adds each side's currents in line order,
+        # as np.sum does for the at most two lines ending on one side of a
+        # bus of either bundled feeder
+        net = request.getfixturevalue(name)
+        point = solve_pf(net)
+        for b in range(len(net.buses)):
+            for ph in range(3):
+                cur = point.currents_from[:, ph]
+                want = np.sum(cur[net.line_from == b]) - np.sum(cur[net.line_to == b])
+                assert point.incident_currents[b, ph] == want
+                assert point.incident_current_sum(net.bus_ids[b], ph) == want
+
     def test_unbalanced_voltages_spread(self, simple5_pf):
         mags = np.abs(simple5_pf.voltages)
         assert np.max(mags) <= 1.0 + 1e-9       # passive load-only network
@@ -210,25 +224,41 @@ class TestResolveFrom:
         # alone, so every re-solve keeps every bit of a separate one; seeded
         # batches of 2 to 12 columns, each with one to three steps of up to
         # 0.02 pu at random buses and phases (LAPACK rounds some columns of
-        # such batches on simple5 differently)
+        # such batches on simple5 differently), and one unperturbed column
+        # last, which leaves the others to a batch of their own; the same
+        # batch without it steps every column at once
         point = solve_pf(eulv117)
         rng = np.random.default_rng(17)
         nonslack = nonslack_index(eulv117)
         iterations = []
         for k in (2, 5, 12):
-            stack = np.repeat(np.array(point.injections)[None], k, axis=0)
+            stack = np.repeat(np.array(point.injections)[None], k + 1, axis=0)
             for j in range(k):
                 for _ in range(rng.integers(1, 4)):
                     flat = rng.choice(nonslack)
                     step = rng.choice([1e-5, 1e-3, 0.02]) * rng.choice([-1, 1, -1j, 1j])
                     stack[j].reshape(-1)[flat] -= step
+            given = stack.copy()
             v, its = resolve_from(point, stack)
-            for j in range(k):
+            v_all, its_all = resolve_from(point, stack[:k])
+            assert np.array_equal(stack, given)
+            assert its[k] == 0
+            assert np.array_equal(v_all, v[:k])
+            assert np.array_equal(its_all, its[:k])
+            for j in range(k + 1):
                 alone = solve_pf(eulv117, stack[j], v0=point.voltages)
                 assert its[j] == alone.iterations
                 assert np.array_equal(v[j], alone.voltages)
             iterations += list(its)
         assert max(iterations) >= 3
+
+    @pytest.mark.parametrize("name", ["simple5", "eulv117"])
+    def test_empty_stack_gives_empty_arrays(self, name, request):
+        # simple5's Jacobian is factored by LAPACK, eulv117's by SuperLU
+        net = request.getfixturevalue(name)
+        v, iterations = resolve_from(solve_pf(net), np.zeros((0, len(net.buses), 3)))
+        assert v.shape == (0, len(net.buses), 3) and v.dtype == complex
+        assert iterations.shape == (0,)
 
     def test_injections_must_be_a_stack(self, simple5, simple5_pf):
         n = len(simple5.buses)
