@@ -274,10 +274,6 @@ class OperatingPoint:
         out.flags.writeable = False
         return out
 
-    def incident_current_sum(self, bus, phase_idx) -> complex:
-        """Sum of currents flowing from the bus into its incident lines."""
-        return complex(self.incident_currents[self.net.bus_index(bus), phase_idx])
-
 
 def _operating_point(net, v, iterations=0):
     v.flags.writeable = False
@@ -309,19 +305,13 @@ def _checked_bus_array(name, a, n, stacked=False):
 def _mismatch(ybus, injections, v, idx):
     """Injections less the power drawn at voltages ``v``, at the flat indices
     ``idx``, and the largest magnitude of each; ``injections`` and ``v`` are
-    (nbus, 3) or (k, nbus, 3) and broadcast.  A CSR ``ybus`` takes one
-    product with the whole stack, which rounds each row of each column as
-    a product with that column alone does; a dense one takes one product
-    per (nbus, 3) voltage slice, since a matrix-matrix product may round
-    unlike it.  Besides the result, at most two (k, 3 nbus)-sized buffers
-    are alive at once."""
+    (nbus, 3) or (k, nbus, 3) and broadcast.  Each (nbus, 3) voltage slice
+    takes its own product with ``ybus``, so a stacked one rounds as it
+    would alone.  Besides the result, at most two (k, 3 nbus)-sized
+    buffers are alive at once."""
     n = v.shape[-2] * NPHASE
     flat = v.reshape(-1, n)                         # (k, 3 nbus); k = 1 for one point
-    if sp.issparse(ybus):
-        i_calc = ybus @ flat.T
-    else:
-        i_calc = np.array([ybus @ x for x in flat]).T
-    i_calc = i_calc[idx]
+    i_calc = np.array([ybus @ x for x in flat]).T[idx]
     np.conj(i_calc, out=i_calc)
     s_calc = flat[:, idx]
     s_calc *= i_calc.T
@@ -419,15 +409,18 @@ def resolve_from(base: OperatingPoint, injections):
     """
     net = base.net
     injections = _checked_bus_array("injections", injections, len(net.buses), stacked=True)
+    if not len(injections):
+        return np.empty((0, *base.voltages.shape), dtype=complex), np.zeros(0, dtype=int)
     ybus = build_ybus(net)
     idx = nonslack_index(net)
     mismatch, err = _mismatch(ybus, injections, base.voltages, idx)
     todo = np.flatnonzero(err >= TOL_PF)
-    if not len(todo) or len(todo) < len(injections):
+    if len(todo) < len(injections):
         del mismatch
         v = np.repeat(base.voltages[None], len(injections), axis=0)
         iterations = np.zeros(len(injections), dtype=int)
         if len(todo):
+            # every column of this batch steps, so it takes the branch below
             v[todo], iterations[todo] = resolve_from(base, injections[todo])
         return v, iterations
     # every column steps: the stepped voltages are built in the step's buffer

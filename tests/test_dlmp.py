@@ -121,7 +121,7 @@ class TestSensitivity:
                                                        limit_mib):
         # the one re-solve batch (56 columns on the 15 VUF buses, 244 on all
         # 116 non-slack buses) keeps at most four (nbus, 3) complex buffers
-        # per column alive at once; eleven reach 3.34 and 14.7 MiB
+        # per column alive at once
         point = solve_pf(eulv117)
         buses = list(eulv117.unbalance.buses) if vuf_buses_only else None
         sensitivity_report(eulv117, point, buses=buses)     # factors, cached arrays
