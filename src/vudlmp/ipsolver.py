@@ -36,12 +36,13 @@ expressions they replace, which the seed-0 benchmark outputs are pinned to:
   by that order.  It is added to the Lagrangian Hessian and symmetrized as
   ``(w + w') * 0.5``.
 - Both factorizations read the KKT matrix ``[[W + delta I, Je'], [Je, 0]]``
-  off one CSC superset pattern whose values each iterate refills, from the
+  off one CSC superset pattern (a :class:`~vudlmp.netmodel.CsrLayout`, as
+  are W and ``P K P'``) whose values each iterate refills, from the
   Hessian's values on its superset layout (0 where no term falls) and the
-  scaled equality Jacobian.  SuperLU's two CSC inputs (one with
-  ``-DELTA_C`` on the lower diagonal) are built once per solve and
-  refilled; LAPACK's dense copy takes every entry and ``-delta_c I`` as
-  its lower-right block, signed zeros included.
+  scaled equality Jacobian.  SuperLU's two CSC inputs (one with ``-DELTA_C``
+  on the lower diagonal) are built once per solve and refilled; LAPACK's
+  dense copy takes every entry and ``-delta_c I`` as its lower-right block,
+  signed zeros included.
 - SuperLU gets those matrices as ``P K P'``, with P one fill-reducing
   ordering per solve, bit for bit what scipy's products with the
   permutation matrix give, and factors them in that order
@@ -60,7 +61,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .netmodel import is_number
+from .netmodel import CsrLayout, is_number
 from .opf import OpfProblem
 from .powerflow import max_vuf
 
@@ -240,13 +241,6 @@ class _SparseKktSystem:
         return x[self.perm]
 
 
-def _unique(a):
-    """``np.unique`` of an integer array by sorting, which is far faster here
-    than numpy's default (hash-based) path on some 100,000 keys."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
 def _row_scales(layout, values):
     """1 / max(1, largest |entry|) of each row of a matrix on ``layout``."""
     mags = np.zeros(layout.shape[0])
@@ -320,30 +314,30 @@ class _KktLayout:
         self.k = self.j_rows[self.a]
         self.b = jac.indptr[self.k] + np.arange(self.a.size) - np.repeat(np.cumsum(per) - per, per)
         pr, pc = jac.indices[self.a].astype(np.int64), jac.indices[self.b].astype(np.int64)
-        r = np.concatenate((hr, hc, pr, diag))
-        c = np.concatenate((hc, hr, pc, diag))
-        # the W block in column-major order, its transpose and its diagonal
-        self.w_key = _unique(c * n + r)
-        wr, wc = self.w_key % n, self.w_key // n
-        self.w_t = np.searchsorted(self.w_key, wr * n + wc)
+        # the W block in column-major order (the layout of its transpose):
+        # each Hessian entry, its transpose, each product and the diagonal
+        w = self.w_layout = CsrLayout(np.concatenate((hc, hr, pc, diag)),
+                                      np.concatenate((hr, hc, pr, diag)), (n, n))
+        self.h_slots = w.slots[:len(hr)]
+        self.jsj_slots = w.slots[2 * len(hr):2 * len(hr) + len(pr)]
+        wr, wc = w.indices.astype(np.int64), w.rows
+        self.w_t = np.searchsorted(wc * n + wr, wr * n + wc)
         self.on_diag = (wr == wc).astype(float)
-        self.jsj_slots = np.searchsorted(self.w_key, pc * n + pr)
-        self.h_slots = np.searchsorted(self.w_key, hc * n + hr)
-        self.key = _unique(np.concatenate((wc * size + wr, ec * size + n + er,
-                                           (n + er) * size + ec, eq * size + eq)))
-        self.w_slot = np.searchsorted(self.key, wc * size + wr)
-        self.d11 = np.searchsorted(self.key, eq * size + eq)
+        # K in column-major order: W, Je below it, Je' right of it, d11
+        k = self.layout = CsrLayout(np.concatenate((wc, ec, n + er, eq)),
+                                    np.concatenate((wr, n + er, ec, eq)), (size, size))
+        self.w_slot = k.slots[:w.nnz]
         # each equality-Jacobian entry's two slots: below and right of W
-        self.eq_slots = np.searchsorted(self.key, np.stack((ec * size + n + er,
-                                                            (n + er) * size + ec)))
-        self.vals = np.zeros(len(self.key))   # refilled in place by every iterate
+        self.eq_slots = k.slots[w.nnz:w.nnz + 2 * len(er)].reshape(2, -1)
+        self.d11 = k.slots[w.nnz + 2 * len(er):]
+        self.vals = np.zeros(k.nnz)   # refilled in place by every iterate
         self._dense = None
 
     def refill(self, hess, jac_ineq, d_in, sigma, je):
         """Lay in this iterate's values: ``sym(H + J' diag(sigma) J)`` from the
         Hessian and inequality-Jacobian values on the problem's layouts, and
         the scaled equality Jacobian ``je`` (a :class:`_ScaledRows`)."""
-        nw = len(self.w_key)
+        nw = self.w_layout.nnz
         h = np.zeros(nw)
         h[self.h_slots] = hess
         # ``d_in`` are the row scales, applied as in ``_RowScaling``
@@ -365,35 +359,32 @@ class _KktLayout:
         one factorization of a quasi-definite stand-in on the superset
         pattern: I on the W diagonal, -I on the lower diagonal, 1 on the
         ``Je`` entries and explicit zeros elsewhere.  Returns ``perm`` (row
-        i of K is row ``perm[i]`` of ``P K P'``), the storage order that
-        sorts ``vals`` into the CSC order of ``P K P'``, and the two SuperLU
-        inputs on that matrix's pattern, whose values ``matrices`` refills.
+        i of K is row ``perm[i]`` of ``P K P'``), the slot of each of ``vals``
+        in the CSC layout of ``P K P'``, and the two SuperLU inputs on that
+        matrix's pattern, whose values ``matrices`` refills.
         """
         n, size = self.n, self.size
-        r, c = self.key % size, self.key // size
+        r, c = self.layout.indices, self.layout.rows
         stand_in = np.where(r == c, np.where(r < n, 1.0, -1.0), ((r < n) != (c < n)) * 1.0)
         lu = sp.linalg.splu(sp.csc_matrix((stand_in, (r, c)), shape=(size, size)),
                             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
         perm = lu.perm_c.astype(np.int64)
-        key = perm[c] * size + perm[r]
-        order = np.argsort(key)
-        key = key[order]
-        rows, indptr = (key % size).astype(np.int32), np.searchsorted(key, np.arange(size + 1) * size)
-        target, perturbed = (sp.csc_matrix((np.zeros(len(key)), rows, indptr), shape=(size, size))
-                             for _ in range(2))
-        return perm, order, target, perturbed
+        pkp = CsrLayout(perm[c], perm[r], (size, size))
+        target, perturbed = (sp.csc_matrix((np.zeros(pkp.nnz), pkp.indices, pkp.indptr),
+                                           shape=(size, size)) for _ in range(2))
+        return perm, pkp.slots, target, perturbed
 
     def matrices(self, delta):
         """``P K P'`` for the KKT matrix K at primal regularization ``delta``
         and its copy with the dual regularization, refilled in place, and the
         permutation (see ``_ordering``).  Both are valid until the next call."""
-        perm, order, target, perturbed = self._ordering
+        perm, slots, target, perturbed = self._ordering
         self.vals[self.w_slot] = self.w + delta * self.on_diag
         self.vals[self.d11] = 0.0
-        np.take(self.vals, order, out=target.data)
+        target.data[slots] = self.vals
         self.vals[self.d11] = -DELTA_C
-        np.take(self.vals, order, out=perturbed.data)
+        perturbed.data[slots] = self.vals
         return target, perturbed, perm
 
     def dense(self, delta, delta_c):
@@ -403,11 +394,10 @@ class _KktLayout:
         solve: entries off the pattern stay 0, and the result is valid
         until the next call."""
         if self._dense is None:
-            self._flat = np.zeros(self.size * self.size)
-            self._dense = self._flat.reshape(self.size, self.size).T   # the keys are column-major
+            self._dense = np.zeros((self.size, self.size), order="F")   # as LAPACK reads it
             self._eye = np.eye(self.size - self.n)
         self.vals[self.w_slot] = self.w + delta * self.on_diag
-        self._flat[self.key] = self.vals
+        self._dense[self.layout.indices, self.layout.rows] = self.vals
         np.multiply(-delta_c, self._eye, out=self._dense[self.n:, self.n:])
         return self._dense
 

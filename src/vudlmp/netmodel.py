@@ -10,10 +10,12 @@ The records (:class:`BusSpec`, :class:`LineSpec`, :class:`LoadSpec`,
 :class:`NetworkSpec` checks every record in one pass, over one stack per
 record kind, and compiles the read-only arrays the power flow and the OPF
 read; the line impedances are inverted as one stack.  On first use it
-assembles the nodal admittance matrix from their 3x3 blocks in CSR form
-(:attr:`NetworkSpec.ybus_csr`).  Its dense form (:attr:`NetworkSpec.ybus`)
-is made from the CSR matrix only when asked for; the power flow asks for it
-on small networks only.
+sums their 3x3 blocks into the CSR nodal admittance matrix
+(:attr:`NetworkSpec.ybus_csr`) on a :class:`CsrLayout`, the one class that
+lays out every fixed sparse pattern from (row, column) pairs, as Davis's
+``cs_compress`` does (*Direct Methods for Sparse Linear Systems*, 2006).
+Its dense form (:attr:`NetworkSpec.ybus`) is made from the CSR matrix only
+when asked for; the power flow asks for it on small networks only.
 """
 
 from __future__ import annotations
@@ -67,6 +69,42 @@ def _readonly(a):
     a = np.asarray(a)
     a.flags.writeable = False
     return a
+
+
+class CsrLayout:
+    """A fixed CSR pattern of a ``shape`` matrix; a matrix on it is one value
+    per entry, in canonical order (rows ascending, columns ascending).  A CSC
+    pattern is the layout of the transpose: the columns given as ``rows`` and
+    the rows as ``cols``, so that ``indices`` and ``indptr`` are CSC's."""
+
+    def __init__(self, rows, cols, shape):
+        """The pattern of the (row, col) pairs given; ``slots`` holds each
+        pair's entry."""
+        key = rows.astype(np.int64) * shape[1] + cols
+        order = np.argsort(key)
+        key = key[order]
+        first = np.diff(key, prepend=-1) != 0
+        self.slots = np.empty(len(key), dtype=np.int64)
+        self.slots[order] = np.cumsum(first) - 1
+        key = key[first]
+        self.shape = shape
+        self.rows = key // shape[1]
+        self.indices = (key % shape[1]).astype(np.int32)
+        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1)).astype(np.int32)
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def matrix(self, values, keep=None):
+        """``csr_matrix`` of ``values``, only of the entries ``keep`` selects
+        if given; it owns its arrays."""
+        if keep is None:
+            return sp.csr_matrix((values.copy(), self.indices.copy(), self.indptr.copy()),
+                                 shape=self.shape)
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows[keep], minlength=self.shape[0]), out=indptr[1:])
+        return sp.csr_matrix((values[keep], self.indices[keep], indptr), shape=self.shape)
 
 
 @dataclass(frozen=True)
@@ -293,17 +331,17 @@ class NetworkSpec:
         n = len(self.buses)
         i, j = self.line_from, self.line_to
         # a line adds its y to blocks (i, i) and (j, j) and -y to (i, j) and
-        # (j, i); each block sums its terms in line order, parallel lines in
+        # (j, i); each entry sums its terms in line order, parallel lines in
         # one slot
-        blocks, which = np.unique(np.stack((i * n + i, j * n + j, i * n + j, j * n + i),
-                                           axis=1).ravel(), return_inverse=True)
+        ph = np.arange(NPHASE)
+        rows, cols = np.broadcast_arrays(
+            NPHASE * np.stack((i, j, i, j), axis=1)[:, :, None, None] + ph[:, None],
+            NPHASE * np.stack((i, j, j, i), axis=1)[:, :, None, None] + ph)
+        layout = CsrLayout(rows.ravel(), cols.ravel(), (n * NPHASE, n * NPHASE))
         y = self.line_y
-        data = np.zeros((len(blocks), NPHASE, NPHASE), dtype=complex)
-        np.add.at(data, which, np.stack((y, y, -y, -y), axis=1).reshape(-1, NPHASE, NPHASE))
-        indptr = np.searchsorted(blocks // n, np.arange(n + 1))
-        ybus = sp.bsr_matrix((data, blocks % n, indptr),
-                             shape=(n * NPHASE, n * NPHASE)).tocsr()
-        ybus.eliminate_zeros()
+        data = np.zeros(layout.nnz, dtype=complex)
+        np.add.at(data, layout.slots, np.stack((y, y, -y, -y), axis=1).ravel())
+        ybus = layout.matrix(data, data != 0)
         for a in (ybus.data, ybus.indices, ybus.indptr):
             a.flags.writeable = False
         return ybus

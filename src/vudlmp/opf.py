@@ -19,13 +19,13 @@ in soft mode, the voltage-unbalance penalty over the configured bus
 subset.  Demand is a fixed parameter (inelastic).
 
 The sparsity of every derivative is laid out once per problem as a fixed
-CSR pattern (:class:`CsrLayout`): the equality Jacobian (flow rows, then
-the constant balance rows), the inequality Jacobian and the superset of
-every Lagrangian Hessian entry.  An evaluation only computes the values on
-those layouts, with array operations; the ``csr_matrix`` a public caller
-gets is built from them.  These rules keep those values equal, bit for
-bit, to a plain per-entry evaluation assembled by scipy.sparse, which the
-seed-0 benchmark outputs are pinned to:
+CSR pattern (:class:`~vudlmp.netmodel.CsrLayout`): the equality Jacobian
+(flow rows, then the constant balance rows), the inequality Jacobian and
+the superset of every Lagrangian Hessian entry.  An evaluation only
+computes the values on those layouts, with array operations; the
+``csr_matrix`` a public caller gets is built from them.  These rules keep
+those values equal, bit for bit, to a plain per-entry evaluation assembled
+by scipy.sparse, which the seed-0 benchmark outputs are pinned to:
 
 - Products of complex scalars (``v * conj(y)``, ``1j * conj(i)``) go
   through :func:`~vudlmp.sequence._cmul`, which rounds as numpy's scalar
@@ -60,7 +60,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .netmodel import NPHASE, PHASES, NetworkSpec, UnbalanceConfig, ValidationError
+from .netmodel import NPHASE, PHASES, CsrLayout, NetworkSpec, UnbalanceConfig, ValidationError
 from .powerflow import line_flows
 from .sequence import BALANCED_SOURCE, _cmul, _outer, _pow, vuf_metric_grad_hess, vuf_metric_local
 
@@ -129,40 +129,6 @@ def _pairs(start, shape):
 def _sum_in_order(val, terms):
     """val + terms[0] + terms[1] + ..., rounded left to right."""
     return np.cumsum(np.append(val, terms))[-1]
-
-
-class CsrLayout:
-    """A fixed CSR pattern of a ``shape`` matrix; a matrix on it is one value
-    per entry, in canonical order (rows ascending, columns ascending)."""
-
-    def __init__(self, rows, cols, shape):
-        """The pattern of the (row, col) pairs given; ``slots`` holds each
-        pair's entry."""
-        key = rows.astype(np.int64) * shape[1] + cols
-        order = np.argsort(key)
-        key = key[order]
-        first = np.diff(key, prepend=-1) != 0
-        self.slots = np.empty(len(key), dtype=np.int64)
-        self.slots[order] = np.cumsum(first) - 1
-        key = key[first]
-        self.shape = shape
-        self.rows = key // shape[1]
-        self.indices = (key % shape[1]).astype(np.int32)
-        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1)).astype(np.int32)
-
-    @property
-    def nnz(self):
-        return len(self.indices)
-
-    def matrix(self, values, keep=None):
-        """``csr_matrix`` of ``values``, only of the entries ``keep`` selects
-        if given; it owns its arrays."""
-        if keep is None:
-            return sp.csr_matrix((values.copy(), self.indices.copy(), self.indptr.copy()),
-                                 shape=self.shape)
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.rows[keep], minlength=self.shape[0]), out=indptr[1:])
-        return sp.csr_matrix((values[keep], self.indices[keep], indptr), shape=self.shape)
 
 
 def _laid_out(rows, cols, shape):

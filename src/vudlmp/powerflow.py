@@ -23,13 +23,13 @@ product with it goes through :func:`build_ybus`: dense
 (:attr:`NetworkSpec.ybus`) on a small network, CSR on a large one, where
 the dense matrix is never built.  The factors come in two kinds behind one
 ``solve(rhs, trans=False)``.  A small network's Jacobian is built dense
-(:func:`pf_jacobian`) and factored by LAPACK.  A large one's is filled on a
-CSC pattern laid out once per network from the CSR non-slack Ybus block and
-its diagonal, in each of the four real blocks, as the row scaling of
-conj(Y) by the voltages plus the conj(I) diagonal, and factored by
-SuperLU, as in MATPOWER's Newton power flow (Zimmerman, Murillo-Sanchez &
-Thomas, IEEE Trans. Power Syst. 2011).  On the large path the results do
-not depend on the BLAS thread count; the dense LU rounds by it.
+(:func:`pf_jacobian`) and factored by LAPACK.  A large one's is filled on
+one CSC :class:`~vudlmp.netmodel.CsrLayout` per network of the CSR
+non-slack Ybus block and its diagonal, in each of the four real blocks, as
+the row scaling of conj(Y) by the voltages plus the conj(I) diagonal, and
+factored by SuperLU, as in MATPOWER's Newton power flow (Zimmerman,
+Murillo-Sanchez & Thomas, IEEE Trans. Power Syst. 2011); its results do
+not depend on the BLAS thread count, while the dense LU rounds by it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .netmodel import NPHASE, NetworkSpec
+from .netmodel import NPHASE, CsrLayout, NetworkSpec
 from .sequence import BALANCED_SOURCE, f_metric, vuf
 
 TOL_PF = 1e-10
@@ -164,32 +164,23 @@ class _SparseFactors:
 
 
 class _JacobianPattern:
-    """CSC pattern of the real power-flow Jacobian of one network: the
-    non-slack block of the CSR ``ybus`` and its diagonal, in each of the four
-    blocks of :func:`pf_jacobian`."""
+    """CSC pattern of the real power-flow Jacobian of one network (the layout
+    of its transpose): the non-slack block of the CSR ``ybus`` and its
+    diagonal, in each of the four blocks of :func:`pf_jacobian`."""
 
     def __init__(self, ybus, idx):
         m = len(idx)
         y = ybus[idx][:, idx].tocoo()
-        bare = np.setdiff1d(np.arange(m), y.row[y.row == y.col])   # diagonal Y lacks
-        rows = np.concatenate((y.row, bare))
-        cols = np.concatenate((y.col, bare))
-        order = np.lexsort((rows, cols))        # by column, then row
-        rows, cols = rows[order], cols[order]
-        counts = np.bincount(cols, minlength=m)
-        nnz = len(rows)
-        # column c of the e (then f) half holds its upper-block entries,
-        # then their lower-block twins
-        top = (np.cumsum(counts) - counts)[cols] + np.arange(nnz)
-        bottom = top + counts[cols]
-        self.slots = np.concatenate((top, bottom, top + 2 * nnz, bottom + 2 * nnz))
-        self.indices = np.empty(4 * nnz, dtype=np.int32)
-        self.indices[self.slots] = np.concatenate((rows, rows + m, rows, rows + m))
-        self.indptr = np.concatenate(([0], np.cumsum(np.tile(2 * counts, 2)))).astype(np.int32)
+        off = y.row != y.col
+        # the diagonal in row order (0 where Y lacks an entry), then the rest
+        rows = np.concatenate((np.arange(m), y.row[off]))
+        cols = np.concatenate((np.arange(m), y.col[off]))
+        # the (P, e), (Q, e), (P, f) and (Q, f) entries of each, transposed
+        self.layout = CsrLayout(np.concatenate((cols, cols, cols + m, cols + m)),
+                                np.concatenate((rows, rows + m, rows, rows + m)), (2 * m, 2 * m))
         self.idx = idx
         self.row_v = idx[rows]                  # flat voltage index of each row
-        self.diag = np.flatnonzero(rows == cols)
-        self.y_conj = np.conj(np.concatenate((y.data, np.zeros(len(bare))))[order])
+        self.y_conj = np.conj(np.concatenate((y.diagonal(), y.data[off])))
 
     def jacobian(self, ybus, v):
         """The Jacobian at (nbus, 3) voltages ``v``, from the CSR ``ybus``, as
@@ -199,11 +190,11 @@ class _JacobianPattern:
         d = np.conj(ybus @ vflat)[self.idx]     # diag(conj(I))
         # dS/de = d + a and dS/df = j (d - a), split into real and imaginary
         vals = np.stack((a.real, a.imag, a.imag, -a.real))
-        vals[:, self.diag] += np.stack((d.real, d.imag, -d.imag, d.real))
-        data = np.empty(len(self.slots))
-        data[self.slots] = vals.ravel()
-        n = 2 * len(self.idx)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        vals[:, :len(d)] += np.stack((d.real, d.imag, -d.imag, d.real))
+        data = np.empty(self.layout.nnz)
+        data[self.layout.slots] = vals.ravel()
+        return sp.csc_matrix((data, self.layout.indices, self.layout.indptr),
+                             shape=self.layout.shape)
 
 
 # id(net) -> _JacobianPattern; NetworkSpec is unhashable, so the entry is

@@ -316,9 +316,11 @@ class TestJacobianFactors:
                 assert np.max(np.abs(ours - theirs)) <= 1e-10 * np.max(np.abs(theirs))
 
     @staticmethod
-    def scanned_pattern(ybus, idx):
-        """(slots, indices, indptr, row_v, diag, y_conj) of the Jacobian
-        pattern, laid out by scanning the dense non-slack block of ``ybus``."""
+    def scanned_jacobian(ybus, csr, idx, v):
+        """The sparse Jacobian at ``v``, laid out by scanning the dense
+        non-slack block of ``ybus`` column by column; its values are formed
+        as ``_JacobianPattern.jacobian`` forms them, with currents from the
+        CSR ``csr``."""
         m = len(idx)
         y = ybus[np.ix_(idx, idx)]
         mask = y != 0
@@ -326,14 +328,23 @@ class TestJacobianFactors:
         cols, rows = np.nonzero(mask.T)
         counts = np.bincount(cols, minlength=m)
         nnz = len(rows)
+        # column c of the e (then f) half holds its upper-block entries,
+        # then their lower-block twins
         top = (np.cumsum(counts) - counts)[cols] + np.arange(nnz)
         bottom = top + counts[cols]
         slots = np.concatenate((top, bottom, top + 2 * nnz, bottom + 2 * nnz))
         indices = np.empty(4 * nnz, dtype=np.int32)
         indices[slots] = np.concatenate((rows, rows + m, rows, rows + m))
         indptr = np.concatenate(([0], np.cumsum(np.tile(2 * counts, 2)))).astype(np.int32)
-        return (slots, indices, indptr, idx[rows], np.flatnonzero(rows == cols),
-                np.conj(y[rows, cols]))
+        vflat = v.reshape(-1)
+        a = vflat[idx[rows]] * np.conj(y[rows, cols])
+        d = np.conj(csr @ vflat)[idx]
+        vals = np.stack((a.real, a.imag, a.imag, -a.real))
+        diag = rows == cols
+        vals[:, diag] += np.stack((d.real, d.imag, -d.imag, d.real))
+        data = np.empty(4 * nnz)
+        data[slots] = vals.ravel()
+        return sp.csc_matrix((data, indices, indptr), shape=(2 * m, 2 * m))
 
     def test_sparse_pattern_equals_the_dense_scan(self, simple5):
         eulv117 = load_network(bundled_network("eulv117"))
@@ -347,10 +358,13 @@ class TestJacobianFactors:
         cases = [(net.ybus, net.ybus_csr, nonslack_index(net)) for net in (simple5, eulv117)]
         cases.append((odd.toarray(), odd, np.delete(np.arange(30), [3, 7])))
         for dense, csr, idx in cases:
-            pattern = powerflow._JacobianPattern(csr, idx)
-            ours = (pattern.slots, pattern.indices, pattern.indptr, pattern.row_v,
-                    pattern.diag, pattern.y_conj)
-            for a, b in zip(ours, self.scanned_pattern(dense, idx)):
+            shape = (dense.shape[0] // 3, 3)
+            v = np.exp(0.1j * rng.standard_normal(shape)) * (1 + 0.05 * rng.standard_normal(shape))
+            ours = powerflow._JacobianPattern(csr, idx).jacobian(csr, v)
+            scanned = self.scanned_jacobian(dense, csr, idx, v)
+            assert ours.format == "csc" and ours.shape == scanned.shape
+            for a, b in ((ours.data, scanned.data), (ours.indices, scanned.indices),
+                         (ours.indptr, scanned.indptr)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
