@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import NPHASE, PHASES, NetworkSpec
+from .netmodel import NPHASE, PHASES, NetworkSpec, phase_index
 from .powerflow import (
     TOL_PF,
     OperatingPoint,
@@ -113,14 +113,17 @@ def sensitivity_closed_form(point: OperatingPoint, bus, phase, power_kind="activ
     no well-conditioned voltage direction to act through.
 
     The response comes from the point's own Jacobian factors
-    (:attr:`OperatingPoint.jacobian_lu`), factored once per point.
+    (:attr:`OperatingPoint.jacobian_lu`), factored once per point.  An unknown
+    phase or power kind raises ValueError.
     """
-    phase_idx = PHASES.index(phase) if isinstance(phase, str) else int(phase)
+    phase_idx = phase_index(phase)
+    if power_kind not in _POWER_KINDS:
+        raise ValueError(f"unknown power kind {power_kind!r}: expected one of {_POWER_KINDS}")
     current, closed = _closed_forms(
         point, bus, grad_f(point.voltages[point.net.bus_index(bus)]))
     value = None
     if current[phase_idx] > EPS_I:
-        value = float(closed[0 if power_kind == "active" else 1, phase_idx])
+        value = float(closed[_POWER_KINDS.index(power_kind), phase_idx])
     return SensitivityReport(
         bus=bus, phase=PHASES[phase_idx], power_kind=power_kind,
         closed_form=value, finite_difference=None, rel_gap=None,

@@ -58,6 +58,16 @@ def is_number(value, integral=False):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def phase_index(phase):
+    """Index of a phase given by name (``"a"``, ``"b"``, ``"c"``) or by index
+    (0, 1, 2); ValueError naming the input otherwise."""
+    if isinstance(phase, str) and phase in PHASES:
+        return PHASES.index(phase)
+    if is_number(phase, integral=True) and 0 <= phase < NPHASE:
+        return int(phase)
+    raise ValueError(f"unknown phase {phase!r}: expected one of {PHASES} or 0, 1, 2")
+
+
 def impedance_base(base_kva, base_volt_ln):
     """Ohm base for a per-phase kVA base and line-to-neutral voltage base."""
     if base_kva <= 0 or base_volt_ln <= 0:
@@ -191,8 +201,12 @@ class UnbalanceConfig:
         if self.mode not in UNBALANCE_MODES:
             raise ValidationError(f"unknown unbalance mode {self.mode!r}")
         for name in ("vuf_limit_pct", "penalty_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (is_number(value) and math.isfinite(value)):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        if not (isinstance(self.buses, (list, tuple))
+                and all(isinstance(bus, str) for bus in self.buses)):
+            raise ValidationError(f"buses must be a list of bus ids, got {self.buses!r}")
         if self.mode == "hard" and not self.vuf_limit_pct > 0:
             raise ValidationError("hard mode requires vuf_limit_pct > 0")
         if self.mode == "soft" and self.penalty_weight < 0:
@@ -376,7 +390,7 @@ class NetworkSpec:
 
     def with_extra_load(self, bus, phase, dp=0.0, dq=0.0) -> "NetworkSpec":
         """Copy with one additional point load (per-unit) at (bus, phase)."""
-        i = PHASES.index(phase) if isinstance(phase, str) else int(phase)
+        i = phase_index(phase)
         p, q = np.zeros(NPHASE), np.zeros(NPHASE)
         p[i], q[i] = dp, dq
         return replace(self, loads=self.loads + (LoadSpec(bus=bus, p=p, q=q),))

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .netmodel import NPHASE, CsrLayout, NetworkSpec
+from .netmodel import NPHASE, CsrLayout, NetworkSpec, phase_index
 from .sequence import BALANCED_SOURCE, f_metric, vuf
 
 TOL_PF = 1e-10
@@ -433,11 +433,13 @@ def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
     """Re-solve with one consumption perturbed; return (point, delta f at bus).
 
     ``dp``/``dq`` are per-unit increases in consumption at (bus, phase), i.e.
-    decreases of the net injection.  ``base`` may carry the unperturbed
+    decreases of the net injection; ``phase_idx`` is a phase name or index
+    (:func:`~vudlmp.netmodel.phase_index`).  ``base`` may carry the unperturbed
     operating point of ``net`` to avoid re-solving it.  The re-solve is a
     one-column :func:`resolve_from`: it starts at the base point and takes
     its first Newton step with the base point's Jacobian factors.
     """
+    phase = phase_index(phase_idx)
     if injections is None:
         injections = -net.demand_pu()
     injections = np.asarray(injections, dtype=complex)
@@ -447,7 +449,7 @@ def perturb_and_resolve(net: NetworkSpec, injections, bus, phase_idx,
         raise ValueError("base must be an operating point of net")
     b = net.bus_index(bus)
     pert = injections.copy()
-    pert[b, phase_idx] -= dp + 1j * dq
+    pert[b, phase] -= dp + 1j * dq
     v, iterations = resolve_from(base, pert[None])
     point = _operating_point(net, v[0], int(iterations[0]))
     f_after, f_before = f_metric(np.stack((v[0, b], base.voltages[b])))

@@ -84,6 +84,24 @@ class TestSensitivity:
         assert not entry.defined
         assert entry.closed_form is None
 
+    @pytest.mark.parametrize("phase, kind, named", [
+        ("a", "bogus", "unknown power kind 'bogus'"),
+        ("a", "Active", "unknown power kind 'Active'"),
+        (-1, "active", "unknown phase -1"),
+        (3, "reactive", "unknown phase 3"),
+        ("d", "active", "unknown phase 'd'"),
+    ])
+    def test_unknown_phase_or_power_kind_is_named(self, simple5_pf, phase, kind, named):
+        # no entry labelled with one kind while holding another's value
+        with pytest.raises(ValueError, match=named):
+            sensitivity_closed_form(simple5_pf, "b4", phase, kind)
+
+    def test_phase_by_index_equals_phase_by_name(self, simple5_pf):
+        for k, phase in enumerate(PHASES):
+            for kind in ("active", "reactive"):
+                assert (sensitivity_closed_form(simple5_pf, "b4", k, kind)
+                        == sensitivity_closed_form(simple5_pf, "b4", phase, kind))
+
     def test_fd_oracle_is_symmetric_in_step(self, simple5, simple5_pf):
         def b4_a_active(step):
             entries = sensitivity_report(simple5, simple5_pf, buses=["b4"], step=step)

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vudlmp import bundled_network
 from vudlmp.netmodel import (
     BusSpec,
+    CsrLayout,
     GenSpec,
     LineSpec,
     LoadSpec,
@@ -23,6 +25,7 @@ from vudlmp.netmodel import (
     load_network,
     network_from_dict,
     network_to_dict,
+    phase_index,
     save_network,
 )
 from conftest import make_two_bus
@@ -239,6 +242,24 @@ class TestValidation:
     def test_hard_mode_needs_positive_limit(self):
         with pytest.raises(ValidationError):
             UnbalanceConfig(mode="hard", vuf_limit_pct=0.0)
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(mode="soft", penalty_weight="2"), "penalty_weight must be a finite number, got '2'"),
+        (dict(mode="soft", penalty_weight=True), "penalty_weight must be a finite number, got True"),
+        (dict(mode="hard", vuf_limit_pct=None), "vuf_limit_pct must be a finite number, got None"),
+        (dict(mode="hard", vuf_limit_pct=float("nan")), "vuf_limit_pct must be a finite number"),
+        (dict(buses="b4"), "buses must be a list of bus ids, got 'b4'"),
+        (dict(buses=("b4", 5)), r"buses must be a list of bus ids, got \('b4', 5\)"),
+    ])
+    def test_unbalance_config_checks_types(self, fields, named):
+        # as ScenarioConfig and SolverSettings do: a bool is not a weight and
+        # a string is not a list of buses
+        with pytest.raises(ValidationError, match=named):
+            UnbalanceConfig(**fields)
+
+    def test_unbalance_config_takes_numbers_and_bus_lists(self):
+        cfg = UnbalanceConfig("soft", np.float64(0.5), 2, ["b4", "b5"])
+        assert (cfg.penalty_weight, cfg.buses) == (2, ("b4", "b5"))
 
     def test_unbalance_subset_lists_each_bus_once(self):
         # each VUF bus owns one penalty term or one limit row
@@ -478,6 +499,17 @@ class TestConvenience:
         assert d1[1, 0] - d0[1, 0] == pytest.approx(0.1 + 0.05j)
         assert np.allclose(np.delete(d1.reshape(-1), 3), np.delete(d0.reshape(-1), 3))
 
+    @pytest.mark.parametrize("phase, index", [("a", 0), ("c", 2), (1, 1), (np.int64(2), 2)])
+    def test_phase_index(self, phase, index):
+        assert phase_index(phase) == index
+
+    @pytest.mark.parametrize("phase", ["d", "A", -1, 3, True, 1.0, None])
+    def test_unknown_phase_is_named(self, two_bus, phase):
+        with pytest.raises(ValueError, match=f"unknown phase {phase!r}"):
+            phase_index(phase)
+        with pytest.raises(ValueError, match=f"unknown phase {phase!r}"):
+            two_bus.with_extra_load("load", phase, dp=0.1)
+
     def test_vuf_subset_defaults_to_non_slack(self, two_bus):
         assert two_bus.vuf_bus_subset == ["load"]
 
@@ -526,3 +558,65 @@ class TestConvenience:
         assert len(eulv117.buses) == 117
         assert simple5.substation_bus == "sub"
         assert sum(g.is_substation for g in eulv117.gens) == 1
+
+
+class TestCsrLayout:
+    """The one triplet-to-compressed step, against scipy's COO conversion."""
+
+    @staticmethod
+    def stream(seed, shape=(40, 30), n=600):
+        """A seeded (row, col) stream of ``n`` pairs, many of them repeated."""
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, shape[0], n), rng.integers(0, shape[1], n), shape
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pattern_equals_scipy_and_slots_map_every_pair(self, seed):
+        rows, cols, shape = self.stream(seed)
+        layout = CsrLayout(rows, cols, shape)
+        ref = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=shape).tocsr()
+        assert layout.nnz == ref.nnz < len(rows)
+        for ours, theirs in ((layout.indices, ref.indices), (layout.indptr, ref.indptr)):
+            assert ours.dtype == np.int32
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(layout.rows, np.repeat(np.arange(shape[0]), np.diff(ref.indptr)))
+        # every pair lands on its own entry, and summing onto the slots
+        # gives scipy's sum of the duplicates
+        assert np.array_equal(layout.rows[layout.slots], rows)
+        assert np.array_equal(layout.indices[layout.slots], cols)
+        values = np.random.default_rng(seed).standard_normal(len(rows))
+        summed = np.zeros(layout.nnz)
+        np.add.at(summed, layout.slots, values)
+        ref = sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
+        assert np.allclose(summed, ref.data, rtol=1e-14, atol=1e-14)
+
+    def test_csc_pattern_is_the_layout_of_the_transpose(self):
+        rows, cols, shape = self.stream(3)
+        layout = CsrLayout(cols, rows, shape[::-1])
+        ref = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=shape).tocsc()
+        assert np.array_equal(layout.indices, ref.indices)
+        assert np.array_equal(layout.indptr, ref.indptr)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matrix_keeps_the_entries_selected(self, seed):
+        rows, cols, shape = self.stream(seed)
+        layout = CsrLayout(rows, cols, shape)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(layout.nnz)
+        keep = rng.random(layout.nnz) < 0.6
+        full = layout.matrix(values)
+        assert full.format == "csr" and full.shape == shape
+        dense = np.zeros(shape)
+        dense[layout.rows, layout.indices] = values
+        assert full.toarray().tobytes() == dense.tobytes()
+        kept = layout.matrix(values, keep)
+        assert kept.nnz == np.count_nonzero(keep)
+        assert kept.has_sorted_indices
+        dense_kept = np.zeros(shape)
+        dense_kept[layout.rows[keep], layout.indices[keep]] = values[keep]
+        assert kept.toarray().tobytes() == dense_kept.tobytes()
+        # each matrix owns its arrays: writing to one leaves the layout as it is
+        before = layout.indices.copy()
+        for m in (full, kept):
+            m.indices[:] = 0
+            m.data[:] = 0.0
+        assert np.array_equal(layout.indices, before)

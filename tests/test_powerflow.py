@@ -272,6 +272,17 @@ class TestResolveFrom:
         with pytest.raises(ValueError, match="base"):
             perturb_and_resolve(two_bus, None, "load", 0, dp=1e-5, base=simple5_pf)
 
+    @pytest.mark.parametrize("phase", [3, -1, "d"])
+    def test_unknown_phase_is_named(self, simple5, simple5_pf, phase):
+        with pytest.raises(ValueError, match=f"unknown phase {phase!r}"):
+            perturb_and_resolve(simple5, None, "b4", phase, dp=1e-5, base=simple5_pf)
+
+    def test_phase_may_be_named(self, simple5, simple5_pf):
+        by_name = perturb_and_resolve(simple5, None, "b4", "c", dp=0.02, base=simple5_pf)
+        by_index = perturb_and_resolve(simple5, None, "b4", 2, dp=0.02, base=simple5_pf)
+        assert by_name[0].voltages.tobytes() == by_index[0].voltages.tobytes()
+        assert by_name[1] == by_index[1]
+
 
 class TestDeterminism:
     def test_repeat_solves_are_bitwise_identical(self, simple5):
