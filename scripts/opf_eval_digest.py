@@ -3,9 +3,12 @@ flow and whole solves.
 
 First, one ``network`` line each for simple5, eulv117 and the two-bus
 feeder digests the network's compiled arrays (its bus ids and the
-``bus_*``, ``line_*``, ``demand`` and ``gen_*`` arrays), and then one
+``bus_*``, ``line_*``, ``demand`` and ``gen_*`` arrays), then one
 ``line_y`` line each digests the stacked series admittances of its lines
-alone.  Each
+alone, and one ``ybus`` line each digests the sparse matrices laid out
+from them: ``ybus_csr`` and the power-flow Jacobian that the network's
+sparse pattern (``powerflow._jacobian_pattern``) fills at the load-only
+power flow, on every network, small ones included.  Each
 problem built for the evaluations and the whole solves below first gets
 one ``layout`` line: digests of its ``idx_*`` variable indices, its
 generator boxes, the ``describe()`` strings of its equality and inequality
@@ -63,6 +66,7 @@ import numpy as np  # noqa: E402
 import scipy.linalg.lapack  # noqa: E402
 import scipy.sparse.linalg  # noqa: E402
 
+from vudlmp import powerflow  # noqa: E402
 from vudlmp import (  # noqa: E402
     BusSpec,
     GenSpec,
@@ -158,6 +162,10 @@ def print_network_digests():
               f" digest={digest(ids, *(getattr(net, attr) for attr in COMPILED))}")
     for name, net in nets:
         print(f"{name} line_y lines={len(net.lines)} digest={digest(net.line_y)}")
+    for name, net in nets:
+        jac = powerflow._jacobian_pattern(net).jacobian(net.ybus_csr, solve_pf(net).voltages)
+        print(f"{name} ybus nnz={net.ybus_csr.nnz} ybus_csr={sparse_digest(net.ybus_csr)}"
+              f" jacobian nnz={jac.nnz} digest={sparse_digest(jac)}")
 
 
 def print_opf_digests():
