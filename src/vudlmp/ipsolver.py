@@ -26,10 +26,8 @@ expressions they replace, which the seed-0 benchmark outputs are pinned to:
 
 - Row scaling emits what ``sp.diags(d) @ jac`` (scipy's ``csr_matmat``)
   emits: each row's entries in the reverse of their layout order, so
-  descending columns.
-- Matvecs add as scipy's do, by ``bincount`` in input order from 0: ``J x``
-  sums each row in that stored order (CSR matvec), ``J' y`` each column in
-  ascending row (CSC matvec of ``J.T``).
+  descending columns, into one ``csr_matrix`` per solve that each iterate
+  refills in place; its matvecs, and its transpose's, are scipy's own.
 - ``J' diag(sigma) J`` is summed term by term, ``J[k, c] * (sigma_k *
   J[k, r])`` into ``[r, c]``, in ascending row ``k``, as the sparse product
   sums it; entries with three terms (lower bound, upper bound, VUF) round
@@ -249,39 +247,27 @@ def _row_scales(layout, values):
 
 
 class _RowScaling:
-    """``sp.diags(d) @ J`` for the Jacobians J on one layout, laid out once
-    per solve.  scipy's ``csr_matmat`` emits each row's entries in the
-    reverse of their stored order (see the module docstring): ``entries``
-    gives the layout entry of each emitted one.  The reversal keeps every
-    row's count, so ``indptr`` is the layout's."""
+    """``sp.diags(d) @ J`` for the Jacobians J on one layout: one ``matrix``
+    per solve whose ``data`` each call refills, and ``t``, its transpose, a
+    CSC view on that ``data``.  scipy's ``csr_matmat`` emits each row's
+    entries in the reverse of their stored order (see the module docstring):
+    ``entries`` gives the layout entry of each emitted one.  The reversal
+    keeps every row's count, so ``indptr`` is the layout's.  Canonicalizing
+    either matrix in place (``sort_indices``, ``sum_duplicates``, ...)
+    would reorder ``data`` against ``entries``."""
 
     def __init__(self, d, layout):
-        self.shape, self.rows, self.indptr = layout.shape, layout.rows, layout.indptr
         ends = layout.indptr.astype(np.int64)
-        self.entries = ends[self.rows] + ends[self.rows + 1] - 1 - np.arange(layout.nnz)
-        self.indices = layout.indices[self.entries]
-        self.d = d[self.rows]
+        self.entries = ends[layout.rows] + ends[layout.rows + 1] - 1 - np.arange(layout.nnz)
+        self.d = d[layout.rows]
+        self.matrix = sp.csr_matrix((np.zeros(layout.nnz), layout.indices[self.entries],
+                                     layout.indptr), shape=layout.shape)
+        self.t = self.matrix.T
 
     def __call__(self, values):
-        return _ScaledRows(self, self.d * values[self.entries])
-
-
-class _ScaledRows:
-    """One iterate's ``sp.diags(d) @ J``: ``data`` in scipy's order on the
-    pattern of its :class:`_RowScaling`, whose ``rows``, ``indices``,
-    ``indptr`` and layout ``entries`` it shares."""
-
-    def __init__(self, scaling, data):
-        self.shape, self.rows, self.indices = scaling.shape, scaling.rows, scaling.indices
-        self.indptr, self.entries, self.data = scaling.indptr, scaling.entries, data
-
-    def dot(self, x):
-        """``J x``, each row summed in stored order as the CSR matvec sums it."""
-        return np.bincount(self.rows, self.data * x[self.indices], self.shape[0])
-
-    def tdot(self, y):
-        """``J' y``, summed in ascending row as the CSC matvec of ``J.T`` sums it."""
-        return np.bincount(self.indices, self.data * y[self.rows], self.shape[1])
+        """The matrix at ``values`` on the layout, refilled in place."""
+        np.multiply(self.d, values[self.entries], out=self.matrix.data)
+        return self.matrix
 
 
 class _KktLayout:
@@ -307,11 +293,9 @@ class _KktLayout:
         hr, hc = hess.rows, hess.indices.astype(np.int64)
         er, ec = jeq.rows, jeq.indices.astype(np.int64)
         diag, eq = np.arange(n), n + np.arange(prob.n_eq)
-        count = np.diff(jac.indptr)
-        self.j_rows = jac.rows
-        per = count[self.j_rows]
+        per = np.diff(jac.indptr)[jac.rows]
         self.a = np.repeat(np.arange(jac.nnz), per)
-        self.k = self.j_rows[self.a]
+        self.k = jac.rows[self.a]
         self.b = jac.indptr[self.k] + np.arange(self.a.size) - np.repeat(np.cumsum(per) - per, per)
         pr, pc = jac.indices[self.a].astype(np.int64), jac.indices[self.b].astype(np.int64)
         # the W block in column-major order (the layout of its transpose):
@@ -333,18 +317,18 @@ class _KktLayout:
         self.vals = np.zeros(k.nnz)   # refilled in place by every iterate
         self._dense = None
 
-    def refill(self, hess, jac_ineq, d_in, sigma, je):
+    def refill(self, hess, sigma, scale_eq, scale_in):
         """Lay in this iterate's values: ``sym(H + J' diag(sigma) J)`` from the
-        Hessian and inequality-Jacobian values on the problem's layouts, and
-        the scaled equality Jacobian ``je`` (a :class:`_ScaledRows`)."""
+        Hessian values on the problem's layout, and both scaled Jacobians from
+        their :class:`_RowScaling` s in layout order: ``data`` at ``entries``,
+        as reversing a row twice restores it."""
         nw = self.w_layout.nnz
         h = np.zeros(nw)
         h[self.h_slots] = hess
-        # ``d_in`` are the row scales, applied as in ``_RowScaling``
-        j = d_in[self.j_rows] * jac_ineq
+        j = scale_in.matrix.data[scale_in.entries]
         v = h + np.bincount(self.jsj_slots, j[self.b] * (sigma[self.k] * j[self.a]), nw)
         self.w = (v + v[self.w_t]) * 0.5
-        self.vals[self.eq_slots[:, je.entries]] = je.data
+        self.vals[self.eq_slots] = scale_eq.matrix.data[scale_eq.entries]
 
     def zero_on_diagonal(self):
         """Whether the diagonal of ``W`` holds an exact zero."""
@@ -431,10 +415,12 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     d_in = _row_scales(prob.jac_ineq_layout, e.jac_ineq_values)
     scale_eq = _RowScaling(d_eq, prob.jac_eq_layout)
     scale_in = _RowScaling(d_in, prob.jac_ineq_layout)
+    je, ji = scale_eq.matrix, scale_in.matrix     # refilled by every ``scale(e)``
 
     def scale(e):
-        return (e.c_eq * d_eq, (e.c_ineq - BOUND_RELAX) * d_in,
-                scale_eq(e.jac_eq_values), scale_in(e.jac_ineq_values))
+        scale_eq(e.jac_eq_values)
+        scale_in(e.jac_ineq_values)
+        return e.c_eq * d_eq, (e.c_ineq - BOUND_RELAX) * d_in
 
     def scaled(xv, want_jac=True):
         if want_jac:
@@ -444,7 +430,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         ci, _ = prob.eval_ineq(xv, want_jac=False)
         return prob.objective_value(xv), ce * d_eq, (ci - BOUND_RELAX) * d_in
 
-    ce, ci, je, ji = scale(e)
+    ce, ci = scale(e)
     m_eq = len(ce)
     dense = n + m_eq <= 1200
     layout = _KktLayout(prob)
@@ -454,9 +440,8 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     z = mu / s
     # least-squares initial equality multipliers, capped
     try:
-        a = sp.csr_matrix((je.data, je.indices, je.indptr), shape=je.shape)
-        a = (a @ a.T + 1e-10 * sp.eye(m_eq)).tocsc()
-        rhs = -je.dot(e.grad_objective + ji.tdot(z))
+        a = (je @ scale_eq.t + 1e-10 * sp.eye(m_eq)).tocsc()
+        rhs = -(je @ (e.grad_objective + scale_in.t @ z))
         y = sp.linalg.spsolve(a, rhs)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e6:
             y = np.zeros(m_eq)
@@ -470,7 +455,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
     ls_failures = 0
 
     for it in range(1, st.max_iter + 1):
-        stat = np.max(np.abs(e.grad_objective + je.tdot(y) + ji.tdot(z)))
+        stat = np.max(np.abs(e.grad_objective + scale_eq.t @ y + scale_in.t @ z))
         # feasibility judged on the original (unscaled) constraint values so
         # that a declared success survives independent residual recomputation
         feas = max(np.max(np.abs(ce / d_eq)), np.max(np.abs((ci + s) / d_in)))
@@ -493,7 +478,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
 
         prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess, out=hess)
         sigma = z / s
-        layout.refill(hess, e.jac_ineq_values, d_in, sigma, je)
+        layout.refill(hess, sigma, scale_eq, scale_in)
 
         # inertia-corrected factorization; the dual regularization stays off
         # unless the plain system is singular, because it perturbs the
@@ -504,6 +489,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         delta = trial if not dense and layout.zero_on_diagonal() else 0.0
         delta_c = 0.0
         while True:
+            kkt = None      # free the previous factors before the next ones are allocated
             if dense:
                 kkt = _KktSystem(layout.dense(delta, delta_c), n)
             else:
@@ -524,7 +510,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         delta_last = delta
 
         r_i = ci + s
-        rhs_x = -(e.grad_objective + je.tdot(y)) - ji.tdot(mu / s + sigma * r_i)
+        rhs_x = -(e.grad_objective + scale_eq.t @ y) - scale_in.t @ (mu / s + sigma * r_i)
         rhs = np.concatenate([rhs_x, -ce])
         try:
             sol = kkt.solve(rhs)
@@ -533,7 +519,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
             break
         dx = sol[:n]
         dy = sol[n:]
-        ds = -r_i - ji.dot(dx)
+        ds = -r_i - ji @ dx
         dz = (mu - s * z) / s - sigma * ds
 
         # fraction-to-boundary step limits
@@ -603,7 +589,7 @@ def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -
         s = s_t
         y = y + alpha * dy
         z = np.maximum(z + alpha_z * dz, 1e-16)
-        e, ce, ci, je, ji = scaled(x)
+        e, ce, ci = scaled(x)
     else:
         message = "maximum iterations exceeded"
 

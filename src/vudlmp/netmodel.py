@@ -459,8 +459,8 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     """Build a :class:`NetworkSpec` from a parsed schema document (SI units).
 
     An entry or field of the wrong type or shape raises ParseError naming
-    the entry, e.g. ``line entry 0: ...``; a number must be a JSON number and
-    ``is_substation`` a JSON bool.
+    the entry, e.g. ``line entry 0: ...``; a number must be a JSON number,
+    a bus id or bus reference a JSON string and ``is_substation`` a JSON bool.
     """
     try:
         base_kva = _numbers(doc["base_kva"], (), "base_kva")
@@ -482,6 +482,15 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         value = _req(entry, key, where) if default is None else entry.get(key, default)
         return _numbers(value, shape, where, key)
 
+    def _name(value, what):
+        """A bus id or bus reference, which must be a string."""
+        if not isinstance(value, str):
+            raise ParseError(f"{what} must be a string, got {value!r}")
+        return value
+
+    def _bus(where, entry, key):
+        return _name(_req(entry, key, where), f"{where}: {key}")
+
     def _list(value, what):
         if not isinstance(value, (list, tuple)):
             raise ParseError(f"{what} must be a list, got {value!r}")
@@ -494,7 +503,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
                 raise ParseError(f"{kind} entry {k}: must be an object, got {e!r}")
             yield f"{kind} entry {k}", e
 
-    buses = [BusSpec(id=str(_req(e, "id", w)), vmin=_num(w, e, "vmin", default=DEFAULT_VMIN),
+    buses = [BusSpec(id=_bus(w, e, "id"), vmin=_num(w, e, "vmin", default=DEFAULT_VMIN),
                      vmax=_num(w, e, "vmax", default=DEFAULT_VMAX))
              for w, e in _entries("buses", "bus")]
     lines = []
@@ -502,9 +511,9 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         for w, e in _entries("lines", "line"):
             z = (_num(w, e, "z_real", (NPHASE, NPHASE))
                  + 1j * _num(w, e, "z_imag", (NPHASE, NPHASE))) / zbase
-            lines.append(LineSpec(from_bus=str(_req(e, "from", w)), to_bus=str(_req(e, "to", w)),
+            lines.append(LineSpec(from_bus=_bus(w, e, "from"), to_bus=_bus(w, e, "to"),
                                   z=z, s_rating=_num(w, e, "s_rating") / base_kva))
-    loads = [LoadSpec(bus=str(_req(e, "bus", w)), p=_num(w, e, "p", (NPHASE,)) / base_kva,
+    loads = [LoadSpec(bus=_bus(w, e, "bus"), p=_num(w, e, "p", (NPHASE,)) / base_kva,
                       q=_num(w, e, "q", (NPHASE,)) / base_kva)
              for w, e in _entries("loads", "load")]
     gens = []
@@ -513,7 +522,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         if not isinstance(is_substation, bool):
             raise ParseError(f"{w}: is_substation must be true or false, got {is_substation!r}")
         gens.append(GenSpec(
-            bus=str(_req(e, "bus", w)),
+            bus=_bus(w, e, "bus"),
             phases=tuple(_list(_req(e, "phases", w), f"{w}: phases")),
             **{name: _num(w, e, name, (NPHASE,)) / base_kva for name in _GEN_BOX},
             marginal_cost=_num(w, e, "cost"), is_substation=is_substation,
@@ -525,7 +534,8 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         mode=ub.get("mode", "none"),
         vuf_limit_pct=_num("unbalance", ub, "limit_pct", default=0.0),
         penalty_weight=_num("unbalance", ub, "penalty", default=0.0),
-        buses=tuple(str(b) for b in _list(ub.get("buses", []), "unbalance: buses")),
+        buses=tuple(_name(b, f"unbalance: buses entry {k}")
+                    for k, b in enumerate(_list(ub.get("buses", []), "unbalance: buses"))),
     )
     sub = doc.get("substation_bus")
     if sub is None:
@@ -536,7 +546,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     return NetworkSpec(
         base_kva=base_kva, base_volt_ln=base_volt,
         buses=tuple(buses), lines=tuple(lines), loads=tuple(loads),
-        gens=tuple(gens), substation_bus=str(sub), unbalance=cfg,
+        gens=tuple(gens), substation_bus=_name(sub, "substation_bus"), unbalance=cfg,
     )
 
 

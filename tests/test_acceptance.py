@@ -194,6 +194,19 @@ def test_criterion_06_hard_limit_binds_on_the_large_feeder(eulv117_solve):
     assert hard_sol.total_gen_cost() > none_sol.total_gen_cost()
 
 
+def test_soft_penalty_on_vuf_binds_on_the_large_feeder(eulv117_solve):
+    """Soft mode on VUF itself (weight 1.5) solves eulv117 to a KKT point
+    whose prices decompose: criterion 11's residuals and every decomposition
+    residual below 1e-6."""
+    sol = eulv117_solve("soft", penalty=1.5, penalty_on="vuf")
+    assert sol.success, sol.message
+    assert sol.iterations <= 80
+    assert max(recomputed_residuals(sol)) < 1e-6
+    rows = decompose(sol)
+    assert rows and max(abs(d.residual) for d in rows) < 1e-6
+    assert sol.max_vuf()[1] < eulv117_solve().max_vuf()[1]
+
+
 def test_criterion_07_soft_penalty_monotonicity(simple5, simple5_pf,
                                                 timed_simple5):
     """Weights {0,1,1.5,3}x: VUF non-increasing, cost non-decreasing."""

@@ -354,6 +354,14 @@ class TestSweep:
         (("lines", 0, "s_rating"), True, "line entry 0: s_rating must be a number"),
         (("loads", 0, "p"), [True, False, True], "load entry 0: p must be 3 numbers"),
         (("lines", 0, "s_rating"), 10**400, "line entry 0: s_rating must be a number"),
+        (("buses", 1, "id"), None, "bus entry 1: id must be a string, got None"),
+        (("buses", 1, "id"), 7, "bus entry 1: id must be a string, got 7"),
+        (("lines", 0, "from"), None, "line entry 0: from must be a string, got None"),
+        (("lines", 0, "to"), True, "line entry 0: to must be a string, got True"),
+        (("loads", 0, "bus"), 3, "load entry 0: bus must be a string, got 3"),
+        (("gens", 0, "bus"), None, "generator entry 0: bus must be a string, got None"),
+        (("unbalance", "buses", 1), 2.0, "unbalance: buses entry 1 must be a string, got 2.0"),
+        (("substation_bus",), 1, "substation_bus must be a string, got 1"),
     ], ids=["z-inf", "z-nan", "z-imag-inf", "s-rating-inf", "vmin-inf", "vmax-inf",
             "base-kva-inf", "base-volt-inf", "base-kva-nan", "line-not-object",
             "load-not-object", "gen-not-object", "unbalance-not-object", "lines-not-list",
@@ -361,7 +369,9 @@ class TestSweep:
             "load-p-not-numeric", "vmin-not-numeric", "s-rating-null", "z-imag-row",
             "z-imag-scalar", "z-real-scalar", "substation-string", "vmin-string",
             "base-kva-string", "cost-string", "penalty-string", "s-rating-bool",
-            "load-p-bool", "s-rating-huge-int"])
+            "load-p-bool", "s-rating-huge-int", "bus-id-null", "bus-id-number",
+            "line-from-null", "line-to-bool", "load-bus-number", "gen-bus-null",
+            "unbalance-bus-number", "substation-number"])
     def test_opf_non_finite_network_value_is_config_error(self, simple5, tmp_path, capsys,
                                                           where, value, named):
         doc = network_to_dict(simple5)

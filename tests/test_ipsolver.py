@@ -1,6 +1,7 @@
 """Interior-point solver tests: KKT quality, mode behavior, determinism."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -361,8 +362,11 @@ def refill(layout, prob, x, e, d_eq, d_in, y, z, sigma):
     """Lay one iterate into ``layout`` from the laid-out values, as the solver does."""
     hess = prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess,
                                 out=np.empty(prob.hess_layout.nnz))
-    layout.refill(hess, e.jac_ineq_values, d_in, sigma,
-                  _RowScaling(d_eq, prob.jac_eq_layout)(e.jac_eq_values))
+    scale_eq = _RowScaling(d_eq, prob.jac_eq_layout)
+    scale_in = _RowScaling(d_in, prob.jac_ineq_layout)
+    scale_eq(e.jac_eq_values)
+    scale_in(e.jac_ineq_values)
+    layout.refill(hess, sigma, scale_eq, scale_in)
 
 
 def scipy_dense_w(hess, ji, sigma):
@@ -406,7 +410,7 @@ class TestDenseAssembly:
                     assert getattr(ours, part).dtype == getattr(ref, part).dtype, part
                 # scipy's entries in scipy's order; those it drops are exactly 0
                 ncol = jac.shape[1]
-                key = ours.rows * ncol + ours.indices
+                key = layout.rows * ncol + ours.indices
                 ref_rows = np.repeat(np.arange(jac.shape[0]), np.diff(ref.indptr))
                 ref_key = ref_rows * ncol + ref.indices
                 kept = np.isin(key, ref_key)
@@ -553,18 +557,48 @@ class TestSparseAssembly:
         assert not np.array_equal(perms[0], np.arange(layout.size))
 
     def test_matvecs_match_scipy(self, points):
+        """Each scaling, refilled in place at two points with the row scales
+        of a third, is the matrix scipy builds afresh there, and its matrix
+        and transpose multiply as that matrix does."""
         prob, xs = points
         rng = np.random.default_rng(9)
-        for x in xs.values():
-            e, d_eq, d_in, y, z, _, _ = self.iterate(prob, x, rng)
-            je = _RowScaling(d_eq, prob.jac_eq_layout)(e.jac_eq_values)
-            ji = _RowScaling(d_in, prob.jac_ineq_layout)(e.jac_ineq_values)
-            ref_je, ref_ji = sp.diags(d_eq) @ e.jac_eq, sp.diags(d_in) @ e.jac_ineq
-            dx = rng.standard_normal(prob.nvar)
-            assert je.tdot(y).tobytes() == (ref_je.T @ y).tobytes()
-            assert ji.tdot(z).tobytes() == (ref_ji.T @ z).tobytes()
-            assert ji.dot(dx).tobytes() == (ref_ji @ dx).tobytes()
-            assert je.dot(dx).tobytes() == (ref_je @ dx).tobytes()
+        d_eq, d_in = row_scales(prob, prob.evaluate(xs["warm"]))
+        scalings = [(_RowScaling(d, layout), d, layout, name) for d, layout, name in (
+            (d_eq, prob.jac_eq_layout, "jac_eq_values"),
+            (d_in, prob.jac_ineq_layout, "jac_ineq_values"))]
+        for _ in range(2):
+            e = prob.evaluate(xs["warm"] + 0.02 * rng.standard_normal(prob.nvar))
+            for scaling, d, layout, name in scalings:
+                values = getattr(e, name)
+                ours, ref = scaling(values), sp.diags(d) @ layout.matrix(values)
+                assert ours is scaling.matrix
+                assert_same_arrays(ours, ref)
+                dx, y = rng.standard_normal(layout.shape[1]), rng.standard_normal(layout.shape[0])
+                assert (ours @ dx).tobytes() == (ref @ dx).tobytes()
+                assert (scaling.t @ y).tobytes() == (ref.T @ y).tobytes()
+
+    def test_refilled_patterns_survive_whole_solves(self, simple5, simple5_pf, eulv117,
+                                                    monkeypatch):
+        """No step of a solve canonicalizes a refilled matrix in place: each
+        keeps the pattern it was built with, and its transpose its ``data``."""
+        made = []
+
+        class Recorded(_RowScaling):
+            def __init__(self, d, layout):
+                super().__init__(d, layout)
+                made.append((self, self.matrix.indices.copy(), self.matrix.indptr.copy()))
+
+        monkeypatch.setattr(ipsolver, "_RowScaling", Recorded)
+        for net, warm, limit in ((simple5, simple5_pf, 1.0), (eulv117, solve_pf(eulv117), 0.5)):
+            cfg = UnbalanceConfig("hard", limit, buses=net.unbalance.buses)
+            sol = solve(build_problem(net, cfg), warm=warm)
+            assert sol.success, sol.message
+        assert len(made) == 4
+        for scaling, indices, indptr in made:
+            for mat in (scaling.matrix, scaling.t):
+                assert mat.indices.tobytes() == indices.tobytes()
+                assert mat.indptr.tobytes() == indptr.tobytes()
+            assert np.shares_memory(scaling.t.data, scaling.matrix.data)
 
     def test_sparse_path_forms_no_block_matrix(self, eulv117, eulv117_solve, monkeypatch):
         def no_bmat(*args, **kwargs):
@@ -615,6 +649,24 @@ class TestSparseConstructions:
         factors = orderings.count("NATURAL")
         assert built.count(sp.csc_array) <= 2 * factors     # SuperLU's L and U
         return sol, len(built) - built.count(sp.csc_array), factors
+
+    def test_previous_factors_are_freed_before_the_next(self, eulv117, monkeypatch):
+        # one set of SuperLU factors alive at a time: none is left when the
+        # next factorization starts
+        live, counts = weakref.WeakSet(), []
+
+        class Counted(ipsolver._SparseKktSystem):
+            def __init__(self, *args):
+                counts.append(len(live))
+                live.add(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ipsolver, "_SparseKktSystem", Counted)
+        cfg = UnbalanceConfig("hard", 0.5, buses=eulv117.unbalance.buses)
+        sol = solve(build_problem(eulv117, cfg), warm=solve_pf(eulv117))
+        assert sol.success, sol.message
+        assert len(counts) >= sol.iterations - 1
+        assert set(counts) == {0}
 
     def test_dense_path_count_is_fixed(self, simple5, simple5_pf, monkeypatch):
         cfg = UnbalanceConfig("hard", 1.0)

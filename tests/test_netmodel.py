@@ -88,6 +88,24 @@ class TestSerialization:
         net = network_from_dict(doc)
         assert net.substation_bus == "sub"
 
+    def test_bus_ids_must_be_strings(self, simple5):
+        # one bus renamed to null throughout: every reference still resolves,
+        # but the id is no JSON string
+        doc = network_to_dict(simple5)
+        old = doc["buses"][1]["id"]
+
+        def rename(value):
+            return None if value == old else value
+
+        doc["buses"][1]["id"] = None
+        for line in doc["lines"]:
+            line["from"], line["to"] = rename(line["from"]), rename(line["to"])
+        for entry in doc["loads"] + doc["gens"]:
+            entry["bus"] = rename(entry["bus"])
+        doc["unbalance"]["buses"] = [rename(b) for b in doc["unbalance"]["buses"]]
+        with pytest.raises(ParseError, match=r"^bus entry 1: id must be a string, got None$"):
+            network_from_dict(doc)
+
     def test_generator_rebuilds_the_bundled_files(self, tmp_path, monkeypatch):
         # scripts/make_networks.py builds both documents in memory from its
         # pinned impedance scales, byte for byte as bundled, and writes nothing
