@@ -11,6 +11,14 @@ complementarity all fall below the KKT tolerance, so the duals are clean
 enough to be read as prices; :meth:`~vudlmp.opf.OpfProblem.by_family`
 reads them by constraint family.  Only a failed solve names a row by tag.
 
+:func:`solve` drives one :class:`_Iterate` (x, s, y, z, mu and the scaled
+evaluation) through one function per phase of the method: :func:`_start`
+builds it, :func:`_test` stops or updates the barrier, :func:`_direction`
+takes the inertia-corrected factorization (:func:`_factor`) and the Newton
+step, :func:`_line_search` the fraction-to-boundary limit
+(:func:`_max_step`) and the merit backtracking, :func:`_advance` the move,
+and :func:`_result` the unscaled residuals and status.
+
 MU0, MU_FACTOR and the mu**1.5 tail are the barrier schedule of Wächter &
 Biegler, "On the implementation of an interior-point filter line-search
 algorithm", Math. Prog. 2006; the other constants are this solver's own.
@@ -400,223 +408,282 @@ def _worst_row(prob, e, z_ineq, tol):
     return ""
 
 
-def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -> OpfSolution:
-    """Solve the NLP to a KKT point; multipliers in EUR/h per per-unit.
+class _StepFailed(Exception):
+    """No Newton direction at this iterate: the KKT matrix could not be
+    regularized, or its back-substitution failed."""
 
-    No row block is ever empty: a valid network's one substation generator
-    alone gives 6 variables, 6 balance rows and 12 output-box rows.
-    """
-    st = settings or SolverSettings()
-    x = prob.x0(warm)
-    n = prob.nvar
 
-    e = prob.evaluate(x)
-    d_eq = _row_scales(prob.jac_eq_layout, e.jac_eq_values)
-    d_in = _row_scales(prob.jac_ineq_layout, e.jac_ineq_values)
-    scale_eq = _RowScaling(d_eq, prob.jac_eq_layout)
-    scale_in = _RowScaling(d_in, prob.jac_ineq_layout)
-    je, ji = scale_eq.matrix, scale_in.matrix     # refilled by every ``scale(e)``
+class _Scaling:
+    """The row scaling of one solve, fixed by the first evaluation ``e``:
+    ``d_eq`` and ``d_in``, and the two scaled Jacobians (``eq`` and
+    ``ineq``, :class:`_RowScaling` s) that every iterate refills."""
 
-    def scale(e):
-        scale_eq(e.jac_eq_values)
-        scale_in(e.jac_ineq_values)
-        return e.c_eq * d_eq, (e.c_ineq - BOUND_RELAX) * d_in
+    def __init__(self, prob, e):
+        self.prob = prob
+        self.d_eq = _row_scales(prob.jac_eq_layout, e.jac_eq_values)
+        self.d_in = _row_scales(prob.jac_ineq_layout, e.jac_ineq_values)
+        self.eq = _RowScaling(self.d_eq, prob.jac_eq_layout)
+        self.ineq = _RowScaling(self.d_in, prob.jac_ineq_layout)
 
-    def scaled(xv, want_jac=True):
-        if want_jac:
-            e = prob.evaluate(xv)
-            return e, *scale(e)
-        ce, _ = prob.eval_eq(xv, want_jac=False)
-        ci, _ = prob.eval_ineq(xv, want_jac=False)
-        return prob.objective_value(xv), ce * d_eq, (ci - BOUND_RELAX) * d_in
+    def evaluate(self, x, e=None):
+        """The evaluation at ``x`` (``e`` if given) with both scaled Jacobians
+        refilled at it, and its scaled equality and inequality residuals."""
+        e = self.prob.evaluate(x) if e is None else e
+        self.eq(e.jac_eq_values)
+        self.ineq(e.jac_ineq_values)
+        return e, e.c_eq * self.d_eq, (e.c_ineq - BOUND_RELAX) * self.d_in
 
-    ce, ci = scale(e)
-    m_eq = len(ce)
-    dense = n + m_eq <= 1200
-    layout = _KktLayout(prob)
-    hess = np.empty(prob.hess_layout.nnz)
+    def trial(self, x):
+        """The objective and the scaled residuals at a trial point, without
+        Jacobians."""
+        ce, _ = self.prob.eval_eq(x, want_jac=False)
+        ci, _ = self.prob.eval_ineq(x, want_jac=False)
+        return self.prob.objective_value(x), ce * self.d_eq, (ci - BOUND_RELAX) * self.d_in
+
+
+@dataclass
+class _Iterate:
+    """One interior-point iterate: the primal point ``x``, the slacks ``s``,
+    the scaled multipliers ``y`` and ``z``, the barrier parameter ``mu``, and
+    the evaluation ``e`` at ``x`` with its scaled residuals ``ce`` and
+    ``ci`` (the scaled Jacobians hold their values at ``x``)."""
+    x: np.ndarray
+    s: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    mu: float
+    e: object
+    ce: np.ndarray
+    ci: np.ndarray
+
+
+def _start(x, e, scaling):
+    """The first iterate, at ``x`` with evaluation ``e``: slacks floored at
+    1e-2, ``z = MU0 / s`` and least-squares equality multipliers, capped."""
+    e, ce, ci = scaling.evaluate(x, e)
     s = np.maximum(1e-2, -ci)
-    mu = MU0
-    z = mu / s
-    # least-squares initial equality multipliers, capped
+    z = MU0 / s
+    je = scaling.eq.matrix
     try:
-        a = (je @ scale_eq.t + 1e-10 * sp.eye(m_eq)).tocsc()
-        rhs = -(je @ (e.grad_objective + scale_in.t @ z))
-        y = sp.linalg.spsolve(a, rhs)
+        a = (je @ scaling.eq.t + 1e-10 * sp.eye(len(ce))).tocsc()
+        y = sp.linalg.spsolve(a, -(je @ (e.grad_objective + scaling.ineq.t @ z)))
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e6:
-            y = np.zeros(m_eq)
+            y = np.zeros(len(ce))
     except RuntimeError:     # SuperLU could not factor the normal matrix
-        y = np.zeros(m_eq)
+        y = np.zeros(len(ce))
+    return _Iterate(x, s, y, z, MU0, e, ce, ci)
 
-    nu = 1.0        # merit penalty weight
-    delta_last = 0.0
-    status = STATUS_FAILED
-    message = ""
-    ls_failures = 0
 
-    for it in range(1, st.max_iter + 1):
-        stat = np.max(np.abs(e.grad_objective + scale_eq.t @ y + scale_in.t @ z))
-        # feasibility judged on the original (unscaled) constraint values so
-        # that a declared success survives independent residual recomputation
-        feas = max(np.max(np.abs(ce / d_eq)), np.max(np.abs((ci + s) / d_in)))
-        comp0 = np.max(np.abs(s * z))
-        if not np.isfinite(stat) or max(np.max(np.abs(y)), np.max(np.abs(z))) > 1e14:
-            message = "iterates diverged (unbounded multipliers)"
-            break
-        if max(stat, feas, comp0) <= st.kkt_tol:
-            status = STATUS_SUCCESS
-            break
-        comp_mu = np.max(np.abs(s * z - mu))
-        if max(stat, feas, comp_mu) <= mu and mu > st.kkt_tol / 10:
-            # monotone schedule; superlinear tail only once mu is small,
-            # so the early iterates are not outpaced by the barrier
-            step = mu * MU_FACTOR
-            if mu <= 1e-3:
-                step = min(step, mu**1.5)
-            mu = max(st.kkt_tol / 100, step)
-            z = np.clip(z, mu / (1e10 * s), 1e10 * mu / s)
+def _test(pt, scaling, st, last):
+    """The termination test at ``pt``, then the barrier update.
 
-        prob.hess_lagrangian(x, d_eq * y, d_in * z, e.vuf_hess, out=hess)
-        sigma = z / s
-        layout.refill(hess, sigma, scale_eq, scale_in)
+    Returns (status, message) when the solve stops at ``pt``: its multipliers
+    diverged, it is a KKT point, or ``last`` says the iteration budget is
+    spent.  Otherwise returns None, having lowered ``pt.mu`` (and clipped
+    ``pt.z`` to it) if ``pt`` solves the barrier subproblem."""
+    stat = np.max(np.abs(pt.e.grad_objective + scaling.eq.t @ pt.y + scaling.ineq.t @ pt.z))
+    # feasibility judged on the original (unscaled) constraint values so
+    # that a declared success survives independent residual recomputation
+    feas = max(np.max(np.abs(pt.ce / scaling.d_eq)),
+               np.max(np.abs((pt.ci + pt.s) / scaling.d_in)))
+    if not np.isfinite(stat) or max(np.max(np.abs(pt.y)), np.max(np.abs(pt.z))) > 1e14:
+        return STATUS_FAILED, "iterates diverged (unbounded multipliers)"
+    if max(stat, feas, np.max(np.abs(pt.s * pt.z))) <= st.kkt_tol:
+        return STATUS_SUCCESS, ""
+    if last:
+        return STATUS_FAILED, "maximum iterations exceeded"
+    comp_mu = np.max(np.abs(pt.s * pt.z - pt.mu))
+    if max(stat, feas, comp_mu) <= pt.mu and pt.mu > st.kkt_tol / 10:
+        # monotone schedule; superlinear tail only once mu is small,
+        # so the early iterates are not outpaced by the barrier
+        step = pt.mu * MU_FACTOR
+        if pt.mu <= 1e-3:
+            step = min(step, pt.mu**1.5)
+        pt.mu = max(st.kkt_tol / 100, step)
+        pt.z = np.clip(pt.z, pt.mu / (1e10 * pt.s), 1e10 * pt.mu / pt.s)
+    return None
 
-        # inertia-corrected factorization; the dual regularization stays off
-        # unless the plain system is singular, because it perturbs the
-        # equality rows and the merit function notices.  Symmetric pivoting
-        # cannot certify a W with an exact zero on its diagonal, so the sparse
-        # path starts that one regularized.
-        trial = max(REG_INIT, delta_last / 3.0)
-        delta = trial if not dense and layout.zero_on_diagonal() else 0.0
-        delta_c = 0.0
-        while True:
-            kkt = None      # free the previous factors before the next ones are allocated
-            if dense:
-                kkt = _KktSystem(layout.dense(delta, delta_c), n)
-            else:
-                kkt = _SparseKktSystem(*layout.matrices(delta), n)
-            if kkt.correct():
-                break
-            if kkt.singular():
-                delta_c = DELTA_C
-            step = trial if delta == 0.0 else delta * 10.0
-            if step > REG_CAP:
-                break
-            delta = step
-        if not kkt.correct():
-            inertia = "unknown" if kkt.inertia is None else tuple(map(int, kkt.inertia))
-            message = (f"KKT matrix could not be regularized: inertia {inertia} "
-                       f"at delta {delta:.1e}, wanted {kkt.want}")
-            break
-        delta_last = delta
 
-        r_i = ci + s
-        rhs_x = -(e.grad_objective + scale_eq.t @ y) - scale_in.t @ (mu / s + sigma * r_i)
-        rhs = np.concatenate([rhs_x, -ce])
-        try:
-            sol = kkt.solve(rhs)
-        except scipy.linalg.LinAlgError as exc:
-            message = f"KKT solve failed: {exc}"
-            break
-        dx = sol[:n]
-        dy = sol[n:]
-        ds = -r_i - ji @ dx
-        dz = (mu - s * z) / s - sigma * ds
+def _factor(layout, dense, delta_last):
+    """Inertia-corrected factorization of the refilled KKT matrix: the
+    factors and the primal regularization ``delta`` they took.
 
-        # fraction-to-boundary step limits
-        def max_step(v, dv):
-            mask = dv < 0
-            if not np.any(mask):
-                return 1.0
-            return min(1.0, TAU * np.min(-v[mask] / dv[mask]))
-
-        alpha_max = max_step(s, ds)
-        alpha_z = max_step(z, dz)
-
-        theta = (np.sum(np.abs(ce)) + np.sum(np.abs(r_i)))
-        bar_dir = e.grad_objective @ dx - mu * np.sum(ds / s)
-        # penalty weight sized so the merit direction is a descent one, with
-        # hysteresis; a non-decreasing weight would grow with the scaled
-        # multipliers and reject steps over harmless curvature infeasibility
-        nu_req = 1.0
-        if theta > 1e2 * np.finfo(float).eps:
-            nu_req = max(1.0, 2.0 * max(0.0, bar_dir) / theta + 1.0)
-        if nu_req > nu:
-            nu = 2.0 * nu_req
-        elif nu > 10.0 * nu_req:
-            nu = 10.0 * nu_req
-        barrier0 = e.objective - mu * np.sum(np.log(s))
-        merit0 = barrier0 + nu * theta
-        ddir = bar_dir - nu * theta
-
-        alpha = alpha_max
-        accepted = False
-        # if the achievable merit change is below float resolution the step is
-        # a pure dual correction: backtracking would only stall it, so its
-        # first trial is accepted once it evaluates
-        pure_dual = abs(ddir) * alpha_max <= np.sqrt(np.finfo(float).eps) * max(1.0, abs(merit0))
-        # noise floor: near a solved barrier subproblem the true decrease
-        # is below float resolution of the merit value; accept those steps
-        noise = 1e4 * np.finfo(float).eps * max(1.0, abs(merit0))
-        for attempt in range(40):
-            x_t = x + alpha * dx
-            s_t = s + alpha * ds
-            try:
-                obj_t, ce_t, ci_t = scaled(x_t, want_jac=False)
-            except (ValueError, FloatingPointError):
-                alpha *= 0.5
-                continue
-            if pure_dual and attempt == 0:
-                accepted = True
-                break
-            theta_t = np.sum(np.abs(ce_t)) + np.sum(np.abs(ci_t + s_t))
-            merit_t = obj_t - mu * np.sum(np.log(s_t)) + nu * theta_t
-            if np.isfinite(merit_t) and merit_t <= merit0 + 1e-4 * alpha * min(ddir, 0.0) + noise:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            ls_failures += 1
-            if ls_failures >= 5:
-                message = "line search failed repeatedly"
-                break
-            alpha = min(alpha_max, 1e-3)
-            x_t = x + alpha * dx
-            s_t = np.maximum(s + alpha * ds, 1e-16)
+    The dual regularization stays off unless the plain system is singular,
+    because it perturbs the equality rows and the merit function notices.
+    Symmetric pivoting cannot certify a W with an exact zero on its diagonal,
+    so the sparse path starts that one regularized.  Raises
+    :class:`_StepFailed` once ``delta`` would pass ``REG_CAP``."""
+    trial = max(REG_INIT, delta_last / 3.0)
+    delta = trial if not dense and layout.zero_on_diagonal() else 0.0
+    delta_c = 0.0
+    while True:
+        kkt = None      # free the previous factors before the next ones are allocated
+        if dense:
+            kkt = _KktSystem(layout.dense(delta, delta_c), layout.n)
         else:
-            ls_failures = 0
+            kkt = _SparseKktSystem(*layout.matrices(delta), layout.n)
+        if kkt.correct():
+            return kkt, delta
+        if kkt.singular():
+            delta_c = DELTA_C
+        step = trial if delta == 0.0 else delta * 10.0
+        if step > REG_CAP:
+            inertia = "unknown" if kkt.inertia is None else tuple(map(int, kkt.inertia))
+            raise _StepFailed(f"KKT matrix could not be regularized: inertia {inertia} "
+                              f"at delta {delta:.1e}, wanted {kkt.want}")
+        delta = step
 
-        x = x_t
-        s = s_t
-        y = y + alpha * dy
-        z = np.maximum(z + alpha_z * dz, 1e-16)
-        e, ce, ci = scaled(x)
-    else:
-        message = "maximum iterations exceeded"
 
-    # unscaled residuals; the last evaluation e is always at the final x
-    y_un = d_eq * y
-    z_un = d_in * z
+def _direction(prob, pt, scaling, layout, dense, delta_last):
+    """The Newton direction at ``pt``: (delta, (dx, dy, ds, dz)), with delta
+    the primal regularization of its factorization, which is freed on
+    return.  Raises :class:`_StepFailed` if there is none."""
+    hess = prob.hess_lagrangian(pt.x, scaling.d_eq * pt.y, scaling.d_in * pt.z, pt.e.vuf_hess,
+                                out=np.empty(prob.hess_layout.nnz))
+    sigma = pt.z / pt.s
+    layout.refill(hess, sigma, scaling.eq, scaling.ineq)
+    kkt, delta = _factor(layout, dense, delta_last)
+    r_i = pt.ci + pt.s
+    barrier = pt.mu / pt.s + sigma * r_i
+    rhs_x = -(pt.e.grad_objective + scaling.eq.t @ pt.y) - scaling.ineq.t @ barrier
+    try:
+        sol = kkt.solve(np.concatenate([rhs_x, -pt.ce]))
+    except scipy.linalg.LinAlgError as exc:
+        raise _StepFailed(f"KKT solve failed: {exc}") from None
+    dx, dy = sol[:layout.n], sol[layout.n:]
+    ds = -r_i - scaling.ineq.matrix @ dx
+    return delta, (dx, dy, ds, (pt.mu - pt.s * pt.z) / pt.s - sigma * ds)
+
+
+def _max_step(v, dv):
+    """The fraction-to-boundary step limit of ``v > 0`` along ``dv``."""
+    mask = dv < 0
+    if not np.any(mask):
+        return 1.0
+    return min(1.0, TAU * np.min(-v[mask] / dv[mask]))
+
+
+def _line_search(pt, step, scaling, nu):
+    """Backtracking on the merit function (barrier objective plus ``nu``
+    times the scaled l1 infeasibility) from ``pt`` along ``step``.
+
+    Returns (nu, alpha, x_t, s_t): the updated penalty weight and the
+    accepted step length and trial point, or ``None`` for x_t and s_t when
+    no trial was accepted."""
+    dx, _, ds, _ = step
+    alpha_max = _max_step(pt.s, ds)
+    theta = (np.sum(np.abs(pt.ce)) + np.sum(np.abs(pt.ci + pt.s)))
+    bar_dir = pt.e.grad_objective @ dx - pt.mu * np.sum(ds / pt.s)
+    # penalty weight sized so the merit direction is a descent one, with
+    # hysteresis; a non-decreasing weight would grow with the scaled
+    # multipliers and reject steps over harmless curvature infeasibility
+    nu_req = 1.0
+    if theta > 1e2 * np.finfo(float).eps:
+        nu_req = max(1.0, 2.0 * max(0.0, bar_dir) / theta + 1.0)
+    if nu_req > nu:
+        nu = 2.0 * nu_req
+    elif nu > 10.0 * nu_req:
+        nu = 10.0 * nu_req
+    merit0 = pt.e.objective - pt.mu * np.sum(np.log(pt.s)) + nu * theta
+    ddir = bar_dir - nu * theta
+    alpha = alpha_max
+    # if the achievable merit change is below float resolution the step is
+    # a pure dual correction: backtracking would only stall it, so its
+    # first trial is accepted once it evaluates
+    pure_dual = abs(ddir) * alpha_max <= np.sqrt(np.finfo(float).eps) * max(1.0, abs(merit0))
+    # noise floor: near a solved barrier subproblem the true decrease
+    # is below float resolution of the merit value; accept those steps
+    noise = 1e4 * np.finfo(float).eps * max(1.0, abs(merit0))
+    for attempt in range(40):
+        x_t = pt.x + alpha * dx
+        s_t = pt.s + alpha * ds
+        try:
+            obj_t, ce_t, ci_t = scaling.trial(x_t)
+        except (ValueError, FloatingPointError):
+            alpha *= 0.5
+            continue
+        if pure_dual and attempt == 0:
+            return nu, alpha, x_t, s_t
+        theta_t = np.sum(np.abs(ce_t)) + np.sum(np.abs(ci_t + s_t))
+        merit_t = obj_t - pt.mu * np.sum(np.log(s_t)) + nu * theta_t
+        if np.isfinite(merit_t) and merit_t <= merit0 + 1e-4 * alpha * min(ddir, 0.0) + noise:
+            return nu, alpha, x_t, s_t
+        alpha *= 0.5
+    return nu, alpha, None, None
+
+
+def _advance(pt, step, alpha, x_t, s_t, scaling):
+    """The next iterate: ``pt`` moved along ``step`` to the accepted trial
+    point, or by a short forced step if ``x_t`` is None, and evaluated."""
+    dx, dy, ds, dz = step
+    if x_t is None:
+        alpha = min(_max_step(pt.s, ds), 1e-3)
+        x_t = pt.x + alpha * dx
+        s_t = np.maximum(pt.s + alpha * ds, 1e-16)
+    z = np.maximum(pt.z + _max_step(pt.z, dz) * dz, 1e-16)
+    return _Iterate(x_t, s_t, pt.y + alpha * dy, z, pt.mu, *scaling.evaluate(x_t))
+
+
+def _result(prob, pt, scaling, st, status, message, iterations):
+    """The solution at ``pt``: unscaled multipliers and residuals of its
+    evaluation and, unless it succeeded, the infeasible status if it is
+    far from feasible, with notes on the hard limits and the worst row."""
+    e = pt.e
+    y_un = scaling.d_eq * pt.y
+    z_un = scaling.d_in * pt.z
     r_d = e.grad_objective + e.jac_eq.T @ y_un + e.jac_ineq.T @ z_un
     stat = float(np.max(np.abs(r_d)))
     feas = float(max(np.max(np.abs(e.c_eq)), np.max(e.c_ineq, initial=0.0)))
     comp = float(np.max(np.abs(z_un * e.c_ineq)))
-    residuals = {"stationarity": stat, "feasibility": feas, "complementarity": comp}
-
+    notes = [message]
     if status != STATUS_SUCCESS:
         # distinguish genuinely infeasible points (e.g. hard-mode VUF limits)
         if feas > 1e2 * st.kkt_tol:
             status = STATUS_INFEASIBLE
-            if prob.cfg.mode == "hard":
-                viol = prob.by_family(ineq=e.c_ineq)["vuf_limit"]
-                if np.max(viol, initial=0.0) > st.kkt_tol:
-                    message = (message + "; " if message else "") + \
-                        "hard voltage-unbalance limits violated at the final iterate"
-        worst = _worst_row(prob, e, z_un, st.kkt_tol)
-        if worst:
-            message = (message + "; " if message else "") + worst
-
+            if (prob.cfg.mode == "hard" and np.max(prob.by_family(ineq=e.c_ineq)["vuf_limit"],
+                                                   initial=0.0) > st.kkt_tol):
+                notes.append("hard voltage-unbalance limits violated at the final iterate")
+        notes.append(_worst_row(prob, e, z_un, st.kkt_tol))
     return OpfSolution(
-        problem=prob, status=status, x=x, y_eq=y_un, z_ineq=z_un,
-        slacks=s, objective=prob.objective_value(x), iterations=it,
-        residuals=residuals, message=message,
+        problem=prob, status=status, x=pt.x, y_eq=y_un, z_ineq=z_un, slacks=pt.s,
+        objective=prob.objective_value(pt.x), iterations=iterations,
+        residuals={"stationarity": stat, "feasibility": feas, "complementarity": comp},
+        message="; ".join(filter(None, notes)),
     )
+
+
+def solve(prob: OpfProblem, warm=None, settings: SolverSettings | None = None) -> OpfSolution:
+    """Solve the NLP to a KKT point; multipliers in EUR/h per per-unit.
+
+    Every returned point is one the termination test saw: the loop tests
+    each iterate before it steps, and stops without stepping once the
+    iteration budget is spent.  No row block is ever empty: a valid
+    network's one substation generator alone gives 6 variables, 6 balance
+    rows and 12 output-box rows.
+    """
+    st = settings or SolverSettings()
+    x = prob.x0(warm)
+    e = prob.evaluate(x)
+    scaling = _Scaling(prob, e)
+    pt = _start(x, e, scaling)
+    dense = prob.nvar + prob.n_eq <= 1200
+    layout = _KktLayout(prob)
+    nu = 1.0        # merit penalty weight
+    delta_last = 0.0
+    ls_failures = 0
+    for it in range(1, st.max_iter + 1):
+        status, message = _test(pt, scaling, st, it == st.max_iter) or (None, "")
+        if status is not None:
+            break
+        try:
+            delta_last, step = _direction(prob, pt, scaling, layout, dense, delta_last)
+        except _StepFailed as exc:
+            status, message = STATUS_FAILED, str(exc)
+            break
+        nu, alpha, x_t, s_t = _line_search(pt, step, scaling, nu)
+        ls_failures = 0 if x_t is not None else ls_failures + 1
+        if ls_failures >= 5:
+            status, message = STATUS_FAILED, "line search failed repeatedly"
+            break
+        pt = _advance(pt, step, alpha, x_t, s_t, scaling)
+    return _result(prob, pt, scaling, st, status, message, it)

@@ -1,7 +1,9 @@
 """Interior-point solver tests: KKT quality, mode behavior, determinism."""
 
+import importlib.util
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,23 @@ class TestConvergence:
         assert sol.residuals["stationarity"] == pytest.approx(stat, rel=1e-9)
         assert sol.residuals["feasibility"] == pytest.approx(feas, rel=1e-9)
         assert sol.residuals["complementarity"] == pytest.approx(comp, rel=1e-9)
+
+    def test_every_returned_point_was_tested(self, simple5, simple5_pf):
+        # the last allowed iteration tests its point and does not step: one
+        # iteration short of the KKT point fails at the point before it, and
+        # exactly enough iterations succeed
+        ref = solve(build_problem(simple5), warm=simple5_pf)
+        assert ref.success, ref.message
+        short = solve(build_problem(simple5), warm=simple5_pf,
+                      settings=SolverSettings(max_iter=ref.iterations - 1))
+        assert short.status == "failed" and short.iterations == ref.iterations - 1
+        assert short.message.startswith("maximum iterations exceeded")
+        assert not np.array_equal(short.x, ref.x)
+        exact = solve(build_problem(simple5), warm=simple5_pf,
+                      settings=SolverSettings(max_iter=ref.iterations))
+        assert exact.success and exact.iterations == ref.iterations
+        for name in ("x", "y_eq", "z_ineq", "slacks"):
+            assert getattr(exact, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_cold_start_reaches_same_objective(self, simple5):
         prob = build_problem(simple5)
@@ -668,6 +687,31 @@ class TestSparseConstructions:
         assert len(counts) >= sol.iterations - 1
         assert set(counts) == {0}
 
+    def test_normal_matrix_is_freed_before_the_first_factorization(self, eulv117,
+                                                                   monkeypatch):
+        # the least-squares start's normal matrix lives only while the
+        # initial multipliers are solved for
+        normal, alive = [], []
+        spsolve = scipy.sparse.linalg.spsolve
+
+        def kept(a, *args, **kwargs):
+            normal.append(weakref.ref(a))
+            return spsolve(a, *args, **kwargs)
+
+        class Recorded(ipsolver._SparseKktSystem):
+            def __init__(self, *args):
+                alive.append(normal[0]() is not None)
+                super().__init__(*args)
+
+        warm = solve_pf(eulv117)
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", kept)
+        monkeypatch.setattr(ipsolver, "_SparseKktSystem", Recorded)
+        cfg = UnbalanceConfig("hard", 0.5, buses=eulv117.unbalance.buses)
+        sol = solve(build_problem(eulv117, cfg), warm=warm)
+        assert sol.success, sol.message
+        assert len(normal) == 1 and len(alive) >= sol.iterations - 1
+        assert not any(alive)
+
     def test_dense_path_count_is_fixed(self, simple5, simple5_pf, monkeypatch):
         cfg = UnbalanceConfig("hard", 1.0)
         full, n_full, factors = self.count(monkeypatch, build_problem(simple5, cfg),
@@ -817,3 +861,17 @@ class TestFailureMessages:
         found = f"({n}, {m}, 0)" if inertia == "read" else "unknown"
         assert sol.message == (f"KKT matrix could not be regularized: inertia {found} "
                                f"at delta 1.0e+12, wanted ({n}, {m}, 0)" + worst_row(sol))
+
+
+class TestStructure:
+    def test_solver_functions_are_short(self):
+        # scripts/code_size.py counts each function from its def line to its
+        # last line; the interior-point phases are separate functions
+        script = Path(__file__).resolve().parents[1] / "scripts" / "code_size.py"
+        spec = importlib.util.spec_from_file_location("code_size", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        lengths = module.function_lengths(Path(ipsolver.__file__).read_text())
+        assert lengths["solve"] > 20
+        assert {name: n for name, n in lengths.items() if n > 60} == {}
+        assert not [name for name in lengths if name.startswith("solve.")]
